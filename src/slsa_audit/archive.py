@@ -220,6 +220,8 @@ def _extract_zip(data: bytes, cap: int) -> list[ArchiveEntry]:
                     _safe_entry_path(info.filename + "x")  # still reject traversal in dirs
                     continue
                 name = _safe_entry_path(info.filename)
+                if info.flag_bits & 0x1:
+                    raise EncryptedArchiveError(f"zip entry {name!r} is encrypted")
                 content = bytearray()
                 with zf.open(info) as handle:
                     while True:

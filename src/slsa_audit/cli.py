@@ -12,7 +12,7 @@ from pathlib import Path
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
-from slsa_audit.model import AuditError, Severity
+from slsa_audit.model import AuditError, EmptyInputError, Severity
 from slsa_audit.report import (
     FindingBatch,
     aggregate,
@@ -228,6 +228,7 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
                 framework, findings = iaclint.lint_template(
                     path, Path(path).read_text(encoding="utf-8"),
                     catalog=catalog, notices=notices,
+                    cors_substrings=config.cors_substrings, auth_keys=config.auth_keys,
                 )
             except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
                 notices.append(str(exc))
@@ -264,7 +265,7 @@ def _cmd_typosquat(args, config) -> int:
         print(f"d=0 [collision] {pair.a.name!r}: {pair.a.owner.slug} vs {pair.b.owner.slug}")
     try:
         cdf = typosquat.distance_cdf(records, args.max_distance)
-    except Exception:
+    except EmptyInputError:
         cdf = []
     if cdf:
         print("distance  cumulative_fraction")

@@ -27,12 +27,10 @@ class AuditConfig:
     enabled_vectors: frozenset[AttackVector] = frozenset(AttackVector)
     # vulnscan
     source_extensions: tuple[str, ...] = vulnscan.SOURCE_EXTENSIONS
-    metadata_extensions: tuple[str, ...] = vulnscan.METADATA_EXTENSIONS
     fp_filter: bool = False
     # archive
     extraction_limits: ExtractionLimits = ExtractionLimits()
     recursion_depth: int = 3
-    consensus_threshold: int = 5
     signatures: tuple[Signature, ...] = BUILTIN_SIGNATURES
     # dockerlint
     docker_rules: dict = field(default_factory=lambda: dict(dockerlint.DEFAULT_RULES))
@@ -71,8 +69,6 @@ def load_config(path: str | Path | None = None) -> AuditConfig:
         vuln = doc.get("vulnscan", {})
         if "source_extensions" in vuln:
             config = replace(config, source_extensions=tuple(vuln["source_extensions"]))
-        if "metadata_extensions" in vuln:
-            config = replace(config, metadata_extensions=tuple(vuln["metadata_extensions"]))
         if "fp_filter" in vuln:
             config = replace(config, fp_filter=bool(vuln["fp_filter"]))
         arch = doc.get("archive", {})
@@ -91,7 +87,6 @@ def load_config(path: str | Path | None = None) -> AuditConfig:
             config,
             extraction_limits=limits,
             recursion_depth=int(arch.get("recursion_depth", config.recursion_depth)),
-            consensus_threshold=int(arch.get("consensus_threshold", config.consensus_threshold)),
         )
         if "signature_db" in arch:
             config = replace(config, signatures=tuple(load_signatures(arch["signature_db"])))

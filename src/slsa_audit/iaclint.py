@@ -523,7 +523,9 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
             ),
             IaCFramework.SAM: RuleMatcher(
                 ("AWS::ApiGateway::Stage", "AWS::ApiGatewayV2::Stage", "AWS::Serverless::Api"),
-                {"absent": "AccessLogSetting"},
+                # Serverless::Api names the property AccessLogSetting; the
+                # ApiGateway stages name it AccessLogSettings.
+                {"all": [{"absent": "AccessLogSetting"}, {"absent": "AccessLogSettings"}]},
             ),
             IaCFramework.TERRAFORM: RuleMatcher(
                 ("aws_api_gateway_stage",), {"absent": "access_log_settings"}
@@ -750,10 +752,12 @@ def lint_template(
     catalog: Iterable[MisconfigRule] = DEFAULT_CATALOG,
     component: ComponentRef | None = None,
     notices: list[str] | None = None,
+    cors_substrings: tuple[str, ...] = CORS_KEY_SUBSTRINGS,
+    auth_keys: tuple[str, ...] = AUTH_KEYS,
 ) -> tuple[IaCFramework, list[Finding]]:
     """Classify, parse, and run all checks over one template."""
     framework = classify_template(path, contents, notices)
     model = parse_template(contents, framework, path)
     findings = run_rules(model, catalog, component, notices)
-    findings.extend(check_cors_wildcard(model, component))
+    findings.extend(check_cors_wildcard(model, component, cors_substrings, auth_keys))
     return framework, sorted(findings, key=Finding.sort_key)

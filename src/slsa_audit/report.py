@@ -387,6 +387,8 @@ def scan_iac(
                 catalog=config.iac_catalog,
                 component=entry.ref,
                 notices=notices,
+                cors_substrings=config.cors_substrings,
+                auth_keys=config.auth_keys,
             )
         except iaclint.UnsupportedExtensionError:
             continue

@@ -2,9 +2,9 @@
 
 Distances use the optimal-string-alignment (OSA) variant of
 Damerau-Levenshtein: insertions, deletions, substitutions, and adjacent
-transpositions, with no substring edited twice. OSA is not a metric, so
-the BK-tree index is built over plain Levenshtein (a true metric) and
-candidates are verified exactly with OSA.
+transpositions, with no substring edited twice. Near pairs are found
+exactly: every pair of distinct same-kind names whose lengths differ by
+at most the distance bound is compared with OSA.
 """
 from __future__ import annotations
 
@@ -54,81 +54,6 @@ def dl_distance(a: str, b: str) -> int:
         prev2 = prev
         prev = cur
     return prev[lb]
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Plain Levenshtein distance (true metric; upper bound on OSA)."""
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        cur = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            best = prev[j] + 1
-            alt = cur[j - 1] + 1
-            if alt < best:
-                best = alt
-            alt = prev[j - 1] + (0 if ca == b[j - 1] else 1)
-            if alt < best:
-                best = alt
-            cur[j] = best
-        prev = cur
-    return prev[lb]
-
-
-class _BKNode:
-    __slots__ = ("word", "children")
-
-    def __init__(self, word: str):
-        self.word = word
-        self.children: dict[int, _BKNode] = {}
-
-
-class BKTree:
-    """BK-tree over Levenshtein distance for near-neighbour candidates."""
-
-    def __init__(self, words: Iterable[str] = ()):
-        self.root: _BKNode | None = None
-        for word in words:
-            self.add(word)
-
-    def add(self, word: str) -> None:
-        if self.root is None:
-            self.root = _BKNode(word)
-            return
-        node = self.root
-        while True:
-            dist = levenshtein(word, node.word)
-            if dist == 0:
-                return
-            child = node.children.get(dist)
-            if child is None:
-                node.children[dist] = _BKNode(word)
-                return
-            node = child
-
-    def query(self, word: str, radius: int) -> list[str]:
-        """All stored words within the given Levenshtein radius."""
-        if self.root is None:
-            return []
-        out: list[str] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            dist = levenshtein(word, node.word)
-            if dist <= radius:
-                out.append(node.word)
-            # Metric triangle inequality bounds useful child edges.
-            for edge, child in node.children.items():
-                if dist - radius <= edge <= dist + radius:
-                    stack.append(child)
-        return out
 
 
 class NameKind(Enum):
@@ -202,14 +127,14 @@ def _ordered(a: NameRecord, b: NameRecord) -> tuple[NameRecord, NameRecord]:
 
 
 def find_near_pairs(
-    records: Iterable[NameRecord], max_distance: int = 1, use_index: bool = True
+    records: Iterable[NameRecord], max_distance: int = 1
 ) -> NearPairScan:
     """All same-kind record pairs with OSA distance in [1, max_distance].
 
     Identical names owned by different components are surfaced separately
-    as collisions. The BK-tree path queries at twice the radius because a
-    transposition costs 1 under OSA but up to 2 under Levenshtein; exact
-    OSA verification then trims the candidates.
+    as collisions. Records are grouped by name, each pair of distinct names
+    is compared once with OSA, and names whose lengths differ by more than
+    max_distance are skipped, since OSA is at least the length difference.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
@@ -232,11 +157,7 @@ def find_near_pairs(
                     if pub_a != pub_b:
                         first, second = _ordered(owners[i], owners[j])
                         scan.collisions.append(NearPair(first, second, 0))
-        if use_index:
-            name_pairs = _near_name_pairs_indexed(names, max_distance)
-        else:
-            name_pairs = _near_name_pairs_brute(names, max_distance)
-        for name_a, name_b, distance in name_pairs:
+        for name_a, name_b, distance in _near_name_pairs(names, max_distance):
             for rec_a in by_name[name_a]:
                 for rec_b in by_name[name_b]:
                     first, second = _ordered(rec_a, rec_b)
@@ -246,28 +167,12 @@ def find_near_pairs(
     return scan
 
 
-def _near_name_pairs_brute(names: list[str], max_distance: int) -> list[tuple[str, str, int]]:
+def _near_name_pairs(names: list[str], max_distance: int) -> list[tuple[str, str, int]]:
     out: list[tuple[str, str, int]] = []
     for i in range(len(names)):
         a = names[i]
         for j in range(i + 1, len(names)):
             b = names[j]
-            if abs(len(a) - len(b)) > max_distance:
-                continue
-            distance = dl_distance(a, b)
-            if 1 <= distance <= max_distance:
-                out.append((a, b, distance))
-    return out
-
-
-def _near_name_pairs_indexed(names: list[str], max_distance: int) -> list[tuple[str, str, int]]:
-    tree = BKTree(names)
-    out: list[tuple[str, str, int]] = []
-    for a in names:
-        # Levenshtein <= 2*OSA, so the doubled radius never drops a pair.
-        for b in tree.query(a, 2 * max_distance):
-            if b <= a:
-                continue
             if abs(len(a) - len(b)) > max_distance:
                 continue
             distance = dl_distance(a, b)

@@ -212,11 +212,14 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
             intervals.extend(_intervals_from_events(rng.get("events", [])))
         if not intervals:
             continue
+        ecosystem = Ecosystem.parse(package.get("ecosystem", ""))
+        name = package.get("name", "")
         out.append(
             Advisory(
                 id=advisory_id,
-                ecosystem=Ecosystem.parse(package.get("ecosystem", "")),
-                package_name=package.get("name", ""),
+                ecosystem=ecosystem,
+                # PyPI names are case-insensitive; inventories store them lowercased.
+                package_name=name.lower() if ecosystem is Ecosystem.PYPI else name,
                 affected=tuple(intervals),
                 cvss_score=score,
                 summary=doc.get("summary", ""),
@@ -480,7 +483,6 @@ def extract_inventory(
 # ---------------------------------------------------------------------------
 
 SOURCE_EXTENSIONS = (".py", ".js", ".ts", ".java", ".go", ".rb", ".sh", ".c", ".cpp")
-METADATA_EXTENSIONS = (".lock", ".gradle", ".toml", ".yml", ".yaml", ".json", ".xml", ".md")
 
 
 def _import_pattern(record: PackageRecord) -> re.Pattern[str]:

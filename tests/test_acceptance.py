@@ -458,12 +458,34 @@ def test_criterion_10_dl_exhaustive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 11. Near-pair index soundness
+# 11. Near-pair soundness
 # ---------------------------------------------------------------------------
 
 
+def _all_pairs_oracle(records, max_distance):
+    """(record, record, distance) multisets of near pairs and collisions,
+    from OSA on every same-kind record pair with no prefilter or grouping."""
+    pairs: Counter = Counter()
+    collisions: Counter = Counter()
+    dl = typosquat.dl_distance
+    for i, a in enumerate(records):
+        for b in records[i + 1:]:
+            if a.kind is not b.kind:
+                continue
+            first, second = sorted((a, b), key=lambda r: (r.name, r.owner.sort_key()))
+            distance = dl(a.name, b.name)
+            if 1 <= distance <= max_distance:
+                pairs[first, second, distance] += 1
+            elif distance == 0 and (
+                typosquat.normalize_name(a.owner.publisher)
+                != typosquat.normalize_name(b.owner.publisher)
+            ):
+                collisions[first, second, 0] += 1
+    return pairs, collisions
+
+
 def test_criterion_11_index_soundness():
-    with criterion(11, "BK-filtered near pairs equal brute force on 50 corpora", 60.0):
+    with criterion(11, "near pairs equal an all-pairs OSA oracle on 50 corpora", 60.0):
         rng = random.Random(11)
         sizes = [rng.randint(20, 150) for _ in range(40)]
         sizes += [rng.randint(150, 350) for _ in range(8)]
@@ -482,10 +504,12 @@ def test_criterion_11_index_soundness():
                 for i, name in enumerate(names)
             ]
             max_distance = 1 + index % 2
-            indexed = typosquat.find_near_pairs(records, max_distance, use_index=True)
-            brute = typosquat.find_near_pairs(records, max_distance, use_index=False)
-            assert indexed.pairs == brute.pairs
-            assert indexed.collisions == brute.collisions
+            scan = typosquat.find_near_pairs(records, max_distance)
+            pairs, collisions = _all_pairs_oracle(records, max_distance)
+            assert Counter((p.a, p.b, p.distance) for p in scan.pairs) == pairs
+            assert Counter((p.a, p.b, p.distance) for p in scan.collisions) == collisions
+            assert scan.pairs == sorted(scan.pairs, key=typosquat.NearPair.sort_key)
+            assert scan.collisions == sorted(scan.collisions, key=typosquat.NearPair.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import io
 import tarfile
+import zipfile
 
 import pytest
 
 from slsa_audit import sevenz
+from slsa_audit.ingest import serialize_manifest
+from slsa_audit.model import ComponentRef, Repository
+from slsa_audit.report import scan_corpus
 from slsa_audit.archive import (
     BUILTIN_SIGNATURES,
     EICAR_TEST_STRING,
@@ -263,6 +267,30 @@ def test_encrypted_sevenz_notice():
     )
     with pytest.raises(EncryptedArchiveError):
         extract_bytes(blob, ArchiveFormat.SEVENZ)
+
+
+def _encrypted_zip() -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("secret.txt", b"hidden")
+    data = bytearray(buf.getvalue())
+    # Set the encryption bit in the local header and the central directory.
+    data[6] |= 0x1
+    data[data.index(b"PK\x01\x02") + 8] |= 0x1
+    return bytes(data)
+
+
+def test_encrypted_zip_reported_by_scan_corpus(tmp_path):
+    ref = ComponentRef(Repository.GITHUB, "alice", "locked")
+    component = tmp_path / "corpus" / ref.slug
+    (component / "archives").mkdir(parents=True)
+    (component / "component.meta").write_text(serialize_manifest(ref, {}))
+    (component / "archives" / "bundle.zip").write_bytes(_encrypted_zip())
+    run = scan_corpus(tmp_path / "corpus")
+    findings = run.report.per_component[ref]
+    assert [(f.rule_id, f.location) for f in findings] == [
+        ("V2-ENCRYPTED-ARCHIVE", "archives/bundle.zip")
+    ]
 
 
 # ---------------------------------------------------------------------------

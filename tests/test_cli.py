@@ -156,6 +156,20 @@ def test_config_threading(demo, tmp_path, capsys):
     assert vectors == {"V3"}
 
 
+def test_config_cors_substrings_reach_scan_all(demo, tmp_path, capsys):
+    corpus, db = demo
+
+    def cors_findings(*config_args: str) -> list:
+        main([*config_args, "--output", "json", "scan-all", "--corpus", str(corpus), "--db", str(db)])
+        doc = json.loads(capsys.readouterr().out)
+        return [f for c in doc["components"] for f in c["findings"] if f["rule_id"] == "R-CORS"]
+
+    assert cors_findings()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"iaclint": {"cors_substrings": ["no-such-key"]}}))
+    assert cors_findings("--config", str(config_path)) == []
+
+
 def test_config_env_var_fallback(demo, tmp_path, capsys, monkeypatch):
     corpus, db = demo
     config_path = tmp_path / "config.json"

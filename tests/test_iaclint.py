@@ -188,6 +188,36 @@ def test_rule_kms_negated():
     assert run_rules(model) == []
 
 
+def _sam_api(resource_type: str, log_property: str | None) -> str:
+    doc = f"""Transform: {SAM_TRANSFORM}
+Resources:
+  Stage:
+    Type: {resource_type}
+    Properties:
+      StageName: prod
+"""
+    if log_property:
+        doc += f"      {log_property}:\n        DestinationArn: arn:aws:logs:::x\n"
+    return doc
+
+
+def _logging_findings(doc: str) -> list:
+    _, findings = lint_template("t.yaml", doc)
+    return [f for f in findings if f.rule_id == "IAC-API-LOGGING-DISABLED"]
+
+
+@pytest.mark.parametrize("stage_type", ["AWS::ApiGateway::Stage", "AWS::ApiGatewayV2::Stage"])
+def test_sam_stage_logging_reads_access_log_settings(stage_type):
+    assert _logging_findings(_sam_api(stage_type, "AccessLogSettings")) == []
+    assert len(_logging_findings(_sam_api(stage_type, None))) == 1
+
+
+def test_sam_serverless_api_logging_unchanged():
+    api = "AWS::Serverless::Api"
+    assert _logging_findings(_sam_api(api, "AccessLogSetting")) == []
+    assert len(_logging_findings(_sam_api(api, None))) == 1
+
+
 def test_cors_high_when_unauthenticated():
     model = parse_template(CORS_WILDCARD, IaCFramework.SAM, "t.yaml")
     findings = check_cors_wildcard(model)

@@ -1,8 +1,9 @@
-"""OSA distance, BK-tree index soundness, near pairs, and the distance CDF."""
+"""OSA distance, near pairs against an all-pairs oracle, and the distance CDF."""
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,14 @@ from hypothesis import strategies as st
 
 from slsa_audit.model import ComponentRef, EmptyInputError, Repository
 from slsa_audit.typosquat import (
-    BKTree,
     NameKind,
     NameRecord,
+    NearPair,
     build_name_records,
     distance_cdf,
     dl_distance,
     find_near_pairs,
     findings_from_pairs,
-    levenshtein,
     normalize_name,
 )
 
@@ -74,8 +74,6 @@ def test_dl_properties(a, b):
     assert d == dl_distance(b, a)
     assert d <= max(len(a), len(b))
     assert (d == 0) == (a == b)
-    assert d <= levenshtein(a, b)
-    assert levenshtein(a, b) <= 2 * d
 
 
 def test_dl_matches_reference_small_exhaustive():
@@ -85,12 +83,6 @@ def test_dl_matches_reference_small_exhaustive():
     for a in strings:
         for b in strings:
             assert dl_distance(a, b) == osa_reference(a, b), (a, b)
-
-
-def test_bktree_query_radius():
-    tree = BKTree(["book", "books", "cake", "boo", "cape", "cart"])
-    assert sorted(tree.query("book", 1)) == ["boo", "book", "books"]
-    assert tree.query("zzzzz", 0) == []
 
 
 def test_find_near_pairs_single_insertion():
@@ -140,22 +132,57 @@ def test_kinds_compared_separately():
 
 
 def _random_records(rng: random.Random, count: int) -> list[NameRecord]:
+    # Reused names, a small publisher pool and both kinds exercise
+    # collisions and the same-publisher and cross-kind exclusions.
     records = []
     for i in range(count):
-        name = "".join(rng.choices("abcdefgh", k=rng.randint(3, 9)))
-        records.append(
-            NameRecord(name, NameKind.IMAGE_NAME, _ref(Repository.DOCKER_HUB, f"p{i}", f"n{i}"))
-        )
+        if records and rng.random() < 0.2:
+            name = rng.choice(records).name
+        else:
+            name = "".join(rng.choices("abcdefgh", k=rng.randint(3, 9)))
+        kind = rng.choice(list(NameKind))
+        publisher = f"P{rng.randint(0, count // 4)}"
+        records.append(NameRecord(name, kind, _ref(Repository.DOCKER_HUB, publisher, f"n{i}")))
     return records
+
+
+def all_pairs_oracle(records: list[NameRecord], max_distance: int) -> tuple[Counter, Counter]:
+    """Near pairs and collisions from OSA on every same-kind record pair.
+
+    No length prefilter and no grouping by name: each pair is compared
+    directly and put in (lesser, greater) record order.
+    """
+    pairs: Counter = Counter()
+    collisions: Counter = Counter()
+    for i, a in enumerate(records):
+        for b in records[i + 1:]:
+            if a.kind is not b.kind:
+                continue
+            first, second = sorted((a, b), key=lambda r: (r.name, r.owner.sort_key()))
+            distance = dl_distance(a.name, b.name)
+            if 1 <= distance <= max_distance:
+                pairs[first, second, distance] += 1
+            elif distance == 0 and (
+                normalize_name(a.owner.publisher) != normalize_name(b.owner.publisher)
+            ):
+                collisions[first, second, 0] += 1
+    return pairs, collisions
+
+
+def _as_multiset(pairs: list[NearPair]) -> Counter:
+    return Counter((p.a, p.b, p.distance) for p in pairs)
 
 
 @pytest.mark.parametrize("seed,count,max_distance", [(1, 120, 1), (2, 150, 2), (3, 80, 3)])
 def test_index_equals_brute_force(seed, count, max_distance):
     records = _random_records(random.Random(seed), count)
-    indexed = find_near_pairs(records, max_distance, use_index=True)
-    brute = find_near_pairs(records, max_distance, use_index=False)
-    assert indexed.pairs == brute.pairs
-    assert indexed.collisions == brute.collisions
+    scan = find_near_pairs(records, max_distance)
+    pairs, collisions = all_pairs_oracle(records, max_distance)
+    assert pairs and collisions
+    assert _as_multiset(scan.pairs) == pairs
+    assert _as_multiset(scan.collisions) == collisions
+    assert scan.pairs == sorted(scan.pairs, key=NearPair.sort_key)
+    assert scan.collisions == sorted(scan.collisions, key=NearPair.sort_key)
 
 
 def test_length_prefilter_soundness():

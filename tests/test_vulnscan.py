@@ -357,6 +357,24 @@ def test_match_minimist():
     assert len(matches) == 1 and matches[0].severity is Severity.CRITICAL
 
 
+def test_match_mixed_case_pypi_advisory():
+    doc = {
+        "id": "CVE-2020-1747",
+        "affected": [
+            {
+                "package": {"ecosystem": "PyPI", "name": "PyYAML"},
+                "ranges": [
+                    {"type": "SEMVER", "events": [{"introduced": "0"}, {"fixed": "5.3.1"}]}
+                ],
+            }
+        ],
+    }
+    advisories = advisory_from_osv(doc)
+    inventory = parse_manifest("requirements.txt", "PyYAML==5.3\n")
+    matches = match_advisories(inventory, advisories)
+    assert [m.advisory_id for m in matches] == ["CVE-2020-1747"]
+
+
 def test_match_excludes_unparseable_version():
     inventory = PackageInventory()
     inventory.add("weird", "", Ecosystem.NPM, "package.json")
