@@ -228,7 +228,7 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
                 framework, findings = iaclint.lint_template(
                     path, Path(path).read_text(encoding="utf-8"),
                     catalog=catalog, notices=notices,
-                    cors_substrings=config.cors_substrings, auth_keys=config.auth_keys,
+                    cors_substrings=config.cors_substrings,
                 )
             except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
                 notices.append(str(exc))

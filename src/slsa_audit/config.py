@@ -38,7 +38,6 @@ class AuditConfig:
     # iaclint
     iac_catalog: tuple[iaclint.MisconfigRule, ...] = iaclint.DEFAULT_CATALOG
     cors_substrings: tuple[str, ...] = iaclint.CORS_KEY_SUBSTRINGS
-    auth_keys: tuple[str, ...] = iaclint.AUTH_KEYS
     # typosquat
     typosquat_max_distance: int = 1
     include_aws_sar: bool = False
@@ -108,8 +107,6 @@ def load_config(path: str | Path | None = None) -> AuditConfig:
             config = replace(config, iac_catalog=tuple(iaclint.load_catalog(iac["catalog"])))
         if "cors_substrings" in iac:
             config = replace(config, cors_substrings=tuple(iac["cors_substrings"]))
-        if "auth_keys" in iac:
-            config = replace(config, auth_keys=tuple(iac["auth_keys"]))
         squat = doc.get("typosquat", {})
         config = replace(
             config,

@@ -753,11 +753,10 @@ def lint_template(
     component: ComponentRef | None = None,
     notices: list[str] | None = None,
     cors_substrings: tuple[str, ...] = CORS_KEY_SUBSTRINGS,
-    auth_keys: tuple[str, ...] = AUTH_KEYS,
 ) -> tuple[IaCFramework, list[Finding]]:
     """Classify, parse, and run all checks over one template."""
     framework = classify_template(path, contents, notices)
     model = parse_template(contents, framework, path)
     findings = run_rules(model, catalog, component, notices)
-    findings.extend(check_cors_wildcard(model, component, cors_substrings, auth_keys))
+    findings.extend(check_cors_wildcard(model, component, cors_substrings))
     return framework, sorted(findings, key=Finding.sort_key)

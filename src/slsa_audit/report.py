@@ -388,7 +388,6 @@ def scan_iac(
                 component=entry.ref,
                 notices=notices,
                 cors_substrings=config.cors_substrings,
-                auth_keys=config.auth_keys,
             )
         except iaclint.UnsupportedExtensionError:
             continue

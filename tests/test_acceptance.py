@@ -41,6 +41,7 @@ from slsa_audit.model import (
     severity_band,
     summarize_counts,
 )
+from near_pair_oracle import all_pairs_oracle
 
 
 @contextmanager
@@ -462,28 +463,6 @@ def test_criterion_10_dl_exhaustive_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _all_pairs_oracle(records, max_distance):
-    """(record, record, distance) multisets of near pairs and collisions,
-    from OSA on every same-kind record pair with no prefilter or grouping."""
-    pairs: Counter = Counter()
-    collisions: Counter = Counter()
-    dl = typosquat.dl_distance
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            if a.kind is not b.kind:
-                continue
-            first, second = sorted((a, b), key=lambda r: (r.name, r.owner.sort_key()))
-            distance = dl(a.name, b.name)
-            if 1 <= distance <= max_distance:
-                pairs[first, second, distance] += 1
-            elif distance == 0 and (
-                typosquat.normalize_name(a.owner.publisher)
-                != typosquat.normalize_name(b.owner.publisher)
-            ):
-                collisions[first, second, 0] += 1
-    return pairs, collisions
-
-
 def test_criterion_11_index_soundness():
     with criterion(11, "near pairs equal an all-pairs OSA oracle on 50 corpora", 60.0):
         rng = random.Random(11)
@@ -505,7 +484,7 @@ def test_criterion_11_index_soundness():
             ]
             max_distance = 1 + index % 2
             scan = typosquat.find_near_pairs(records, max_distance)
-            pairs, collisions = _all_pairs_oracle(records, max_distance)
+            pairs, collisions = all_pairs_oracle(records, max_distance)
             assert Counter((p.a, p.b, p.distance) for p in scan.pairs) == pairs
             assert Counter((p.a, p.b, p.distance) for p in scan.collisions) == collisions
             assert scan.pairs == sorted(scan.pairs, key=typosquat.NearPair.sort_key)

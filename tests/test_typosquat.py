@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from near_pair_oracle import all_pairs_oracle
 
 from slsa_audit.model import ComponentRef, EmptyInputError, Repository
 from slsa_audit.typosquat import (
@@ -144,29 +145,6 @@ def _random_records(rng: random.Random, count: int) -> list[NameRecord]:
         publisher = f"P{rng.randint(0, count // 4)}"
         records.append(NameRecord(name, kind, _ref(Repository.DOCKER_HUB, publisher, f"n{i}")))
     return records
-
-
-def all_pairs_oracle(records: list[NameRecord], max_distance: int) -> tuple[Counter, Counter]:
-    """Near pairs and collisions from OSA on every same-kind record pair.
-
-    No length prefilter and no grouping by name: each pair is compared
-    directly and put in (lesser, greater) record order.
-    """
-    pairs: Counter = Counter()
-    collisions: Counter = Counter()
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            if a.kind is not b.kind:
-                continue
-            first, second = sorted((a, b), key=lambda r: (r.name, r.owner.sort_key()))
-            distance = dl_distance(a.name, b.name)
-            if 1 <= distance <= max_distance:
-                pairs[first, second, distance] += 1
-            elif distance == 0 and (
-                normalize_name(a.owner.publisher) != normalize_name(b.owner.publisher)
-            ):
-                collisions[first, second, 0] += 1
-    return pairs, collisions
 
 
 def _as_multiset(pairs: list[NearPair]) -> Counter:
