@@ -12,7 +12,7 @@ from pathlib import Path
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
-from slsa_audit.model import AuditError, EmptyInputError, Severity
+from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
 from slsa_audit.report import (
     FindingBatch,
     aggregate,
@@ -131,22 +131,17 @@ def _cmd_vulnscan(args, config, output: str, fail_on: Severity | None) -> int:
         return 0
     from dataclasses import replace
 
-    from slsa_audit.report import scan_vuln
-
-    config = replace(config, fp_filter=args.fp_filter or config.fp_filter)
-    db = vulnscan.load_advisory_db(args.db)
-    result = load_corpus(args.corpus)
-    notices: list[str] = []
-    batches, counts = [], {}
-    corpus_id = Path(args.corpus).name
-    for entry in result.entries:
-        findings, count = scan_vuln(entry, db, config, notices)
-        counts[entry.ref] = count
-        batches.append(FindingBatch(corpus_id, findings))
-    report = aggregate(batches, counts, config.cdf_thresholds)
-    sys.stdout.buffer.write(emit(report, output))
-    _print_notices(notices)
-    return exit_code_for(report, fail_on)
+    config = replace(
+        config,
+        enabled_vectors=frozenset({AttackVector.V1}),
+        fp_filter=args.fp_filter or config.fp_filter,
+    )
+    db_notices: list[str] = []
+    db = vulnscan.load_advisory_db(args.db, db_notices)
+    run = scan_corpus(args.corpus, config, db)
+    sys.stdout.buffer.write(emit(run.report, output))
+    _print_notices(db_notices + run.notices)
+    return exit_code_for(run.report, fail_on)
 
 
 def _cmd_archive(args, config, fail_on: Severity | None) -> int:

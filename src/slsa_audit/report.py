@@ -255,7 +255,7 @@ def _now() -> str:
 
 def scan_vuln(
     entry: CorpusEntry,
-    db: list[vulnscan.Advisory],
+    db: vulnscan.AdvisoryIndex,
     config: AuditConfig,
     notices: list[str],
 ) -> tuple[list[Finding], int]:
@@ -407,7 +407,7 @@ def scan_corpus(
 ) -> AuditRun:
     """Run every enabled vector over a corpus and aggregate one report."""
     config = config or AuditConfig()
-    db = db or []
+    index = vulnscan.index_advisories(db or [])
     started = _now()
     notices: list[str] = []
     load_result: CorpusLoadResult = load_corpus(corpus_root)
@@ -424,7 +424,7 @@ def scan_corpus(
     for entry in entries:
         vuln_counts.setdefault(entry.ref, 0)
         if AttackVector.V1 in vectors:
-            findings, count = scan_vuln(entry, db, config, notices)
+            findings, count = scan_vuln(entry, index, config, notices)
             vuln_counts[entry.ref] = count
             batches.append(FindingBatch(corpus_id, findings))
         if AttackVector.V2 in vectors:

@@ -8,6 +8,7 @@ at most the distance bound is compared with OSA.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -187,24 +188,26 @@ def distance_cdf(
     """CDF of pairwise OSA distances for d = 0..max_distance.
 
     Pairs are formed within each kind; fractions are over all such pairs.
+    Counts come from name multiplicities: m records sharing a name give
+    C(m, 2) pairs at distance 0, and two distinct names with m_a and m_b
+    records give m_a * m_b pairs at their distance, so each distinct name
+    pair is compared once.
     """
-    by_kind: dict[NameKind, list[NameRecord]] = {}
+    by_kind: dict[NameKind, Counter[str]] = {}
     total = 0
     for record in records:
-        by_kind.setdefault(record.kind, []).append(record)
+        by_kind.setdefault(record.kind, Counter())[record.name] += 1
         total += 1
     if total < 2:
         raise EmptyInputError("distance_cdf requires at least two records")
-    counts = [0] * (max_distance + 1)
+    counts: Counter[int] = Counter()
     num_pairs = 0
-    for kind_records in by_kind.values():
-        n = len(kind_records)
-        for i in range(n):
-            for j in range(i + 1, n):
-                num_pairs += 1
-                d = dl_distance(kind_records[i].name, kind_records[j].name)
-                if d <= max_distance:
-                    counts[d] += 1
+    for multiplicity in by_kind.values():
+        n = sum(multiplicity.values())
+        num_pairs += n * (n - 1) // 2
+        counts[0] += sum(m * (m - 1) // 2 for m in multiplicity.values())
+        for name_a, name_b, d in _near_name_pairs(sorted(multiplicity), max_distance):
+            counts[d] += multiplicity[name_a] * multiplicity[name_b]
     if num_pairs == 0:
         raise EmptyInputError("distance_cdf requires at least one same-kind pair")
     cdf: list[tuple[int, float]] = []

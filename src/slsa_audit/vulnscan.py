@@ -511,9 +511,10 @@ def mark_source_references(
     """
     root = Path(tree_root)
     source_exts = tuple(source_extensions)
-    patterns = {key: _import_pattern(rec) for key, rec in inventory.packages.items()}
-    if not root.is_dir() or not patterns:
+    if not root.is_dir() or not inventory.packages:
         return inventory
+    # Compiled on first use: most packages are never named in any file.
+    patterns: dict[tuple[str, Ecosystem], re.Pattern[str]] = {}
     for path in sorted(root.rglob("*")):
         if not path.is_file() or path.suffix.lower() not in source_exts:
             continue
@@ -524,9 +525,16 @@ def mark_source_references(
                 notices.append(f"skipped unreadable source file {path}: {exc}")
             continue
         rel = str(path.relative_to(root))
-        for key, pattern in patterns.items():
+        for key, record in inventory.packages.items():
+            # Every import pattern contains the name literally and is
+            # case-sensitive, so a file without the name cannot match.
+            if record.name not in text:
+                continue
+            pattern = patterns.get(key)
+            if pattern is None:
+                pattern = patterns[key] = _import_pattern(record)
             if pattern.search(text):
-                inventory.packages[key].referenced_in_source.add(rel)
+                record.referenced_in_source.add(rel)
     return inventory
 
 
@@ -554,19 +562,31 @@ class VulnMatch:
     summary: str = ""
 
 
+AdvisoryIndex = dict[tuple[Ecosystem, str], list[Advisory]]
+
+
+def index_advisories(advisories: Iterable[Advisory]) -> AdvisoryIndex:
+    """Group advisories by (ecosystem, package name), keeping their order."""
+    index: AdvisoryIndex = {}
+    for advisory in advisories:
+        index.setdefault((advisory.ecosystem, advisory.package_name), []).append(advisory)
+    return index
+
+
 def match_advisories(
     inventory: PackageInventory,
-    db: Iterable[Advisory],
+    db: Iterable[Advisory] | AdvisoryIndex,
     notices: list[str] | None = None,
 ) -> list[VulnMatch]:
     """Match every declared package version against the advisory database.
 
-    Matches deduplicate on (advisory, package, version); packages whose
-    version string is empty are excluded with a notice.
+    ``db`` is either the advisories themselves or their
+    :func:`index_advisories` index; pass the index when matching many
+    inventories against one database. Matches deduplicate on (advisory,
+    package, version); packages whose version string is empty are excluded
+    with a notice.
     """
-    index: dict[tuple[Ecosystem, str], list[Advisory]] = {}
-    for advisory in db:
-        index.setdefault((advisory.ecosystem, advisory.package_name), []).append(advisory)
+    index = db if isinstance(db, dict) else index_advisories(db)
     matches: dict[tuple[str, str, str, Ecosystem], VulnMatch] = {}
     for record in inventory.records():
         candidates = index.get((record.ecosystem, record.name))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -120,6 +121,25 @@ def test_vulnscan_compare(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "jaccard 0.333" in out
+
+
+def test_vulnscan_reports_load_errors_and_skipped_advisories(demo, tmp_path, capsys):
+    corpus, db = demo
+    main(["--output", "json", "vulnscan", "--corpus", str(corpus), "--db", str(db)])
+    clean = capsys.readouterr().out
+    broken_corpus = shutil.copytree(corpus, tmp_path / corpus.name)
+    bad = broken_corpus / "bad__c"
+    bad.mkdir()
+    (bad / "component.meta").write_text("repository=dockerhub\nname=c\n")  # publisher missing
+    broken_db = shutil.copytree(db, tmp_path / "db")
+    (broken_db / "broken.json").write_text("{not json")
+    code = main(["--output", "json", "vulnscan", "--corpus", str(broken_corpus),
+                 "--db", str(broken_db)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert "notice: bad__c/component.meta: missing required key 'publisher'" in captured.err
+    assert "notice: skipped advisory broken.json" in captured.err
 
 
 def test_iac_over_corpus(demo, capsys):

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+from slsa_audit import vulnscan
+from slsa_audit.config import AuditConfig
+from slsa_audit.demo import build_demo_corpus, build_demo_db
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
@@ -20,6 +23,7 @@ from slsa_audit.report import (
     exit_code_for,
     parse_report,
     report_to_dict,
+    scan_corpus,
 )
 
 REF_A = ComponentRef(Repository.DOCKER_HUB, "alice", "app")
@@ -156,3 +160,21 @@ def test_report_dict_shape():
     doc = report_to_dict(report)
     assert set(doc) == {"corpus_id", "components", "severity_histogram", "stats", "cdf"}
     assert doc["components"][0]["vuln_count"] == 1
+
+
+def test_scan_corpus_indexes_advisories_once(tmp_path, monkeypatch):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    calls = []
+    original = vulnscan.index_advisories
+
+    def counting(advisories):
+        calls.append(1)
+        return original(advisories)
+
+    monkeypatch.setattr(vulnscan, "index_advisories", counting)
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V1}))
+    run = scan_corpus(corpus, config, db)
+    assert len(run.report.vuln_counts) == 12
+    assert sum(run.report.vuln_counts.values()) > 0
+    assert len(calls) == 1

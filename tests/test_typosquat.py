@@ -199,6 +199,41 @@ def test_distance_cdf_needs_two():
     solo = [NameRecord("x", NameKind.IMAGE_NAME, _ref(Repository.GITHUB, "p", "x"))]
     with pytest.raises(EmptyInputError):
         distance_cdf(solo, 1)
+    username = NameRecord("x", NameKind.USERNAME, _ref(Repository.GITHUB, "x", "y"))
+    with pytest.raises(EmptyInputError):
+        distance_cdf(solo + [username], 1)  # two records, but no same-kind pair
+
+
+def _distance_cdf_oracle(records: list[NameRecord], max_distance: int) -> list[tuple[int, float]]:
+    """OSA on every same-kind record pair, counted per distance."""
+    counts: Counter = Counter()
+    num_pairs = 0
+    for a, b in itertools.combinations(records, 2):
+        if a.kind is b.kind:
+            num_pairs += 1
+            counts[dl_distance(a.name, b.name)] += 1
+    cumulative = 0
+    cdf = []
+    for d in range(max_distance + 1):
+        cumulative += counts[d]
+        cdf.append((d, cumulative / num_pairs))
+    return cdf
+
+
+@pytest.mark.parametrize("max_distance", [0, 1, 2])
+def test_distance_cdf_equals_all_pairs_oracle(max_distance):
+    rng = random.Random(max_distance)
+    for _ in range(30):
+        pool = ["".join(rng.choices("abc", k=rng.randint(1, 5))) for _ in range(rng.randint(1, 8))]
+        records = [
+            NameRecord(
+                rng.choice(pool),
+                rng.choice(list(NameKind)),
+                _ref(Repository.GITHUB, f"p{i}", f"n{i}"),
+            )
+            for i in range(rng.randint(3, 30))
+        ]
+        assert distance_cdf(records, max_distance) == _distance_cdf_oracle(records, max_distance)
 
 
 def test_build_name_records_skips_aws_sar():

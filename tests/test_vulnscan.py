@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from slsa_audit.model import Severity, severity_band
 from slsa_audit.vulnscan import (
+    SOURCE_EXTENSIONS,
     Advisory,
     Ecosystem,
     ExternalScanFormatError,
@@ -17,10 +18,12 @@ from slsa_audit.vulnscan import (
     ManifestError,
     PackageInventory,
     VersionInterval,
+    _import_pattern,
     advisory_from_osv,
     extract_inventory,
     filter_false_positives,
     import_external_scan,
+    index_advisories,
     jaccard_similarity,
     load_advisory_db,
     mark_source_references,
@@ -325,6 +328,74 @@ def test_gomod_bare_path_context(tmp_path):
     assert inventory.records()[0].referenced_in_source == {"main.go"}
 
 
+def _marked_by_full_search(inventory: PackageInventory, root, source_extensions) -> dict:
+    """Reference: compile every package's pattern and search every source file."""
+    patterns = {key: _import_pattern(record) for key, record in inventory.packages.items()}
+    marked = {key: set() for key in patterns}
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.suffix.lower() in source_extensions:
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for key, pattern in patterns.items():
+                if pattern.search(text):
+                    marked[key].add(str(path.relative_to(root)))
+    return marked
+
+
+HOSTILE_PACKAGES = [
+    ("c++", Ecosystem.OS_PACKAGES),
+    ("a.b", Ecosystem.PYPI),
+    ("aXb", Ecosystem.PYPI),
+    ("@scope/pkg", Ecosystem.NPM),
+    ("github.com/acme/tool", Ecosystem.GOMOD),
+    ("github.com/acme/tool/v2", Ecosystem.GOMOD),
+    ("foo", Ecosystem.NPM),
+    ("foo-bar", Ecosystem.NPM),
+    ("foo", Ecosystem.GOMOD),
+    ("Requests", Ecosystem.OS_PACKAGES),
+    ("requests", Ecosystem.PYPI),
+    ("", Ecosystem.OS_PACKAGES),  # os-packages.txt line "=1.0"
+]
+
+IMPORT_FORMS = [
+    "import {name}",
+    "import '{name}'",
+    "from {name} import x",
+    'from "{name}"',
+    "require('{name}')",
+    'require ( "{name}/lib/x" )',
+    '"{name}"',
+    "'{name}/sub'",
+    "print('{name} is great')",  # outside an import context
+    "# {name}",
+    "import {name}_extra",
+    "import x{name}",
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_source_marking_equals_full_search(tmp_path, seed):
+    rng = random.Random(seed)
+    names = [name for name, _ in HOSTILE_PACKAGES]
+    for i in range(12):
+        suffix = rng.choice([".py", ".js", ".ts", ".go", ".sh", ".md", ".txt", ".json", ".PY"])
+        path = tmp_path / rng.choice(["", "src", "docs", "src/deep"]) / f"f{i}{suffix}"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            name = rng.choice(names)
+            name = rng.choice([name, name.upper(), name.swapcase()])
+            lines.append(rng.choice(IMPORT_FORMS).format(name=name))
+        path.write_text("\n".join(lines) + "\n")
+    inventory = PackageInventory()
+    for name, ecosystem in HOSTILE_PACKAGES:
+        inventory.add(name, "1.0.0", ecosystem, "manifest")
+    extensions = (".py", ".js", ".go") if seed % 2 else SOURCE_EXTENSIONS
+    expected = _marked_by_full_search(inventory, tmp_path, extensions)
+    mark_source_references(inventory, tmp_path, extensions)
+    assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
+    assert any(expected.values())
+
+
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
@@ -435,11 +506,10 @@ def test_match_equals_brute_force_sample():
     rng = random.Random(42)
     for _ in range(40):
         inventory, advisories = _random_instance(rng)
-        got = {
-            (m.advisory_id, m.package_name, m.package_version, m.ecosystem)
-            for m in match_advisories(inventory, advisories)
-        }
+        matches = match_advisories(inventory, advisories)
+        got = {(m.advisory_id, m.package_name, m.package_version, m.ecosystem) for m in matches}
         assert got == _brute_force_matches(inventory, advisories)
+        assert match_advisories(inventory, index_advisories(advisories)) == matches
 
 
 def test_match_monotone_under_db_growth():
