@@ -191,6 +191,7 @@ def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
         from dataclasses import replace
 
         result = load_corpus(args.corpus)
+        notices.extend(str(error) for error in result.errors)
         corpus_id = Path(args.corpus).name
         entry_config = replace(config, docker_rules=rules, sensitive_keys=key_config)
         batches = [
@@ -214,6 +215,7 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
         corpus_id = Path(args.corpus).name
         entry_config = replace(config, iac_catalog=catalog)
         result = load_corpus(args.corpus)
+        notices.extend(str(error) for error in result.errors)
         for entry in result.entries:
             tagged.extend(scan_iac(entry, entry_config, notices))
     else:
@@ -227,6 +229,9 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
                 )
             except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
                 notices.append(str(exc))
+                continue
+            except UnicodeDecodeError as exc:
+                notices.append(f"{path}: {exc}")
                 continue
             tagged.extend((framework, f) for f in findings)
     report = aggregate([FindingBatch(corpus_id, [f for _, f in tagged])])
@@ -267,6 +272,7 @@ def _cmd_typosquat(args, config) -> int:
         for distance, fraction in cdf:
             print(f"{distance:>8}  {fraction:.4f}")
     print(f"{len(scan.pairs)} near pair(s), {len(scan.collisions)} collision(s)", file=sys.stderr)
+    _print_notices([str(error) for error in result.errors])
     return 0
 
 

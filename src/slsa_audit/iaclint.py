@@ -82,16 +82,141 @@ class TemplateModel:
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Classification and structured parsing: one composition per template
 # ---------------------------------------------------------------------------
+
+# libyaml's composer when PyYAML was built with it, the pure-Python one
+# otherwise. Both resolve scalar tags with PyYAML's Python Resolver and keep
+# the marks SourceSpan needs; no constructor runs, so nothing else differs.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Deepest collection nesting a template may have. libyaml's composer
+# recurses on the C stack, where a deep enough document kills the process
+# instead of raising.
+MAX_NESTING = 512
+# Every collection level needs one of these indicators, so their count
+# bounds the nesting depth.
+_NESTING_INDICATORS = "[{-:?"
+
+# Values built from one template's node tree, per character of its text.
+# An alias is expanded wherever it is referenced, so without a cap a few
+# hundred bytes can name millions of values.
+_MAX_VALUES_PER_CHAR = 10
 
 _TRANSFORM_TEXT_RE = re.compile(
     r"['\"]?Transform['\"]?\s*:\s*\[?\s*['\"]?" + re.escape(SAM_TRANSFORM)
 )
 
 
-def _structured_load(contents: str) -> object:
-    return yaml.load(contents, Loader=_IaCLoader)
+def _is_structured(path: str) -> bool:
+    """True for a YAML/JSON template, False for Terraform."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".tf":
+        return False
+    if suffix not in (".json", ".yaml", ".yml"):
+        raise UnsupportedExtensionError(
+            f"unsupported template extension {suffix!r} for {path} (expected .tf/.json/.yaml/.yml)"
+        )
+    return True
+
+
+def _check_nesting(contents: str, path: str) -> None:
+    """Refuse a document nested deeper than MAX_NESTING, before composing it.
+
+    The depth is measured only when the indicator count allows a deeper
+    document, from the parser's event stream, which is iterative.
+    """
+    if sum(map(contents.count, _NESTING_INDICATORS)) <= MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(contents, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise TemplateParseError(f"{path}: nesting deeper than {MAX_NESTING} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
+def _compose(contents: str, path: str) -> yaml.Node | None:
+    try:
+        _check_nesting(contents, path)
+        return yaml.compose(contents, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = f" at line {mark.line + 1}" if mark else ""
+        raise TemplateParseError(f"{path}: YAML/JSON syntax error{line}: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        # libyaml takes UTF-8, which a str holding a lone surrogate has none of.
+        raise TemplateParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise TemplateParseError(f"{path}: nesting too deep to compose") from None
+
+
+class _ValueBuilder:
+    """Builds plain value trees from one template's nodes, keeping intrinsics.
+
+    Refuses to build more than _MAX_VALUES_PER_CHAR values per character
+    of the template.
+    """
+
+    def __init__(self, path: str, contents: str) -> None:
+        self.path = path
+        self.remaining = _MAX_VALUES_PER_CHAR * len(contents)
+
+    def __call__(self, node: yaml.Node) -> object:
+        try:
+            return self._value(node)
+        except RecursionError:
+            raise TemplateParseError(f"{self.path}: values nested too deep to build") from None
+
+    def _value(self, node: yaml.Node) -> object:
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise TemplateParseError(
+                f"{self.path}: aliases expand to more than {_MAX_VALUES_PER_CHAR} values per character"
+            )
+        if isinstance(node, yaml.ScalarNode):
+            if node.tag.startswith("tag:yaml.org,2002:"):
+                kind = node.tag.rsplit(":", 1)[-1]
+                if kind == "int":
+                    try:
+                        return int(node.value)
+                    except ValueError:
+                        return node.value
+                if kind == "float":
+                    try:
+                        return float(node.value)
+                    except ValueError:
+                        return node.value
+                if kind == "bool":
+                    return node.value.lower() in ("true", "yes", "on")
+                if kind == "null":
+                    return None
+                return node.value
+            return IntrinsicRef(tag=node.tag, value=node.value)
+        if isinstance(node, yaml.SequenceNode):
+            return [self._value(child) for child in node.value]
+        if isinstance(node, yaml.MappingNode):
+            out = {str(self._value(k)): self._value(v) for k, v in node.value}
+            if not node.tag.startswith("tag:yaml.org,2002:"):
+                return IntrinsicRef(tag=node.tag, value=out)
+            return out
+        raise TemplateParseError(f"{self.path}: unsupported YAML node {node!r}")
+
+
+def _transforms(root: yaml.MappingNode, values: _ValueBuilder) -> list:
+    """The root's Transform value as a list; the last Transform key wins."""
+    transforms: list = []
+    for key_node, value_node in root.value:
+        if str(values(key_node)) == "Transform":
+            value = values(value_node)
+            transforms = value if isinstance(value, list) else [value]
+    return transforms
+
+
+def _framework_from(transforms: list) -> IaCFramework:
+    return IaCFramework.SAM if SAM_TRANSFORM in transforms else IaCFramework.CLOUDFORMATION
 
 
 def classify_template(
@@ -102,86 +227,19 @@ def classify_template(
     Unparseable structured documents fall back to a textual scan for the
     directive, recorded as a notice.
     """
-    suffix = Path(path).suffix.lower()
-    if suffix == ".tf":
+    if not _is_structured(path):
         return IaCFramework.TERRAFORM
-    if suffix not in (".json", ".yaml", ".yml"):
-        raise UnsupportedExtensionError(
-            f"unsupported template extension {suffix!r} for {path} (expected .tf/.json/.yaml/.yml)"
-        )
     try:
-        doc = _structured_load(contents)
-    except yaml.YAMLError:
+        root = _compose(contents, path)
+        if not isinstance(root, yaml.MappingNode):
+            return IaCFramework.CLOUDFORMATION
+        return _framework_from(_transforms(root, _ValueBuilder(path, contents)))
+    except TemplateParseError:
         if notices is not None:
             notices.append(f"{path}: structured parse failed; classified textually")
         if _TRANSFORM_TEXT_RE.search(contents):
             return IaCFramework.SAM
         return IaCFramework.CLOUDFORMATION
-    if isinstance(doc, dict):
-        transform = doc.get("Transform")
-        values = transform if isinstance(transform, list) else [transform]
-        if any(v == SAM_TRANSFORM for v in values):
-            return IaCFramework.SAM
-    return IaCFramework.CLOUDFORMATION
-
-
-# ---------------------------------------------------------------------------
-# Structured parsing with source spans
-# ---------------------------------------------------------------------------
-
-
-class _IaCLoader(yaml.SafeLoader):
-    """SafeLoader that wraps unknown (intrinsic) tags as opaque nodes."""
-
-
-def _intrinsic_constructor(loader: yaml.Loader, tag_suffix: str, node: yaml.Node):
-    if isinstance(node, yaml.ScalarNode):
-        value: object = loader.construct_scalar(node)
-    elif isinstance(node, yaml.SequenceNode):
-        value = loader.construct_sequence(node)
-    else:
-        value = loader.construct_mapping(node)
-    return IntrinsicRef(tag="!" + tag_suffix, value=value)
-
-
-_IaCLoader.add_multi_constructor("!", _intrinsic_constructor)
-
-
-def _node_to_value(node: yaml.Node) -> object:
-    """Construct a plain value tree from a composed node, keeping intrinsics."""
-    if isinstance(node, yaml.ScalarNode):
-        if node.tag.startswith("tag:yaml.org,2002:"):
-            kind = node.tag.rsplit(":", 1)[-1]
-            if kind == "int":
-                try:
-                    return int(node.value)
-                except ValueError:
-                    return node.value
-            if kind == "float":
-                try:
-                    return float(node.value)
-                except ValueError:
-                    return node.value
-            if kind == "bool":
-                return node.value.lower() in ("true", "yes", "on")
-            if kind == "null":
-                return None
-            return node.value
-        return IntrinsicRef(tag=node.tag, value=node.value)
-    if isinstance(node, yaml.SequenceNode):
-        return [_node_to_value(child) for child in node.value]
-    if isinstance(node, yaml.MappingNode):
-        if not node.tag.startswith("tag:yaml.org,2002:"):
-            return IntrinsicRef(
-                tag=node.tag,
-                value={str(_node_to_value(k)): _node_to_value(v) for k, v in node.value},
-            )
-        out = {}
-        for key_node, value_node in node.value:
-            key = _node_to_value(key_node)
-            out[str(key)] = _node_to_value(value_node)
-        return out
-    raise TemplateParseError(f"unsupported YAML node {node!r}")
 
 
 def parse_template(contents: str, framework: IaCFramework, path: str = "<template>") -> TemplateModel:
@@ -191,39 +249,52 @@ def parse_template(contents: str, framework: IaCFramework, path: str = "<templat
     return _parse_cfn_model(contents, framework, path)
 
 
-def _parse_cfn_model(contents: str, framework: IaCFramework, path: str) -> TemplateModel:
-    try:
-        root = yaml.compose(contents, Loader=_IaCLoader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = f" at line {mark.line + 1}" if mark else ""
-        raise TemplateParseError(f"{path}: YAML/JSON syntax error{line}: {exc}") from exc
-    model = TemplateModel(framework=framework, path=path, line_count=contents.count("\n") + 1)
+def load_template(path: str, contents: str) -> TemplateModel:
+    """Classify and parse one template, composing a YAML/JSON text once.
+
+    The framework comes from the extension and, for YAML/JSON, from the
+    Transform value of the composed root.
+    """
+    if not _is_structured(path):
+        return _parse_terraform_model(contents, path)
+    return _parse_cfn_model(contents, None, path)
+
+
+def _parse_cfn_model(
+    contents: str, framework: IaCFramework | None, path: str
+) -> TemplateModel:
+    """The model of a YAML/JSON template; a framework of None is read from
+    the root's Transform."""
+    root = _compose(contents, path)
+    model = TemplateModel(
+        framework=framework or IaCFramework.CLOUDFORMATION,
+        path=path,
+        line_count=contents.count("\n") + 1,
+    )
     if root is None:
         return model
     if not isinstance(root, yaml.MappingNode):
         raise TemplateParseError(f"{path}: template root must be a mapping")
+    values = _ValueBuilder(path, contents)
+    model.transforms = _transforms(root, values)
     for key_node, value_node in root.value:
-        key = str(_node_to_value(key_node))
-        if key == "Transform":
-            value = _node_to_value(value_node)
-            model.transforms = value if isinstance(value, list) else [value]
-        elif key == "Parameters":
+        key = str(values(key_node))
+        if key == "Parameters":
             if isinstance(value_node, yaml.MappingNode):
                 for name_node, param_node in value_node.value:
-                    param = _node_to_value(param_node)
+                    param = values(param_node)
                     if isinstance(param, dict):
-                        model.parameters[str(_node_to_value(name_node))] = param
+                        model.parameters[str(values(name_node))] = param
         elif key == "Resources":
             if not isinstance(value_node, yaml.MappingNode):
                 continue
             seen: set[str] = set()
             for name_node, resource_node in value_node.value:
-                logical_id = str(_node_to_value(name_node))
+                logical_id = str(values(name_node))
                 if logical_id in seen:
                     raise TemplateParseError(f"{path}: duplicate logical id {logical_id!r}")
                 seen.add(logical_id)
-                resource = _node_to_value(resource_node)
+                resource = values(resource_node)
                 if not isinstance(resource, dict):
                     continue
                 span = SourceSpan(
@@ -239,7 +310,9 @@ def _parse_cfn_model(contents: str, framework: IaCFramework, path: str) -> Templ
                         source_span=span,
                     )
                 )
-    if framework is IaCFramework.SAM and SAM_TRANSFORM not in model.transforms:
+    if framework is None:
+        model.framework = _framework_from(model.transforms)
+    elif framework is IaCFramework.SAM and SAM_TRANSFORM not in model.transforms:
         model.transforms.append(SAM_TRANSFORM)
     return model
 
@@ -755,8 +828,7 @@ def lint_template(
     cors_substrings: tuple[str, ...] = CORS_KEY_SUBSTRINGS,
 ) -> tuple[IaCFramework, list[Finding]]:
     """Classify, parse, and run all checks over one template."""
-    framework = classify_template(path, contents, notices)
-    model = parse_template(contents, framework, path)
+    model = load_template(path, contents)
     findings = run_rules(model, catalog, component, notices)
     findings.extend(check_cors_wildcard(model, component, cors_substrings))
-    return framework, sorted(findings, key=Finding.sort_key)
+    return model.framework, sorted(findings, key=Finding.sort_key)

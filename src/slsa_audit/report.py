@@ -391,7 +391,7 @@ def scan_iac(
             )
         except iaclint.UnsupportedExtensionError:
             continue
-        except iaclint.TemplateParseError as exc:
+        except (iaclint.TemplateParseError, UnicodeDecodeError) as exc:
             notices.append(f"{entry.ref.slug}/{rel}: {exc}")
             continue
         tagged.extend((framework, f) for f in findings)

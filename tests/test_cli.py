@@ -123,14 +123,22 @@ def test_vulnscan_compare(tmp_path, capsys):
     assert "jaccard 0.333" in out
 
 
-def test_vulnscan_reports_load_errors_and_skipped_advisories(demo, tmp_path, capsys):
-    corpus, db = demo
-    main(["--output", "json", "vulnscan", "--corpus", str(corpus), "--db", str(db)])
-    clean = capsys.readouterr().out
+def _corpus_with_bad_component(corpus, tmp_path):
     broken_corpus = shutil.copytree(corpus, tmp_path / corpus.name)
     bad = broken_corpus / "bad__c"
     bad.mkdir()
     (bad / "component.meta").write_text("repository=dockerhub\nname=c\n")  # publisher missing
+    return broken_corpus
+
+
+BAD_COMPONENT_NOTICE = "notice: bad__c/component.meta: missing required key 'publisher'"
+
+
+def test_vulnscan_reports_load_errors_and_skipped_advisories(demo, tmp_path, capsys):
+    corpus, db = demo
+    main(["--output", "json", "vulnscan", "--corpus", str(corpus), "--db", str(db)])
+    clean = capsys.readouterr().out
+    broken_corpus = _corpus_with_bad_component(corpus, tmp_path)
     broken_db = shutil.copytree(db, tmp_path / "db")
     (broken_db / "broken.json").write_text("{not json")
     code = main(["--output", "json", "vulnscan", "--corpus", str(broken_corpus),
@@ -138,8 +146,25 @@ def test_vulnscan_reports_load_errors_and_skipped_advisories(demo, tmp_path, cap
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out == clean
-    assert "notice: bad__c/component.meta: missing required key 'publisher'" in captured.err
+    assert BAD_COMPONENT_NOTICE in captured.err
     assert "notice: skipped advisory broken.json" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["--output", "json", "docker"],
+    ["--output", "json", "iac"],
+    ["typosquat"],
+])
+def test_corpus_commands_report_load_errors(demo, tmp_path, capsys, command):
+    corpus, _ = demo
+    assert main([*command, "--corpus", str(corpus)]) == 0
+    clean = capsys.readouterr()
+    assert BAD_COMPONENT_NOTICE not in clean.err
+    broken_corpus = _corpus_with_bad_component(corpus, tmp_path)
+    assert main([*command, "--corpus", str(broken_corpus)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    assert BAD_COMPONENT_NOTICE in captured.err
 
 
 def test_iac_over_corpus(demo, capsys):

@@ -2,12 +2,23 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slsa_audit import iaclint
+from slsa_audit.config import AuditConfig
+from slsa_audit.demo import build_demo_corpus
 from slsa_audit.iaclint import (
     DEFAULT_CATALOG,
+    MAX_NESTING,
     IaCFramework,
     SAM_TRANSFORM,
     TemplateParseError,
@@ -16,11 +27,14 @@ from slsa_audit.iaclint import (
     classify_template,
     lint_template,
     load_catalog,
+    load_template,
     parse_template,
     run_rules,
     severity_histogram,
 )
-from slsa_audit.model import Severity
+from slsa_audit.ingest import serialize_manifest
+from slsa_audit.model import AttackVector, AuditError, ComponentRef, Repository, Severity
+from slsa_audit.report import scan_corpus
 
 SAM_MINIMAL = f"""Transform: {SAM_TRANSFORM}
 Resources:
@@ -62,6 +76,14 @@ def test_classify_textual_fallback_on_broken_yaml():
     notices: list[str] = []
     assert classify_template("t.yaml", broken, notices) is IaCFramework.SAM
     assert notices and "textually" in notices[0]
+
+
+def test_classify_from_tree_when_only_construction_would_fail():
+    # The Transform line is a comment, which the textual fallback would match.
+    doc = f"# Transform: {SAM_TRANSFORM}\nResources:\n  A: !!python/object:os.system {{Type: X}}\n"
+    notices: list[str] = []
+    assert classify_template("t.yaml", doc, notices) is IaCFramework.CLOUDFORMATION
+    assert notices == []
 
 
 def test_classify_stable_under_key_reordering():
@@ -351,3 +373,222 @@ def test_undetermined_terraform_value_notices():
     findings = run_rules(model, notices=notices)
     assert findings == []
     assert any("undetermined" in n for n in notices)
+
+
+# ---------------------------------------------------------------------------
+# One composition per template: loaders, limits and hostile input
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_corpus(tmp_path_factory):
+    return build_demo_corpus(tmp_path_factory.mktemp("demo") / "corpus")
+
+
+def _demo_templates(corpus: Path) -> list[tuple[str, str]]:
+    return [
+        (path.relative_to(corpus).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(corpus.glob("*/iac/**/*"))
+        if path.is_file()
+    ]
+
+
+def _one_component_corpus(root: Path, filename: str, text: str) -> ComponentRef:
+    ref = ComponentRef(Repository.GITHUB, "alice", "stack")
+    component = root / ref.slug
+    (component / "iac").mkdir(parents=True)
+    (component / "component.meta").write_text(serialize_manifest(ref, {}))
+    (component / "iac" / filename).write_text(text)
+    return ref
+
+
+@pytest.mark.parametrize("filename, text, rule_ids, notice", [
+    # The timestamp constructor raised ValueError on an impossible date;
+    # compose-only parsing keeps the scalar as text.
+    ("t.yaml", ARN_MISSING + "      Date: 2020-13-45\n", ["R-ARN"], None),
+    ("t.json", '{"Resources": {"R": {"Type": "X", "Properties": {"P": '
+     + "[" * 600 + "]" * 600 + "}}}}", [], "nesting deeper than 512 levels"),
+    ("t.yaml", "Resources:\n  R: &a {Type: X, Properties: {P: *a}}\n", [], "aliases expand"),
+], ids=["bad-timestamp", "deep-json", "recursive-alias"])
+def test_scan_corpus_isolates_bad_template(tmp_path, filename, text, rule_ids, notice):
+    ref = _one_component_corpus(tmp_path / "corpus", filename, text)
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V4}))
+    run = scan_corpus(tmp_path / "corpus", config)
+    assert [f.rule_id for f in run.report.per_component[ref]] == rule_ids
+    if notice is None:
+        assert run.notices == []
+    else:
+        assert len(run.notices) == 1
+        assert run.notices[0].startswith(f"{ref.slug}/iac/{filename}: ")
+        assert notice in run.notices[0]
+
+
+def test_scan_corpus_reports_undecodable_template(tmp_path):
+    ref = _one_component_corpus(tmp_path / "corpus", "t.yaml", "")
+    (tmp_path / "corpus" / ref.slug / "iac" / "t.yaml").write_bytes(b"Resources:\n  A: \xff\n")
+    run = scan_corpus(tmp_path / "corpus", AuditConfig(enabled_vectors=frozenset({AttackVector.V4})))
+    assert run.notices and run.notices[0].startswith(f"{ref.slug}/iac/t.yaml: ")
+
+
+def test_nesting_guard_keeps_the_process_alive(tmp_path):
+    # Composed without the guard, this document overflows libyaml's C stack,
+    # so it runs in a child process: a crash fails the test, not the suite.
+    template = tmp_path / "deep.yaml"
+    template.write_text("Resources: " + "[" * 50_000 + "]" * 50_000 + "\n")
+    src = Path(iaclint.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "slsa_audit.cli", "iac", "--paths", str(template)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert f"notice: {template}: nesting deeper than {MAX_NESTING} levels" in result.stderr
+
+
+def test_nesting_limit_is_on_depth_not_indicator_count():
+    many = "Resources:\n  R:\n    Type: X\n    Properties:\n      L:\n" + "        - x\n" * 600
+    model = load_template("t.yaml", many)
+    assert model.resources[0].properties["L"] == ["x"] * 600
+    def nested(depth: int) -> str:  # the root and Resources mappings are two levels
+        return '{"Resources": {"R": ' + "[" * (depth - 2) + "]" * (depth - 2) + "}}"
+
+    with pytest.raises(TemplateParseError, match="nesting deeper than"):
+        load_template("t.json", nested(MAX_NESTING + 1))
+    # At the limit the guard lets the document through, but building its
+    # values exceeds the interpreter's recursion limit.
+    with pytest.raises(TemplateParseError, match="too deep"):
+        load_template("t.json", nested(MAX_NESTING))
+
+
+def test_alias_expansion_bomb_refused():
+    lines = ["Resources:", "  R:", "    Type: X", "    Properties:",
+             "      a: &a [x, x, x, x, x, x, x, x, x, x]"]
+    for prev, name in zip("abcde", "bcdef"):
+        lines.append(f"      {name}: &{name} [" + ", ".join([f"*{prev}"] * 10) + "]")
+    bomb = "\n".join(lines) + "\n"  # *f names 10**6 values
+    with pytest.raises(TemplateParseError, match="aliases expand"):
+        lint_template("t.yaml", bomb)
+    benign = "\n".join(lines[:6]) + "\n"  # *b names 100 values
+    props = load_template("t.yaml", benign).resources[0].properties
+    assert props["b"] == [["x"] * 10] * 10
+
+
+_INTRINSIC = "INTRINSIC-SENTINEL"
+_KEYS = ("Name", "AllowOrigin", "SourceArn", "Environment", "Variables", "Statement",
+         "Action", "Auth", "Cors", "Tags", "a b", "x-y", "1")
+_SCALARS = ("*", "'*'", "arn:aws:s3:::b", 7, -2.5, True, None, "", "yes", "0x1F",
+            "2020-01-01", "- dash", "a: b", "# hash", "multi\nline\n", "  padded  ", _INTRINSIC)
+
+
+def _random_value(rng: random.Random, depth: int = 0) -> object:
+    roll = rng.random()
+    if depth > 3 or roll < 0.45:
+        return rng.choice(_SCALARS)
+    if roll < 0.7:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(_KEYS): _random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def _random_template(rng: random.Random) -> tuple[str, str]:
+    doc: dict = {}
+    transform = rng.choice([None, SAM_TRANSFORM, [SAM_TRANSFORM, "Other::Macro"], ["Other::Macro"]])
+    if transform is not None:
+        doc["Transform"] = transform
+    if rng.random() < 0.5:
+        doc["Parameters"] = {f"P{i}": {"Type": "String", "Default": rng.choice(_SCALARS)}
+                             for i in range(rng.randint(0, 3))}
+    doc["Resources"] = {
+        f"R{i}": {"Type": rng.choice(("AWS::Lambda::Permission", "AWS::S3::Bucket",
+                                      "AWS::Serverless::Api", "AWS::IAM::Role")),
+                  "Properties": _random_value(rng, 1)}
+        for i in range(rng.randint(0, 4))
+    }
+    if rng.random() < 0.3:
+        text = json.dumps(doc, indent=rng.choice((None, 2)))
+        return "t.json", text.replace(f'"{_INTRINSIC}"', '{"Ref": "Other"}')
+    text = yaml.safe_dump(doc, sort_keys=rng.random() < 0.5, width=rng.choice((20, 80)),
+                          default_flow_style=rng.choice((False, None, True)))
+    text = text.replace(_INTRINSIC, rng.choice(("!Ref Other", "!GetAtt [Other, Arn]")))
+    return "t.yaml", rng.choice(("", "---\n", "# head\n")) + text + rng.choice(
+        ("", "\n", "# tail\n", "...\n", "\n\n  # indented tail\n"))
+
+
+_HAND_WRITTEN = """Transform: [AWS::Serverless-2016-10-31]
+Parameters:
+  Base: &base {Type: String, Default: '*'}
+  Copy: *base
+Resources:
+  Fn:  # trailing comment
+    Type: AWS::Serverless::Function
+    Properties:
+      Code: |
+        def handler(event, context):
+            return 1
+      Role: !GetAtt [Role, Arn]
+      Cond: !If [IsProd, {A: 1}, !Ref AWS::NoValue]
+      Env: &env
+        Variables: {K: v}
+
+  Other:
+    Type: AWS::Lambda::Function
+    Properties: {Environment: *env, Flag: on, Size: 1e3, Octal: 0o17}
+...
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_loaders_build_equal_models(demo_corpus, monkeypatch):
+    rng = random.Random(23)
+    templates = _demo_templates(demo_corpus) + [("hand.yaml", _HAND_WRITTEN)]
+    templates += [_random_template(rng) for _ in range(150)]
+    for path, text in templates:
+        monkeypatch.setattr(iaclint, "_LOADER", yaml.CSafeLoader)
+        fast = load_template(path, text)
+        monkeypatch.setattr(iaclint, "_LOADER", yaml.SafeLoader)
+        assert load_template(path, text) == fast, text
+
+
+def test_scan_corpus_composes_each_template_once(demo_corpus, monkeypatch):
+    created = []
+
+    class CountingLoader(iaclint._LOADER):
+        def __init__(self, stream):
+            created.append(1)
+            super().__init__(stream)
+
+    monkeypatch.setattr(iaclint, "_LOADER", CountingLoader)
+    structured = [p for p, _ in _demo_templates(demo_corpus) if not p.endswith(".tf")]
+    run = scan_corpus(demo_corpus, AuditConfig(enabled_vectors=frozenset({AttackVector.V4})))
+    assert run.report.all_findings()
+    assert len(structured) == 3 and len(created) == len(structured)
+
+
+_STRUCTURAL_BYTES = list(b"[]{}:-?&*!|>'\"#,\n \t%@`")
+
+
+@pytest.fixture(scope="module")
+def demo_templates(demo_corpus):
+    return _demo_templates(demo_corpus)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_templates_raise_only_audit_errors(demo_templates, data):
+    path, text = data.draw(st.sampled_from(demo_templates))
+    raw = bytearray(text.encode("utf-8"))
+    for _ in range(data.draw(st.integers(1, 6))):
+        pos = data.draw(st.integers(0, len(raw)))
+        byte = data.draw(st.one_of(st.sampled_from(_STRUCTURAL_BYTES), st.integers(0, 255)))
+        op = data.draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert" or pos == len(raw):
+            raw.insert(pos, byte)
+        elif op == "replace":
+            raw[pos] = byte
+        else:
+            del raw[pos]
+    # surrogateescape keeps undecodable bytes as lone surrogates.
+    mutated = raw.decode("utf-8", errors="surrogateescape")
+    try:
+        lint_template(path, mutated)
+    except AuditError:
+        pass
