@@ -443,18 +443,6 @@ def scan_entries(
     return matches
 
 
-def run_signature_engine(
-    engine_id: str,
-    entries: Iterable[ArchiveEntry],
-    signatures: Iterable[Signature],
-    recursion_depth: int = 3,
-    limits: ExtractionLimits = DEFAULT_LIMITS,
-) -> EngineVerdict:
-    matches = scan_entries(entries, signatures, recursion_depth, limits)
-    matched_ids = tuple(sorted({m.signature_id for m in matches}))
-    return EngineVerdict(engine_id=engine_id, flagged=bool(matched_ids), matched_signatures=matched_ids)
-
-
 @dataclass(frozen=True)
 class ConsensusResult:
     malicious: bool

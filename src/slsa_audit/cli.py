@@ -7,21 +7,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
 from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
-from slsa_audit.report import (
-    FindingBatch,
-    aggregate,
-    emit,
-    exit_code_for,
-    scan_corpus,
-    scan_docker,
-    scan_iac,
-)
+from slsa_audit.report import FindingBatch, aggregate, emit, exit_code_for, scan_corpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan_p = archive_sub.add_parser("scan", help="extract and signature-scan one archive")
     scan_p.add_argument("file")
     scan_p.add_argument("--depth", type=int, default=3, help="nested-archive recursion depth")
-    scan_p.add_argument("--threshold", type=int, default=5, help="engine consensus threshold")
     scan_p.add_argument("--signatures", help="JSON-lines signature DB")
     inject_p = archive_sub.add_parser("inject", help="pack a tree with a payload (test harness)")
     inject_p.add_argument("tree")
@@ -129,8 +121,6 @@ def _cmd_vulnscan(args, config, output: str, fail_on: Severity | None) -> int:
             print(f"{component}: jaccard {similarity:.3f} "
                   f"({len(sets_a.get(component, set()))} vs {len(sets_b.get(component, set()))})")
         return 0
-    from dataclasses import replace
-
     config = replace(
         config,
         enabled_vectors=frozenset({AttackVector.V1}),
@@ -162,15 +152,9 @@ def _cmd_archive(args, config, fail_on: Severity | None) -> int:
     notices: list[str] = []
     matches = archive.scan_entries(entries, signatures, args.depth,
                                    config.extraction_limits, notices)
-    verdict = archive.run_signature_engine("local", entries, signatures, args.depth,
-                                           config.extraction_limits)
-    consensus = archive.consensus_flag([verdict], args.threshold)
     for match in matches:
         print(f"match: {match.signature_id} at {match.entry_path}")
-    print(f"{len(entries)} entries, {len(matches)} matches; "
-          f"{consensus.engines_flagging} of 1 engine(s) flagging, threshold {args.threshold} "
-          f"-> {'malicious' if consensus.malicious else 'not malicious'}",
-          file=sys.stderr)
+    print(f"{len(entries)} entries, {len(matches)} matches", file=sys.stderr)
     _print_notices(notices)
     return 1 if matches and fail_on is not None else 0
 
@@ -179,27 +163,18 @@ def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
     rules, key_config = config.docker_rules, config.sensitive_keys
     if args.rules:
         rules, key_config = dockerlint.load_rules_file(args.rules)
-    notices: list[str] = []
-    if args.cmd:
+    if args.corpus:
+        config = replace(config, enabled_vectors=frozenset({AttackVector.V3}),
+                         docker_rules=rules, sensitive_keys=key_config)
+        run = scan_corpus(args.corpus, config)
+        report, notices = run.report, run.notices
+    else:
+        notices = []
         text = sys.stdin.read() if args.cmd == "-" else args.cmd
         findings = dockerlint.lint_commands_text(
             text, source_name="cmdline", rules=rules, key_config=key_config, notices=notices
         )
-        batches = [FindingBatch("cmdline", findings)]
-        report = aggregate(batches)
-    else:
-        from dataclasses import replace
-
-        result = load_corpus(args.corpus)
-        notices.extend(str(error) for error in result.errors)
-        corpus_id = Path(args.corpus).name
-        entry_config = replace(config, docker_rules=rules, sensitive_keys=key_config)
-        batches = [
-            FindingBatch(corpus_id, scan_docker(entry, entry_config, notices))
-            for entry in result.entries
-        ]
-        report = aggregate(batches)
-        report.corpus_id = corpus_id
+        report = aggregate([FindingBatch("cmdline", findings)])
     sys.stdout.buffer.write(emit(report, output))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
@@ -207,19 +182,13 @@ def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
 
 def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
     catalog = tuple(iaclint.load_catalog(args.catalog)) if args.catalog else config.iac_catalog
-    notices: list[str] = []
-    tagged: list[tuple[iaclint.IaCFramework, object]] = []
     if args.corpus:
-        from dataclasses import replace
-
-        corpus_id = Path(args.corpus).name
-        entry_config = replace(config, iac_catalog=catalog)
-        result = load_corpus(args.corpus)
-        notices.extend(str(error) for error in result.errors)
-        for entry in result.entries:
-            tagged.extend(scan_iac(entry, entry_config, notices))
+        config = replace(config, enabled_vectors=frozenset({AttackVector.V4}), iac_catalog=catalog)
+        run = scan_corpus(args.corpus, config)
+        report, notices, histogram = run.report, run.notices, run.iac_histogram
     else:
-        corpus_id = "paths"
+        notices = []
+        tagged: list[tuple[iaclint.IaCFramework, object]] = []
         for path in args.paths:
             try:
                 framework, findings = iaclint.lint_template(
@@ -234,11 +203,10 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
                 notices.append(f"{path}: {exc}")
                 continue
             tagged.extend((framework, f) for f in findings)
-    report = aggregate([FindingBatch(corpus_id, [f for _, f in tagged])])
-    report.corpus_id = corpus_id
+        report = aggregate([FindingBatch("paths", [f for _, f in tagged])])
+        histogram = iaclint.severity_histogram(tagged)
     sys.stdout.buffer.write(emit(report, output))
     if args.histogram:
-        histogram = iaclint.severity_histogram(tagged)
         for framework in sorted(histogram.by_framework, key=lambda f: f.value):
             counts = histogram.by_framework[framework]
             rendered = "  ".join(f"{sev.value} {n}" for sev, n in sorted(
@@ -310,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config_notices: list[str] = []
+        config = load_config(args.config, config_notices)
+        _print_notices(config_notices)
         fail_on = Severity(args.fail_on) if args.fail_on else None
         if args.command == "ingest":
             return _cmd_ingest(args, config)

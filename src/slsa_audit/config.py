@@ -45,8 +45,38 @@ class AuditConfig:
     cdf_thresholds: tuple[int, ...] = (0, 1, 10, 100, 1000, 10000)
 
 
-def load_config(path: str | Path | None = None) -> AuditConfig:
-    """Build an AuditConfig from a JSON file (or defaults when absent)."""
+# The keys load_config reads in each section; "enabled_vectors" is the one top-level setting.
+_SECTION_KEYS: dict[str, frozenset[str]] = {
+    "vulnscan": frozenset({"source_extensions", "fp_filter"}),
+    "archive": frozenset(
+        {"max_expansion_ratio", "max_total_bytes", "recursion_depth", "signature_db"}
+    ),
+    "dockerlint": frozenset(
+        {"sensitive_key_patterns", "sensitive_keys_exact", "min_value_length", "entropy_threshold"}
+    ),
+    "iaclint": frozenset({"catalog", "cors_substrings"}),
+    "typosquat": frozenset({"max_distance", "include_aws_sar"}),
+    "report": frozenset({"cdf_thresholds"}),
+}
+
+
+def _unknown_keys(doc: dict) -> list[str]:
+    """Dotted names of the keys load_config does not read."""
+    unknown = []
+    for key, value in doc.items():
+        if key in _SECTION_KEYS:
+            unknown.extend(f"{key}.{sub}" for sub in value if sub not in _SECTION_KEYS[key])
+        elif key != "enabled_vectors":
+            unknown.append(key)
+    return unknown
+
+
+def load_config(path: str | Path | None = None, notices: list[str] | None = None) -> AuditConfig:
+    """Build an AuditConfig from a JSON file (or defaults when absent).
+
+    Each key the file holds but no setting reads is named in ``notices``
+    and otherwise ignored.
+    """
     if path is None:
         env_path = os.environ.get(CONFIG_ENV_VAR)
         if not env_path:
@@ -58,6 +88,13 @@ def load_config(path: str | Path | None = None) -> AuditConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    for section in _SECTION_KEYS:
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"{path}: section {section!r} must be a JSON object")
+    if notices is not None:
+        notices.extend(f"{path}: unknown config key {key!r} ignored" for key in _unknown_keys(doc))
     config = AuditConfig()
     try:
         if "enabled_vectors" in doc:

@@ -1,4 +1,4 @@
-"""Corpus loading, serverless filtering, and the pluggable fetch interface.
+"""Corpus loading and serverless filtering.
 
 A corpus is a directory with one subdirectory per component:
 
@@ -8,17 +8,12 @@ A corpus is a directory with one subdirectory per component:
         archives/           compressed artifacts
         iac/                templates
         run_commands.txt    docker run commands, one per logical line
-
-Live registries sit behind :class:`RegistryClient`; a filesystem-backed
-implementation doubles as the offline test client.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
 
 from slsa_audit.model import AuditError, ComponentRef, Repository
 
@@ -31,18 +26,6 @@ class ManifestParseError(AuditError, ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class AuthError(AuditError):
-    """Registry rejected the provided token."""
-
-
-class RateLimitExceededError(AuditError):
-    """Registry kept refusing after backoff retries."""
-
-
-class NetworkError(AuditError):
-    pass
 
 
 class ArtifactKind(Enum):
@@ -195,190 +178,3 @@ def is_serverless(entry: CorpusEntry) -> bool:
             if path.is_file():
                 return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Fetch interface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FetchSpec:
-    repository: Repository
-    query: str
-    auth_token: str | None = None
-    rate_limit: int = 60  # requests per minute
-
-    def __post_init__(self) -> None:
-        if self.rate_limit <= 0:
-            raise ValueError("rate_limit must be > 0")
-
-
-class RegistryClient(Protocol):
-    """Contract the fetch path needs from any registry backend."""
-
-    def list_components(self, query: str, auth_token: str | None) -> list[str]:
-        """Component ids (publisher/name) matching a query."""
-        ...
-
-    def get_metadata(self, component_id: str, auth_token: str | None) -> dict[str, str]:
-        ...
-
-    def download(self, component_id: str, dest: Path, auth_token: str | None) -> None:
-        """Materialize the component's files under dest."""
-        ...
-
-
-class _RateLimiter:
-    """Spaces calls at least 60/rate_limit seconds apart."""
-
-    def __init__(
-        self,
-        rate_limit: int,
-        clock: Callable[[], float],
-        sleep: Callable[[float], None],
-    ):
-        self.interval = 60.0 / rate_limit
-        self.clock = clock
-        self.sleep = sleep
-        self._last: float | None = None
-
-    def wait(self) -> None:
-        now = self.clock()
-        if self._last is not None:
-            remaining = self._last + self.interval - now
-            if remaining > 0:
-                self.sleep(remaining)
-                now = self.clock()
-        self._last = now
-
-
-def fetch_components(
-    spec: FetchSpec,
-    client: RegistryClient,
-    dest_root: str | Path,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-    max_retries: int = 3,
-    notices: list[str] | None = None,
-) -> list[CorpusEntry]:
-    """Fetch matching components into corpus layout under dest_root.
-
-    Every client call is rate-limited; rate-limit refusals retry with
-    exponential backoff before surfacing.
-    """
-    dest = Path(dest_root)
-    dest.mkdir(parents=True, exist_ok=True)
-    limiter = _RateLimiter(spec.rate_limit, clock, sleep)
-
-    def call(fn, *args):
-        delay = limiter.interval or 1.0
-        for attempt in range(max_retries + 1):
-            limiter.wait()
-            try:
-                return fn(*args)
-            except RateLimitExceededError:
-                if attempt == max_retries:
-                    raise
-                sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")
-
-    component_ids = call(client.list_components, spec.query, spec.auth_token)
-    entries: list[CorpusEntry] = []
-    for component_id in component_ids:
-        metadata = call(client.get_metadata, component_id, spec.auth_token)
-        publisher, _, name = component_id.partition("/")
-        if not name:
-            publisher, name = "unknown", component_id
-        ref = ComponentRef(
-            repository=spec.repository,
-            publisher=publisher,
-            name=name,
-            version=metadata.pop("version", None) or None,
-        )
-        component_dir = dest / ref.slug
-        component_dir.mkdir(parents=True, exist_ok=True)
-        call(client.download, component_id, component_dir, spec.auth_token)
-        lowered = {k.lower(): v for k, v in metadata.items()}
-        (component_dir / _MANIFEST_NAME).write_text(
-            serialize_manifest(ref, lowered), encoding="utf-8"
-        )
-        entries.append(
-            CorpusEntry(
-                ref=ref,
-                root_path=component_dir,
-                metadata=lowered,
-                artifact_kind=_detect_artifact_kind(component_dir),
-            )
-        )
-        if notices is not None:
-            notices.append(f"fetched {component_id}")
-    return entries
-
-
-class FilesystemRegistryClient:
-    """Registry backed by a local directory shaped like a corpus.
-
-    Used as the offline stand-in for live scrapers and as the test double.
-    An expected_token (when set) simulates authenticated queries.
-    """
-
-    def __init__(self, root: str | Path, expected_token: str | None = None):
-        self.root = Path(root)
-        self.expected_token = expected_token
-
-    def _check_token(self, auth_token: str | None) -> None:
-        if self.expected_token is not None and auth_token != self.expected_token:
-            raise AuthError("registry rejected the provided token")
-
-    def _entry_dirs(self) -> Iterable[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.iterdir() if (p / _MANIFEST_NAME).is_file())
-
-    def list_components(self, query: str, auth_token: str | None) -> list[str]:
-        self._check_token(auth_token)
-        needle = query.lower()
-        out: list[str] = []
-        for entry_dir in self._entry_dirs():
-            text = (entry_dir / _MANIFEST_NAME).read_text(encoding="utf-8")
-            try:
-                ref, metadata = parse_manifest(entry_dir.name, text)
-            except ManifestParseError:
-                continue
-            haystack = " ".join([ref.publisher, ref.name, *metadata.values()]).lower()
-            if needle in haystack:
-                out.append(f"{ref.publisher}/{ref.name}")
-        return out
-
-    def _find(self, component_id: str) -> Path:
-        publisher, _, name = component_id.partition("/")
-        candidate = self.root / f"{publisher}__{name}"
-        if not (candidate / _MANIFEST_NAME).is_file():
-            raise NetworkError(f"component not found: {component_id}")
-        return candidate
-
-    def get_metadata(self, component_id: str, auth_token: str | None) -> dict[str, str]:
-        self._check_token(auth_token)
-        entry_dir = self._find(component_id)
-        ref, metadata = parse_manifest(
-            entry_dir.name, (entry_dir / _MANIFEST_NAME).read_text(encoding="utf-8")
-        )
-        if ref.version:
-            metadata["version"] = ref.version
-        return metadata
-
-    def download(self, component_id: str, dest: Path, auth_token: str | None) -> None:
-        self._check_token(auth_token)
-        import shutil
-
-        entry_dir = self._find(component_id)
-        for child in sorted(entry_dir.iterdir()):
-            if child.name == _MANIFEST_NAME:
-                continue
-            target = dest / child.name
-            if child.is_dir():
-                shutil.copytree(child, target, dirs_exist_ok=True)
-            else:
-                shutil.copy2(child, target)

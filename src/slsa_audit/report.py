@@ -40,11 +40,14 @@ def aggregate(
     batches: Iterable[FindingBatch],
     vuln_counts: Mapping[ComponentRef, int] | None = None,
     cdf_thresholds: Iterable[int] = (0, 1, 10, 100, 1000, 10000),
+    components: Iterable[ComponentRef] = (),
 ) -> ScanReport:
     """Merge finding batches into one deduplicated, deterministic report.
 
     Findings deduplicate on (rule_id, component, location). All batches
-    must agree on the corpus id.
+    must agree on the corpus id. Every component in ``components`` or
+    ``vuln_counts`` is listed, with or without findings; vuln stats and
+    the CDF are derived from ``vuln_counts`` alone.
     """
     batches = list(batches)
     corpus_ids = {b.corpus_id for b in batches}
@@ -64,7 +67,7 @@ def aggregate(
         seen.add(key)
         per_component.setdefault(finding.component, []).append(finding)
     counts = dict(vuln_counts or {})
-    for component in counts:
+    for component in (*components, *counts):
         per_component.setdefault(component, [])
     report = ScanReport(corpus_id=corpus_id, per_component=per_component, vuln_counts=counts)
     report.recompute(cdf_thresholds)
@@ -233,6 +236,7 @@ class AuditRun:
     corpus_id: str
     enabled_vectors: set[AttackVector]
     report: ScanReport
+    iac_histogram: iaclint.IaCHistogram = field(default_factory=iaclint.IaCHistogram)
     tool_versions: dict[str, str] = field(default_factory=dict)
     started: str = ""
     finished: str = ""
@@ -358,8 +362,13 @@ def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> 
     commands_file = entry.run_commands_path
     if not commands_file.is_file():
         return []
+    try:
+        text = commands_file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        notices.append(f"{entry.ref.slug}/{commands_file.name}: {exc}")
+        return []
     return dockerlint.lint_commands_text(
-        commands_file.read_text(encoding="utf-8"),
+        text,
         component=entry.ref,
         source_name="run_commands.txt",
         rules=config.docker_rules,
@@ -421,8 +430,8 @@ def scan_corpus(
 
     batches: list[FindingBatch] = []
     vuln_counts: dict[ComponentRef, int] = {}
+    iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
     for entry in entries:
-        vuln_counts.setdefault(entry.ref, 0)
         if AttackVector.V1 in vectors:
             findings, count = scan_vuln(entry, index, config, notices)
             vuln_counts[entry.ref] = count
@@ -433,6 +442,7 @@ def scan_corpus(
             batches.append(FindingBatch(corpus_id, scan_docker(entry, config, notices)))
         if AttackVector.V4 in vectors:
             tagged = scan_iac(entry, config, notices)
+            iac_tagged.extend(tagged)
             batches.append(FindingBatch(corpus_id, [f for _, f in tagged]))
     if AttackVector.V5 in vectors:
         records = typosquat.build_name_records(
@@ -441,12 +451,13 @@ def scan_corpus(
         scan = typosquat.find_near_pairs(records, config.typosquat_max_distance)
         batches.append(FindingBatch(corpus_id, typosquat.findings_from_pairs(scan)))
 
-    report = aggregate(batches, vuln_counts, config.cdf_thresholds)
+    report = aggregate(batches, vuln_counts, config.cdf_thresholds, [e.ref for e in entries])
     report.corpus_id = corpus_id
     return AuditRun(
         corpus_id=corpus_id,
         enabled_vectors=set(vectors),
         report=report,
+        iac_histogram=iaclint.severity_histogram(iac_tagged),
         tool_versions={
             "slsa-audit": __version__,
             "python": platform.python_version(),

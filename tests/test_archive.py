@@ -34,7 +34,6 @@ from slsa_audit.archive import (
     inject_and_pack,
     load_signatures,
     pack_entries,
-    run_signature_engine,
     scan_entries,
 )
 
@@ -369,15 +368,6 @@ def test_engine_verdict_consistency():
         EngineVerdict("e", True, ())
     with pytest.raises(ValueError):
         EngineVerdict("e", False, ("x",))
-
-
-def test_run_signature_engine(benign_tree, tmp_path):
-    payload = tmp_path / "p"
-    payload.write_bytes(EICAR_TEST_STRING)
-    blob = inject_and_pack(benign_tree, payload, ArchiveFormat.ZIP)
-    entries = extract_bytes(blob, ArchiveFormat.ZIP)
-    verdict = run_signature_engine("local", entries, BUILTIN_SIGNATURES)
-    assert verdict.flagged and verdict.matched_signatures == ("eicar",)
 
 
 def test_consensus_threshold():

@@ -215,6 +215,42 @@ def test_config_cors_substrings_reach_scan_all(demo, tmp_path, capsys):
     assert cors_findings("--config", str(config_path)) == []
 
 
+def test_config_unknown_key_notice(demo, tmp_path, capsys):
+    corpus, db = demo
+    main(["--output", "json", "scan-all", "--corpus", str(corpus), "--db", str(db)])
+    clean = capsys.readouterr().out
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"iaclint": {"cors_substring": ["no-such-key"]}}))
+    main(["--config", str(config_path), "--output", "json",
+          "scan-all", "--corpus", str(corpus), "--db", str(db)])
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert f"notice: {config_path}: unknown config key 'iaclint.cors_substring' ignored" in captured.err
+
+
+@pytest.mark.parametrize("output", ["json", "table", "sarif-like"])
+@pytest.mark.parametrize("command, vector", [("docker", "V3"), ("iac", "V4")])
+def test_vector_command_is_scan_all_restricted(demo, tmp_path, capsys, output, command, vector):
+    corpus, _ = demo
+    main(["--output", output, command, "--corpus", str(corpus)])
+    restricted = capsys.readouterr().out
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"enabled_vectors": [vector]}))
+    main(["--config", str(config_path), "--output", output, "scan-all", "--corpus", str(corpus)])
+    assert restricted == capsys.readouterr().out
+
+
+def test_v1_off_report_has_no_vuln_stats(demo, tmp_path, capsys):
+    corpus, db = demo
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"enabled_vectors": ["V3"]}))
+    main(["--config", str(config_path), "--output", "json",
+          "scan-all", "--corpus", str(corpus), "--db", str(db)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stats"] is None and doc["cdf"] == []
+    assert len(doc["components"]) == 12
+
+
 def test_config_env_var_fallback(demo, tmp_path, capsys, monkeypatch):
     corpus, db = demo
     config_path = tmp_path / "config.json"

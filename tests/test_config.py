@@ -1,0 +1,49 @@
+"""Config loading: defaults, overrides, and notices for unknown keys."""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from slsa_audit import iaclint
+from slsa_audit.config import ConfigError, load_config
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"enabled_vectors": ["V3"], "typo_squat": {"max_distance": 2}}, "typo_squat"),
+    ({"enabled_vectors": ["V3"], "iaclint": {"cors_substring": ["x"]}}, "iaclint.cors_substring"),
+])
+def test_unknown_key_gives_a_notice(tmp_path, doc, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    notices: list[str] = []
+    config = load_config(path, notices)
+    assert notices == [f"{path}: unknown config key {key!r} ignored"]
+    assert [v.value for v in config.enabled_vectors] == ["V3"]
+    assert config.cors_substrings == iaclint.CORS_KEY_SUBSTRINGS
+    assert config.typosquat_max_distance == 1
+
+
+def test_known_keys_give_no_notice(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "enabled_vectors": ["V1", "V4"],
+        "vulnscan": {"fp_filter": True},
+        "archive": {"recursion_depth": 2, "max_total_bytes": 1000},
+        "dockerlint": {"min_value_length": 4},
+        "iaclint": {"cors_substrings": ["x"]},
+        "typosquat": {"max_distance": 2, "include_aws_sar": True},
+        "report": {"cdf_thresholds": [0, 5]},
+    }))
+    notices: list[str] = []
+    config = load_config(path, notices)
+    assert notices == []
+    assert config.cors_substrings == ("x",) and config.typosquat_max_distance == 2
+
+
+@pytest.mark.parametrize("doc", [[1], {"dockerlint": ["x"]}, {"typosquat": "abc"}])
+def test_non_object_config_is_a_config_error(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(path)

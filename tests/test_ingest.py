@@ -1,18 +1,12 @@
-"""Corpus loading, serverless filtering, and the fetch interface."""
+"""Corpus loading and serverless filtering."""
 from __future__ import annotations
 
 import pytest
 
 from slsa_audit.ingest import (
     ArtifactKind,
-    AuthError,
     CorpusNotFoundError,
-    FetchSpec,
-    FilesystemRegistryClient,
     ManifestParseError,
-    RateLimitExceededError,
-    _RateLimiter,
-    fetch_components,
     is_serverless,
     load_corpus,
     parse_manifest,
@@ -138,92 +132,3 @@ def test_filter_flips_when_yml_removed(tmp_path):
     assert is_serverless(entry)
     (directory / "tree" / "serverless.yml").unlink()
     assert not is_serverless(load_corpus(tmp_path).entries[0])
-
-
-# ---------------------------------------------------------------------------
-# Fetching
-# ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps: list[float] = []
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
-def _registry(tmp_path):
-    root = tmp_path / "registry"
-    _write_component(root, "alice", "serverless-app", files={"tree/a.py": "x"})
-    _write_component(root, "bob", "serverless-fn")
-    _write_component(root, "carol", "redis")
-    _write_component(root, "dave", "postgres")
-    _write_component(root, "erin", "nginx")
-    return root
-
-
-def test_fetch_filters_by_query(tmp_path):
-    client = FilesystemRegistryClient(_registry(tmp_path))
-    clock = FakeClock()
-    spec = FetchSpec(Repository.DOCKER_HUB, query="serverless", rate_limit=6000)
-    entries = fetch_components(spec, client, tmp_path / "out", clock, clock.sleep)
-    assert sorted(e.ref.name for e in entries) == ["serverless-app", "serverless-fn"]
-    loaded = load_corpus(tmp_path / "out")
-    assert len(loaded.entries) == 2 and loaded.errors == []
-    assert (tmp_path / "out" / "alice__serverless-app" / "tree" / "a.py").is_file()
-
-
-def test_rate_limiter_spacing():
-    clock = FakeClock()
-    limiter = _RateLimiter(60, clock, clock.sleep)  # one request per second
-    for _ in range(10):
-        limiter.wait()
-    assert clock.now >= 9.0
-
-
-def test_fetch_respects_rate_limit(tmp_path):
-    client = FilesystemRegistryClient(_registry(tmp_path))
-    clock = FakeClock()
-    spec = FetchSpec(Repository.DOCKER_HUB, query="serverless", rate_limit=60)
-    fetch_components(spec, client, tmp_path / "out", clock, clock.sleep)
-    # list + 2 x (metadata + download) = 5 requests, so 4 one-second gaps.
-    assert clock.now >= 4.0
-
-
-def test_fetch_auth_failure(tmp_path):
-    client = FilesystemRegistryClient(_registry(tmp_path), expected_token="sekrit")
-    clock = FakeClock()
-    spec = FetchSpec(Repository.DOCKER_HUB, query="serverless",
-                     auth_token="expired", rate_limit=6000)
-    with pytest.raises(AuthError):
-        fetch_components(spec, client, tmp_path / "out", clock, clock.sleep)
-    assert not any((tmp_path / "out").glob("*/component.meta"))
-
-
-def test_fetch_retries_rate_limit_then_surfaces(tmp_path):
-    class FlakyClient(FilesystemRegistryClient):
-        def __init__(self, root):
-            super().__init__(root)
-            self.calls = 0
-
-        def list_components(self, query, auth_token):
-            self.calls += 1
-            raise RateLimitExceededError("slow down")
-
-    client = FlakyClient(_registry(tmp_path))
-    clock = FakeClock()
-    spec = FetchSpec(Repository.DOCKER_HUB, query="x", rate_limit=6000)
-    with pytest.raises(RateLimitExceededError):
-        fetch_components(spec, client, tmp_path / "out", clock, clock.sleep, max_retries=2)
-    assert client.calls == 3  # initial try + 2 retries
-
-
-def test_fetch_spec_validation():
-    with pytest.raises(ValueError):
-        FetchSpec(Repository.GITHUB, "q", rate_limit=0)

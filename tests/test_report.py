@@ -8,6 +8,7 @@ import pytest
 from slsa_audit import vulnscan
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus, build_demo_db
+from slsa_audit.ingest import serialize_manifest
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
@@ -178,3 +179,20 @@ def test_scan_corpus_indexes_advisories_once(tmp_path, monkeypatch):
     assert len(run.report.vuln_counts) == 12
     assert sum(run.report.vuln_counts.values()) > 0
     assert len(calls) == 1
+
+
+def test_scan_corpus_reports_undecodable_run_commands(tmp_path):
+    corpus = tmp_path / "corpus"
+    refs = {}
+    for publisher, data in (("bad", b"\xff\xfe docker run --privileged img\n"),
+                            ("good", b"docker run --privileged img\n")):
+        ref = refs[publisher] = ComponentRef(Repository.DOCKER_HUB, publisher, "app")
+        component = corpus / ref.slug
+        component.mkdir(parents=True)
+        (component / "component.meta").write_text(serialize_manifest(ref, {}))
+        (component / "run_commands.txt").write_bytes(data)
+    run = scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset({AttackVector.V3})))
+    assert len(run.notices) == 1
+    assert run.notices[0].startswith(f"{refs['bad'].slug}/run_commands.txt: ")
+    assert run.report.per_component[refs["bad"]] == []
+    assert [f.rule_id for f in run.report.per_component[refs["good"]]] == ["V3-PRIVILEGED"]
