@@ -24,7 +24,7 @@ from pathlib import Path, PurePosixPath
 from typing import Iterable
 
 from slsa_audit import sevenz, zstdcodec
-from slsa_audit.model import AuditError
+from slsa_audit.model import AuditError, ConfigError
 
 
 class ArchiveError(AuditError):
@@ -335,10 +335,14 @@ def load_signatures(path: str | Path) -> list[Signature]:
     """Load a JSON-lines signature database (one signature per line).
 
     Lines hold {"id", "kind", "description"?} plus "pattern" (UTF-8 text)
-    or "pattern_base64".
+    or "pattern_base64". Malformed content raises ConfigError.
     """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     signatures: list[Signature] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -356,8 +360,8 @@ def load_signatures(path: str | Path) -> list[Signature]:
                     description=doc.get("description", ""),
                 )
             )
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad signature record: {exc}") from exc
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad signature record: {exc}") from exc
     return signatures
 
 

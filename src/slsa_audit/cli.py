@@ -14,7 +14,7 @@ from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vul
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
 from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
-from slsa_audit.report import FindingBatch, aggregate, emit, exit_code_for, scan_corpus
+from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,8 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     archive_sub = p.add_subparsers(dest="archive_command", required=True)
     scan_p = archive_sub.add_parser("scan", help="extract and signature-scan one archive")
     scan_p.add_argument("file")
-    scan_p.add_argument("--depth", type=int, default=3, help="nested-archive recursion depth")
-    scan_p.add_argument("--signatures", help="JSON-lines signature DB")
+    scan_p.add_argument("--depth", type=int,
+                        help="nested-archive recursion depth (default: archive.recursion_depth)")
+    scan_p.add_argument("--signatures",
+                        help="JSON-lines signature DB (default: archive.signature_db)")
     inject_p = archive_sub.add_parser("inject", help="pack a tree with a payload (test harness)")
     inject_p.add_argument("tree")
     inject_p.add_argument("payload")
@@ -77,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typosquat", help="find suspiciously similar names")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-distance", type=int, default=1)
+    p.add_argument("--max-distance", type=int, help="default: typosquat.max_distance")
     p.add_argument("--kind", choices=["username", "image"], help="restrict to one name kind")
     p.add_argument("--include-aws-sar", action="store_true")
 
@@ -145,13 +147,11 @@ def _cmd_archive(args, config, fail_on: Severity | None) -> int:
         Path(args.output_file).write_bytes(blob)
         print(f"wrote {len(blob)} bytes to {args.output_file}", file=sys.stderr)
         return 0
-    signatures = (
-        archive.load_signatures(args.signatures) if args.signatures else archive.BUILTIN_SIGNATURES
-    )
+    signatures = archive.load_signatures(args.signatures) if args.signatures else config.signatures
+    depth = config.recursion_depth if args.depth is None else args.depth
     entries = archive.extract(args.file, limits=config.extraction_limits)
     notices: list[str] = []
-    matches = archive.scan_entries(entries, signatures, args.depth,
-                                   config.extraction_limits, notices)
+    matches = archive.scan_entries(entries, signatures, depth, config.extraction_limits, notices)
     for match in matches:
         print(f"match: {match.signature_id} at {match.entry_path}")
     print(f"{len(entries)} entries, {len(matches)} matches", file=sys.stderr)
@@ -174,7 +174,7 @@ def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
         findings = dockerlint.lint_commands_text(
             text, source_name="cmdline", rules=rules, key_config=key_config, notices=notices
         )
-        report = aggregate([FindingBatch("cmdline", findings)])
+        report = aggregate(findings, "cmdline")
     sys.stdout.buffer.write(emit(report, output))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
@@ -203,7 +203,7 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
                 notices.append(f"{path}: {exc}")
                 continue
             tagged.extend((framework, f) for f in findings)
-        report = aggregate([FindingBatch("paths", [f for _, f in tagged])])
+        report = aggregate((f for _, f in tagged), "paths")
         histogram = iaclint.severity_histogram(tagged)
     sys.stdout.buffer.write(emit(report, output))
     if args.histogram:
@@ -225,14 +225,15 @@ def _cmd_typosquat(args, config) -> int:
     if args.kind:
         kind = typosquat.NameKind.USERNAME if args.kind == "username" else typosquat.NameKind.IMAGE_NAME
         records = [r for r in records if r.kind is kind]
-    scan = typosquat.find_near_pairs(records, args.max_distance)
+    max_distance = config.typosquat_max_distance if args.max_distance is None else args.max_distance
+    scan = typosquat.find_near_pairs(records, max_distance)
     for pair in scan.pairs:
         print(f"d={pair.distance} [{pair.a.kind.value}] {pair.a.name!r} ({pair.a.owner.slug}) "
               f"~ {pair.b.name!r} ({pair.b.owner.slug})")
     for pair in scan.collisions:
         print(f"d=0 [collision] {pair.a.name!r}: {pair.a.owner.slug} vs {pair.b.owner.slug}")
     try:
-        cdf = typosquat.distance_cdf(records, args.max_distance)
+        cdf = typosquat.distance_cdf(records, max_distance)
     except EmptyInputError:
         cdf = []
     if cdf:

@@ -12,11 +12,7 @@ from pathlib import Path
 
 from slsa_audit import dockerlint, iaclint, vulnscan
 from slsa_audit.archive import BUILTIN_SIGNATURES, ExtractionLimits, Signature, load_signatures
-from slsa_audit.model import AttackVector, AuditError
-
-
-class ConfigError(AuditError, ValueError):
-    pass
+from slsa_audit.model import DEFAULT_CDF_THRESHOLDS, AttackVector, ConfigError, list_setting
 
 
 CONFIG_ENV_VAR = "SLSA_AUDIT_CONFIG"
@@ -42,7 +38,7 @@ class AuditConfig:
     typosquat_max_distance: int = 1
     include_aws_sar: bool = False
     # reporting
-    cdf_thresholds: tuple[int, ...] = (0, 1, 10, 100, 1000, 10000)
+    cdf_thresholds: tuple[int, ...] = DEFAULT_CDF_THRESHOLDS
 
 
 # The keys load_config reads in each section; "enabled_vectors" is the one top-level setting.
@@ -103,8 +99,10 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
                 enabled_vectors=frozenset(AttackVector(v) for v in doc["enabled_vectors"]),
             )
         vuln = doc.get("vulnscan", {})
-        if "source_extensions" in vuln:
-            config = replace(config, source_extensions=tuple(vuln["source_extensions"]))
+        config = replace(
+            config,
+            source_extensions=list_setting(vuln, "source_extensions", config.source_extensions),
+        )
         if "fp_filter" in vuln:
             config = replace(config, fp_filter=bool(vuln["fp_filter"]))
         arch = doc.get("archive", {})
@@ -129,8 +127,10 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
         docker = doc.get("dockerlint", {})
         if docker:
             key_config = dockerlint.SensitiveKeyConfig(
-                patterns=tuple(docker.get("sensitive_key_patterns", config.sensitive_keys.patterns)),
-                exact=tuple(docker.get("sensitive_keys_exact", config.sensitive_keys.exact)),
+                patterns=list_setting(
+                    docker, "sensitive_key_patterns", config.sensitive_keys.patterns
+                ),
+                exact=list_setting(docker, "sensitive_keys_exact", config.sensitive_keys.exact),
                 min_value_length=int(
                     docker.get("min_value_length", config.sensitive_keys.min_value_length)
                 ),
@@ -142,17 +142,17 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
         iac = doc.get("iaclint", {})
         if "catalog" in iac:
             config = replace(config, iac_catalog=tuple(iaclint.load_catalog(iac["catalog"])))
-        if "cors_substrings" in iac:
-            config = replace(config, cors_substrings=tuple(iac["cors_substrings"]))
+        config = replace(
+            config, cors_substrings=list_setting(iac, "cors_substrings", config.cors_substrings)
+        )
         squat = doc.get("typosquat", {})
         config = replace(
             config,
             typosquat_max_distance=int(squat.get("max_distance", config.typosquat_max_distance)),
             include_aws_sar=bool(squat.get("include_aws_sar", config.include_aws_sar)),
         )
-        report = doc.get("report", {})
-        if "cdf_thresholds" in report:
-            config = replace(config, cdf_thresholds=tuple(int(t) for t in report["cdf_thresholds"]))
+        thresholds = list_setting(doc.get("report", {}), "cdf_thresholds", config.cdf_thresholds)
+        config = replace(config, cdf_thresholds=tuple(int(t) for t in thresholds))
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: bad config value: {exc}") from exc
     return config

@@ -7,13 +7,23 @@ sensitive environment variables, and hard-coded credentials.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import shlex
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from slsa_audit.model import AttackVector, AuditError, ComponentRef, Finding, Repository, Severity
+from slsa_audit.model import (
+    AttackVector,
+    AuditError,
+    ComponentRef,
+    ConfigError,
+    Finding,
+    Repository,
+    Severity,
+    list_setting,
+)
 
 
 class CommandParseError(AuditError, ValueError):
@@ -442,28 +452,33 @@ def lint_commands_text(
 
 
 def load_rules_file(path: str) -> tuple[dict[ParamClass, SensitiveParamRule], SensitiveKeyConfig]:
-    """Load rule overrides: per-class severity/enabled plus key settings."""
-    import json
+    """Load rule overrides: per-class severity/enabled plus key settings.
 
-    doc = json.loads(open(path, encoding="utf-8").read())
-    rules = dict(DEFAULT_RULES)
-    for name, override in (doc.get("classes") or {}).items():
-        param_class = ParamClass(name)
-        base = DEFAULT_RULES[param_class]
-        if override.get("enabled", True) is False:
-            rules.pop(param_class, None)
-            continue
-        rules[param_class] = SensitiveParamRule(
-            rule_id=override.get("rule_id", base.rule_id),
-            param_class=param_class,
-            severity=Severity(override["severity"]) if "severity" in override else base.severity,
-            description=override.get("description", base.description),
-            remediation=override.get("remediation", base.remediation),
+    Malformed content raises ConfigError.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        rules = dict(DEFAULT_RULES)
+        for name, override in (doc.get("classes") or {}).items():
+            param_class = ParamClass(name)
+            base = DEFAULT_RULES[param_class]
+            if override.get("enabled", True) is False:
+                rules.pop(param_class, None)
+                continue
+            rules[param_class] = SensitiveParamRule(
+                rule_id=override.get("rule_id", base.rule_id),
+                param_class=param_class,
+                severity=Severity(override.get("severity", base.severity)),
+                description=override.get("description", base.description),
+                remediation=override.get("remediation", base.remediation),
+            )
+        key_config = SensitiveKeyConfig(
+            patterns=list_setting(doc, "sensitive_key_patterns", SENSITIVE_KEY_PATTERNS),
+            exact=list_setting(doc, "sensitive_keys_exact", SENSITIVE_KEYS_EXACT),
+            min_value_length=int(doc.get("min_value_length", MIN_CREDENTIAL_LENGTH)),
+            entropy_threshold=float(doc.get("entropy_threshold", ENTROPY_THRESHOLD_BITS)),
         )
-    key_config = SensitiveKeyConfig(
-        patterns=tuple(doc.get("sensitive_key_patterns", SENSITIVE_KEY_PATTERNS)),
-        exact=tuple(doc.get("sensitive_keys_exact", SENSITIVE_KEYS_EXACT)),
-        min_value_length=doc.get("min_value_length", MIN_CREDENTIAL_LENGTH),
-        entropy_threshold=doc.get("entropy_threshold", ENTROPY_THRESHOLD_BITS),
-    )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: bad rules file: {exc}") from exc
     return rules, key_config

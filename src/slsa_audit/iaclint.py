@@ -15,7 +15,16 @@ from typing import Iterable
 
 import yaml
 
-from slsa_audit.model import AttackVector, AuditError, ComponentRef, Finding, Repository, Severity
+from slsa_audit.model import (
+    AttackVector,
+    AuditError,
+    ComponentRef,
+    ConfigError,
+    Finding,
+    Repository,
+    Severity,
+    list_setting,
+)
 from slsa_audit.tfparse import TerraformParseError, Undetermined, parse_terraform
 
 SAM_TRANSFORM = "AWS::Serverless-2016-10-31"
@@ -102,10 +111,6 @@ _NESTING_INDICATORS = "[{-:?"
 # An alias is expanded wherever it is referenced, so without a cap a few
 # hundred bytes can name millions of values.
 _MAX_VALUES_PER_CHAR = 10
-
-_TRANSFORM_TEXT_RE = re.compile(
-    r"['\"]?Transform['\"]?\s*:\s*\[?\s*['\"]?" + re.escape(SAM_TRANSFORM)
-)
 
 
 def _is_structured(path: str) -> bool:
@@ -205,50 +210,6 @@ class _ValueBuilder:
         raise TemplateParseError(f"{self.path}: unsupported YAML node {node!r}")
 
 
-def _transforms(root: yaml.MappingNode, values: _ValueBuilder) -> list:
-    """The root's Transform value as a list; the last Transform key wins."""
-    transforms: list = []
-    for key_node, value_node in root.value:
-        if str(values(key_node)) == "Transform":
-            value = values(value_node)
-            transforms = value if isinstance(value, list) else [value]
-    return transforms
-
-
-def _framework_from(transforms: list) -> IaCFramework:
-    return IaCFramework.SAM if SAM_TRANSFORM in transforms else IaCFramework.CLOUDFORMATION
-
-
-def classify_template(
-    path: str, contents: str, notices: list[str] | None = None
-) -> IaCFramework:
-    """Classify by extension, with SAM detected via its Transform directive.
-
-    Unparseable structured documents fall back to a textual scan for the
-    directive, recorded as a notice.
-    """
-    if not _is_structured(path):
-        return IaCFramework.TERRAFORM
-    try:
-        root = _compose(contents, path)
-        if not isinstance(root, yaml.MappingNode):
-            return IaCFramework.CLOUDFORMATION
-        return _framework_from(_transforms(root, _ValueBuilder(path, contents)))
-    except TemplateParseError:
-        if notices is not None:
-            notices.append(f"{path}: structured parse failed; classified textually")
-        if _TRANSFORM_TEXT_RE.search(contents):
-            return IaCFramework.SAM
-        return IaCFramework.CLOUDFORMATION
-
-
-def parse_template(contents: str, framework: IaCFramework, path: str = "<template>") -> TemplateModel:
-    """Parse a classified template into the neutral resource model."""
-    if framework is IaCFramework.TERRAFORM:
-        return _parse_terraform_model(contents, path)
-    return _parse_cfn_model(contents, framework, path)
-
-
 def load_template(path: str, contents: str) -> TemplateModel:
     """Classify and parse one template, composing a YAML/JSON text once.
 
@@ -257,17 +218,14 @@ def load_template(path: str, contents: str) -> TemplateModel:
     """
     if not _is_structured(path):
         return _parse_terraform_model(contents, path)
-    return _parse_cfn_model(contents, None, path)
+    return _parse_cfn_model(contents, path)
 
 
-def _parse_cfn_model(
-    contents: str, framework: IaCFramework | None, path: str
-) -> TemplateModel:
-    """The model of a YAML/JSON template; a framework of None is read from
-    the root's Transform."""
+def _parse_cfn_model(contents: str, path: str) -> TemplateModel:
+    """The model of a YAML/JSON template, its framework read from the root's Transform."""
     root = _compose(contents, path)
     model = TemplateModel(
-        framework=framework or IaCFramework.CLOUDFORMATION,
+        framework=IaCFramework.CLOUDFORMATION,
         path=path,
         line_count=contents.count("\n") + 1,
     )
@@ -276,10 +234,12 @@ def _parse_cfn_model(
     if not isinstance(root, yaml.MappingNode):
         raise TemplateParseError(f"{path}: template root must be a mapping")
     values = _ValueBuilder(path, contents)
-    model.transforms = _transforms(root, values)
     for key_node, value_node in root.value:
         key = str(values(key_node))
-        if key == "Parameters":
+        if key == "Transform":  # a later Transform key replaces an earlier one
+            value = values(value_node)
+            model.transforms = value if isinstance(value, list) else [value]
+        elif key == "Parameters":
             if isinstance(value_node, yaml.MappingNode):
                 for name_node, param_node in value_node.value:
                     param = values(param_node)
@@ -310,10 +270,8 @@ def _parse_cfn_model(
                         source_span=span,
                     )
                 )
-    if framework is None:
-        model.framework = _framework_from(model.transforms)
-    elif framework is IaCFramework.SAM and SAM_TRANSFORM not in model.transforms:
-        model.transforms.append(SAM_TRANSFORM)
+    if SAM_TRANSFORM in model.transforms:
+        model.framework = IaCFramework.SAM
     return model
 
 
@@ -368,10 +326,6 @@ class MisconfigRule:
     description: str
     remediation: str = ""
     matchers: dict[IaCFramework, RuleMatcher] = field(default_factory=dict)
-
-    @property
-    def frameworks(self) -> set[IaCFramework]:
-        return set(self.matchers)
 
 
 def _resolve_path(value: object, segments: list[str]) -> list[object]:
@@ -610,31 +564,39 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
 
 def load_catalog(path: str | Path) -> list[MisconfigRule]:
     """Load a JSON rule catalog: a list of rule objects with per-framework
-    matchers ({framework: {resource_types, predicate}})."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    rules: list[MisconfigRule] = []
-    seen: set[str] = set()
-    for entry in doc:
-        rule_id = entry["rule_id"]
-        if rule_id in seen:
-            raise ValueError(f"duplicate rule id {rule_id!r} in catalog")
-        seen.add(rule_id)
-        matchers = {
-            IaCFramework(name): RuleMatcher(
-                resource_types=tuple(matcher["resource_types"]),
-                predicate=matcher["predicate"],
+    matchers ({framework: {resource_types, predicate}}).
+
+    Malformed content raises ConfigError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        rules: list[MisconfigRule] = []
+        seen: set[str] = set()
+        for entry in doc:
+            rule_id = entry["rule_id"]
+            if rule_id in seen:
+                raise ValueError(f"duplicate rule id {rule_id!r} in catalog")
+            seen.add(rule_id)
+            matchers = {}
+            for name, matcher in entry["matchers"].items():
+                predicate = matcher["predicate"]
+                # Empty properties leave no value undetermined, so this walks the
+                # whole predicate and raises on any unknown or misshapen part.
+                _eval_predicate(predicate, {})
+                matchers[IaCFramework(name)] = RuleMatcher(
+                    resource_types=list_setting(matcher, "resource_types"), predicate=predicate
+                )
+            rules.append(
+                MisconfigRule(
+                    rule_id=rule_id,
+                    severity=Severity(entry["severity"]),
+                    description=entry.get("description", ""),
+                    remediation=entry.get("remediation", ""),
+                    matchers=matchers,
+                )
             )
-            for name, matcher in entry["matchers"].items()
-        }
-        rules.append(
-            MisconfigRule(
-                rule_id=rule_id,
-                severity=Severity(entry["severity"]),
-                description=entry.get("description", ""),
-                remediation=entry.get("remediation", ""),
-                matchers=matchers,
-            )
-        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: bad rule catalog: {exc}") from exc
     return rules
 
 
@@ -723,10 +685,10 @@ def _walk_items(tree: object):
             yield from _walk_items(item)
 
 
-def _resource_has_auth(resource: ResourceNode, auth_keys: tuple[str, ...]) -> bool:
+def _resource_has_auth(resource: ResourceNode) -> bool:
     for key, value in _walk_items(resource.properties):
         normalized = _normalize_key(str(key))
-        if normalized in auth_keys and value not in (None, {}, []):
+        if normalized in AUTH_KEYS and value not in (None, {}, []):
             return True
         if normalized == "authorizationtype" and isinstance(value, str) and value.upper() != "NONE":
             return True
@@ -737,7 +699,6 @@ def check_cors_wildcard(
     model: TemplateModel,
     component: ComponentRef | None = None,
     cors_substrings: tuple[str, ...] = CORS_KEY_SUBSTRINGS,
-    auth_keys: tuple[str, ...] = AUTH_KEYS,
 ) -> list[Finding]:
     """Flag wildcard CORS origins; severity depends on API authentication.
 
@@ -764,7 +725,7 @@ def check_cors_wildcard(
             relevant = [owner]
         else:
             relevant = apis
-        unauthenticated = [r for r in relevant if not _resource_has_auth(r, auth_keys)]
+        unauthenticated = [r for r in relevant if not _resource_has_auth(r)]
         if unauthenticated:
             target = unauthenticated[0]
             findings.append(

@@ -24,8 +24,22 @@ class ScoreRangeError(AuditError, ValueError):
     """A CVSS score fell outside [0.0, 10.0]."""
 
 
-class ConsistencyError(AuditError, ValueError):
-    """Inputs that must agree (e.g. corpus ids) do not."""
+class ConfigError(AuditError, ValueError):
+    """A config, rules, catalog or signature file is missing or malformed."""
+
+
+def list_setting(section: dict, key: str, default: tuple | None = None) -> tuple:
+    """A list setting of a JSON settings file, required when it has no default.
+
+    A string there is refused, since it would be read as its characters.
+    """
+    if key not in section:
+        if default is None:
+            raise KeyError(key)
+        return default
+    if not isinstance(section[key], list):
+        raise TypeError(f"{key!r} must be a JSON list, not {section[key]!r}")
+    return tuple(section[key])
 
 
 class Repository(Enum):

@@ -18,9 +18,9 @@ from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vul
 from slsa_audit.config import AuditConfig
 from slsa_audit.ingest import CorpusEntry, CorpusLoadResult, is_serverless, load_corpus
 from slsa_audit.model import (
+    DEFAULT_CDF_THRESHOLDS,
     AttackVector,
     ComponentRef,
-    ConsistencyError,
     CountStats,
     Finding,
     ScanReport,
@@ -28,36 +28,21 @@ from slsa_audit.model import (
 )
 
 
-@dataclass
-class FindingBatch:
-    """Findings one analyzer produced for one corpus."""
-
-    corpus_id: str
-    findings: list[Finding] = field(default_factory=list)
-
-
 def aggregate(
-    batches: Iterable[FindingBatch],
+    findings: Iterable[Finding],
+    corpus_id: str = "",
     vuln_counts: Mapping[ComponentRef, int] | None = None,
-    cdf_thresholds: Iterable[int] = (0, 1, 10, 100, 1000, 10000),
+    cdf_thresholds: Iterable[int] = DEFAULT_CDF_THRESHOLDS,
     components: Iterable[ComponentRef] = (),
 ) -> ScanReport:
-    """Merge finding batches into one deduplicated, deterministic report.
+    """Merge findings into one deduplicated, deterministic report.
 
-    Findings deduplicate on (rule_id, component, location). All batches
-    must agree on the corpus id. Every component in ``components`` or
-    ``vuln_counts`` is listed, with or without findings; vuln stats and
-    the CDF are derived from ``vuln_counts`` alone.
+    Findings deduplicate on (rule_id, component, location). Every
+    component in ``components`` or ``vuln_counts`` is listed, with or
+    without findings; vuln stats and the CDF are derived from
+    ``vuln_counts`` alone.
     """
-    batches = list(batches)
-    corpus_ids = {b.corpus_id for b in batches}
-    if len(corpus_ids) > 1:
-        raise ConsistencyError(f"batches span multiple corpus ids: {sorted(corpus_ids)}")
-    corpus_id = corpus_ids.pop() if corpus_ids else ""
-    merged: list[Finding] = []
-    for batch in batches:
-        merged.extend(batch.findings)
-    merged.sort(key=Finding.sort_key)
+    merged = sorted(findings, key=Finding.sort_key)
     seen: set[tuple] = set()
     per_component: dict[ComponentRef, list[Finding]] = {}
     for finding in merged:
@@ -428,31 +413,32 @@ def scan_corpus(
     corpus_id = corpus_id if corpus_id is not None else Path(corpus_root).name
     vectors = config.enabled_vectors
 
-    batches: list[FindingBatch] = []
+    findings: list[Finding] = []
     vuln_counts: dict[ComponentRef, int] = {}
     iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
     for entry in entries:
         if AttackVector.V1 in vectors:
-            findings, count = scan_vuln(entry, index, config, notices)
+            vuln_findings, count = scan_vuln(entry, index, config, notices)
             vuln_counts[entry.ref] = count
-            batches.append(FindingBatch(corpus_id, findings))
+            findings.extend(vuln_findings)
         if AttackVector.V2 in vectors:
-            batches.append(FindingBatch(corpus_id, scan_archives(entry, config, notices)))
+            findings.extend(scan_archives(entry, config, notices))
         if AttackVector.V3 in vectors:
-            batches.append(FindingBatch(corpus_id, scan_docker(entry, config, notices)))
+            findings.extend(scan_docker(entry, config, notices))
         if AttackVector.V4 in vectors:
             tagged = scan_iac(entry, config, notices)
             iac_tagged.extend(tagged)
-            batches.append(FindingBatch(corpus_id, [f for _, f in tagged]))
+            findings.extend(f for _, f in tagged)
     if AttackVector.V5 in vectors:
         records = typosquat.build_name_records(
             (e.ref for e in entries), include_aws_sar=config.include_aws_sar
         )
         scan = typosquat.find_near_pairs(records, config.typosquat_max_distance)
-        batches.append(FindingBatch(corpus_id, typosquat.findings_from_pairs(scan)))
+        findings.extend(typosquat.findings_from_pairs(scan))
 
-    report = aggregate(batches, vuln_counts, config.cdf_thresholds, [e.ref for e in entries])
-    report.corpus_id = corpus_id
+    report = aggregate(
+        findings, corpus_id, vuln_counts, config.cdf_thresholds, [e.ref for e in entries]
+    )
     return AuditRun(
         corpus_id=corpus_id,
         enabled_vectors=set(vectors),

@@ -238,7 +238,7 @@ def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> li
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
             advisories.extend(advisory_from_osv(doc))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not OSV-shaped
             if notices is not None:
                 notices.append(f"skipped advisory {path.name}: {exc}")
     return advisories
@@ -575,18 +575,15 @@ def index_advisories(advisories: Iterable[Advisory]) -> AdvisoryIndex:
 
 def match_advisories(
     inventory: PackageInventory,
-    db: Iterable[Advisory] | AdvisoryIndex,
+    index: AdvisoryIndex,
     notices: list[str] | None = None,
 ) -> list[VulnMatch]:
-    """Match every declared package version against the advisory database.
+    """Match every declared package version against the indexed advisories.
 
-    ``db`` is either the advisories themselves or their
-    :func:`index_advisories` index; pass the index when matching many
-    inventories against one database. Matches deduplicate on (advisory,
-    package, version); packages whose version string is empty are excluded
-    with a notice.
+    ``index`` comes from :func:`index_advisories`. Matches deduplicate on
+    (advisory, package, version); packages whose version string is empty
+    are excluded with a notice.
     """
-    index = db if isinstance(db, dict) else index_advisories(db)
     matches: dict[tuple[str, str, str, Ecosystem], VulnMatch] = {}
     for record in inventory.records():
         candidates = index.get((record.ecosystem, record.name))

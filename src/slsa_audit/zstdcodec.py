@@ -112,11 +112,3 @@ def decompress_chunks(data: bytes, chunk_size: int = 1 << 17) -> Iterator[bytes]
     finally:
         lib.ZSTD_freeDStream(stream)
 
-
-def decompress(data: bytes, max_output: int | None = None) -> bytes:
-    out = bytearray()
-    for chunk in decompress_chunks(data):
-        out += chunk
-        if max_output is not None and len(out) > max_output:
-            raise ZstdError(f"decompressed output exceeds {max_output} bytes")
-    return bytes(out)

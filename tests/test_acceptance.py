@@ -125,7 +125,7 @@ def test_criterion_02_matching_oracle():
             inventory, advisories = _random_matching_instance(rng)
             got = {
                 (m.advisory_id, m.package_name, m.package_version, m.ecosystem)
-                for m in vulnscan.match_advisories(inventory, advisories)
+                for m in vulnscan.match_advisories(inventory, vulnscan.index_advisories(advisories))
             }
             expected = set()
             for record in inventory.packages.values():
@@ -346,7 +346,7 @@ def test_criterion_08_iac_classification():
         assert len(fixtures) == 30
         correct = 0
         for name, text, expected in fixtures:
-            if iaclint.classify_template(name, text) is expected:
+            if iaclint.load_template(name, text).framework is expected:
                 correct += 1
         assert correct == 30
         base = {
@@ -356,7 +356,7 @@ def test_criterion_08_iac_classification():
         }
         for permutation in itertools.permutations(base):
             doc = json.dumps({key: base[key] for key in permutation})
-            assert iaclint.classify_template("t.json", doc) is iaclint.IaCFramework.SAM
+            assert iaclint.load_template("t.json", doc).framework is iaclint.IaCFramework.SAM
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,8 @@ def test_criterion_09_iac_rules():
         cors_good = cors_bad.replace("Default: '*'", "Default: 'https://app.example.com'")
 
         def rule_hits(doc: str, framework: iaclint.IaCFramework, rule_id: str) -> list:
-            model = iaclint.parse_template(doc, framework, "fixture.yaml")
+            model = iaclint.load_template("fixture.yaml", doc)
+            assert model.framework is framework
             if rule_id == "R-CORS":
                 found = iaclint.check_cors_wildcard(model)
             else:

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from slsa_audit import archive
 from slsa_audit.cli import main
 from slsa_audit.demo import build_demo_corpus, build_demo_db
 
@@ -150,6 +151,23 @@ def test_vulnscan_reports_load_errors_and_skipped_advisories(demo, tmp_path, cap
     assert "notice: skipped advisory broken.json" in captured.err
 
 
+def test_scan_all_skips_advisories_of_the_wrong_shape(demo, tmp_path, capsys):
+    corpus, db = demo
+    command = ["--output", "json", "scan-all", "--corpus", str(corpus)]
+    assert main([*command, "--db", str(db)]) == 0
+    clean = capsys.readouterr().out
+    bad_db = shutil.copytree(db, tmp_path / "db")
+    shapes = {"list.json": [], "affected.json": {"id": "X-1", "affected": "x"},
+              "severity.json": {"id": "X-2", "severity": 5}}
+    for name, doc in shapes.items():
+        (bad_db / name).write_text(json.dumps(doc))
+    assert main([*command, "--db", str(bad_db)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    skipped = [line for line in captured.err.splitlines() if "skipped advisory" in line]
+    assert sorted(line.split()[3] for line in skipped) == sorted(f"{n}:" for n in shapes)
+
+
 @pytest.mark.parametrize("command", [
     ["--output", "json", "docker"],
     ["--output", "json", "iac"],
@@ -269,3 +287,72 @@ def test_docker_stdin(monkeypatch, capsys):
     assert main(["--output", "json", "docker", "--cmd", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["components"][0]["findings"][0]["rule_id"] == "V3-PRIVILEGED"
+
+
+def test_archive_scan_reads_signatures_and_depth_from_config(tmp_path, capsys):
+    inner = archive.pack_entries(
+        [("deep.txt", b"MARKER"), ("eicar.txt", archive.EICAR_TEST_STRING)], archive.ArchiveFormat.ZIP
+    )
+    outer = tmp_path / "outer.zip"
+    outer.write_bytes(archive.pack_entries(
+        [("top.txt", b"xx MARKER xx"), ("inner.zip", inner)], archive.ArchiveFormat.ZIP
+    ))
+    signatures = tmp_path / "sigs.jsonl"
+    signatures.write_text(json.dumps({"id": "marker", "kind": "substring", "pattern": "MARKER"}))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"archive": {"signature_db": str(signatures), "recursion_depth": 0}}
+    ))
+
+    def matches(config_args: list[str], scan_args: tuple[str, ...] = ()) -> list[str]:
+        assert main([*config_args, "archive", "scan", str(outer), *scan_args]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    with_config = ["--config", str(config_path)]
+    assert matches([]) == ["match: eicar at inner.zip!eicar.txt"]
+    assert matches(with_config) == ["match: marker at top.txt"]
+    assert sorted(matches(with_config, ("--depth", "1"))) == [
+        "match: marker at inner.zip!deep.txt", "match: marker at top.txt"
+    ]
+    no_signatures = tmp_path / "none.jsonl"
+    no_signatures.write_text("")
+    assert matches(with_config, ("--signatures", str(no_signatures))) == []
+
+
+def test_typosquat_reads_max_distance_from_config(demo, tmp_path, capsys):
+    corpus, _ = demo
+    main(["typosquat", "--corpus", str(corpus), "--max-distance", "2"])
+    at_two = capsys.readouterr().out
+    main(["typosquat", "--corpus", str(corpus)])
+    assert capsys.readouterr().out != at_two
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"typosquat": {"max_distance": 2}}))
+    main(["--config", str(config_path), "typosquat", "--corpus", str(corpus)])
+    assert capsys.readouterr().out == at_two
+    main(["--config", str(config_path), "typosquat", "--corpus", str(corpus), "--max-distance", "1"])
+    assert capsys.readouterr().out != at_two
+
+
+_STRING_TYPES_CATALOG = json.dumps([{"rule_id": "X-1", "severity": "High", "matchers": {
+    "CloudFormation": {"resource_types": "AWS::S3::Bucket", "predicate": {"present": "A"}}}}])
+
+
+@pytest.mark.parametrize("command, content", [
+    (["docker", "--cmd", "docker run img", "--rules"], '{"classes": {"NoSuchClass": {}}}'),
+    (["docker", "--cmd", "docker run img", "--rules"], '{"sensitive_keys_exact": "KEY"}'),
+    (["iac", "--paths", "t.yaml", "--catalog"], '[{"rule_id": "X-1"}]'),
+    (["iac", "--paths", "t.yaml", "--catalog"], _STRING_TYPES_CATALOG),
+    (["archive", "scan", "outer.zip", "--signatures"], '{"id": "x", "kind": "substring"}'),
+], ids=["docker-rules", "docker-rules-string", "iac-catalog", "iac-catalog-string",
+        "archive-signatures"])
+def test_malformed_rules_file_exits_2(demo, tmp_path, capsys, monkeypatch, command, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.yaml").write_text("Resources: {}\n")
+    (tmp_path / "outer.zip").write_bytes(
+        archive.pack_entries([("a.txt", b"a")], archive.ArchiveFormat.ZIP)
+    )
+    rules = tmp_path / "rules.json"
+    rules.write_text(content)
+    assert main([*command, str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rules}"), err

@@ -47,3 +47,18 @@ def test_non_object_config_is_a_config_error(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("vulnscan", "source_extensions"),
+    ("dockerlint", "sensitive_key_patterns"),
+    ("dockerlint", "sensitive_keys_exact"),
+    ("iaclint", "cors_substrings"),
+    ("report", "cdf_thresholds"),
+])
+def test_string_for_a_list_is_a_config_error(tmp_path, section, key):
+    # A string is iterable, so without a check it would load as its characters.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: "0110"}}))
+    with pytest.raises(ConfigError, match=f"{key}' must be a JSON list"):
+        load_config(path)

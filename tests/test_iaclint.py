@@ -24,11 +24,9 @@ from slsa_audit.iaclint import (
     TemplateParseError,
     UnsupportedExtensionError,
     check_cors_wildcard,
-    classify_template,
     lint_template,
     load_catalog,
     load_template,
-    parse_template,
     run_rules,
     severity_histogram,
 )
@@ -53,36 +51,34 @@ CFN_MINIMAL = """Resources:
 TF_MINIMAL = 'resource "aws_sns_topic" "t" {\n  name = "events"\n}\n'
 
 
+def _framework(path: str, contents: str) -> IaCFramework:
+    return load_template(path, contents).framework
+
+
 def test_classify_by_extension():
-    assert classify_template("main.tf", TF_MINIMAL) is IaCFramework.TERRAFORM
-    assert classify_template("t.yaml", SAM_MINIMAL) is IaCFramework.SAM
-    assert classify_template("t.yml", SAM_MINIMAL) is IaCFramework.SAM
-    assert classify_template("t.json", '{"Resources": {}}') is IaCFramework.CLOUDFORMATION
-    assert classify_template("t.yaml", CFN_MINIMAL) is IaCFramework.CLOUDFORMATION
+    assert _framework("main.tf", TF_MINIMAL) is IaCFramework.TERRAFORM
+    assert _framework("t.yaml", SAM_MINIMAL) is IaCFramework.SAM
+    assert _framework("t.yml", SAM_MINIMAL) is IaCFramework.SAM
+    assert _framework("t.json", '{"Resources": {}}') is IaCFramework.CLOUDFORMATION
+    assert _framework("t.yaml", CFN_MINIMAL) is IaCFramework.CLOUDFORMATION
 
 
 def test_classify_transform_list_form():
     doc = f"Transform:\n  - {SAM_TRANSFORM}\n  - Other::Macro\nResources: {{}}\n"
-    assert classify_template("t.yaml", doc) is IaCFramework.SAM
+    assert _framework("t.yaml", doc) is IaCFramework.SAM
 
 
 def test_classify_unsupported_extension():
     with pytest.raises(UnsupportedExtensionError):
-        classify_template("t.xml", "<Resources/>")
-
-
-def test_classify_textual_fallback_on_broken_yaml():
-    broken = f"Transform: {SAM_TRANSFORM}\nResources:\n  - {{unclosed\n"
-    notices: list[str] = []
-    assert classify_template("t.yaml", broken, notices) is IaCFramework.SAM
-    assert notices and "textually" in notices[0]
+        load_template("t.xml", "<Resources/>")
 
 
 def test_classify_from_tree_when_only_construction_would_fail():
-    # The Transform line is a comment, which the textual fallback would match.
+    # The Transform line is a comment, which a textual search would match.
     doc = f"# Transform: {SAM_TRANSFORM}\nResources:\n  A: !!python/object:os.system {{Type: X}}\n"
     notices: list[str] = []
-    assert classify_template("t.yaml", doc, notices) is IaCFramework.CLOUDFORMATION
+    framework, _ = lint_template("t.yaml", doc, notices=notices)
+    assert framework is IaCFramework.CLOUDFORMATION
     assert notices == []
 
 
@@ -97,11 +93,11 @@ def test_classify_stable_under_key_reordering():
     for _ in range(8):
         rng.shuffle(keys)
         doc = json.dumps({k: base[k] for k in keys})
-        assert classify_template("t.json", doc) is IaCFramework.SAM
+        assert _framework("t.json", doc) is IaCFramework.SAM
 
 
-def test_parse_template_resources_and_spans():
-    model = parse_template(SAM_MINIMAL, IaCFramework.SAM, "t.yaml")
+def test_load_template_resources_and_spans():
+    model = load_template("t.yaml", SAM_MINIMAL)
     assert len(model.resources) == 1
     node = model.resources[0]
     assert node.logical_id == "Fn"
@@ -110,27 +106,25 @@ def test_parse_template_resources_and_spans():
     assert SAM_TRANSFORM in model.transforms
 
 
-def test_parse_template_empty_resources():
-    model = parse_template("Resources: {}\n", IaCFramework.CLOUDFORMATION, "t.yaml")
+def test_load_template_empty_resources():
+    model = load_template("t.yaml", "Resources: {}\n")
     assert model.resources == []
 
 
-def test_parse_template_duplicate_ids_rejected():
+def test_load_template_duplicate_ids_rejected():
     doc = "Resources:\n  A:\n    Type: X\n  A:\n    Type: Y\n"
     with pytest.raises(TemplateParseError, match="duplicate"):
-        parse_template(doc, IaCFramework.CLOUDFORMATION, "t.yaml")
+        load_template("t.yaml", doc)
 
 
 def test_parse_terraform_resource_block():
-    model = parse_template(
-        'resource "aws_s3_bucket" "b" { }\n', IaCFramework.TERRAFORM, "m.tf"
-    )
+    model = load_template("m.tf", 'resource "aws_s3_bucket" "b" { }\n')
     assert [r.resource_type for r in model.resources] == ["aws_s3_bucket"]
 
 
 def test_parse_terraform_syntax_error_names_line():
     with pytest.raises(TemplateParseError, match="line 2"):
-        parse_template('resource "a" "b" {\n  x = = 1\n}\n', IaCFramework.TERRAFORM, "m.tf")
+        load_template("m.tf", 'resource "a" "b" {\n  x = = 1\n}\n')
 
 
 def test_intrinsics_kept_opaque():
@@ -141,7 +135,7 @@ def test_intrinsics_kept_opaque():
       FunctionName: !Ref Fn
       SourceArn: !GetAtt [Bucket, Arn]
 """
-    model = parse_template(doc, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", doc)
     findings = run_rules(model)
     assert findings == []  # SourceArn present (as a reference), rule must not fire
 
@@ -185,7 +179,7 @@ Resources:
 
 
 def test_rule_arn_fires_once():
-    model = parse_template(ARN_MISSING, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", ARN_MISSING)
     findings = run_rules(model)
     assert [f.rule_id for f in findings] == ["R-ARN"]
     assert findings[0].severity is Severity.HIGH
@@ -193,12 +187,12 @@ def test_rule_arn_fires_once():
 
 def test_rule_arn_negated():
     fixed = ARN_MISSING + "      SourceArn: arn:aws:s3:::bucket\n"
-    model = parse_template(fixed, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", fixed)
     assert run_rules(model) == []
 
 
 def test_rule_kms_fires_once():
-    model = parse_template(KMS_DEFAULT, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", KMS_DEFAULT)
     findings = run_rules(model)
     assert [f.rule_id for f in findings] == ["R-KMS"]
     assert findings[0].severity is Severity.MEDIUM
@@ -206,7 +200,7 @@ def test_rule_kms_fires_once():
 
 def test_rule_kms_negated():
     fixed = KMS_DEFAULT + "              KMSMasterKeyID: arn:aws:kms:::key/1\n"
-    model = parse_template(fixed, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", fixed)
     assert run_rules(model) == []
 
 
@@ -241,7 +235,7 @@ def test_sam_serverless_api_logging_unchanged():
 
 
 def test_cors_high_when_unauthenticated():
-    model = parse_template(CORS_WILDCARD, IaCFramework.SAM, "t.yaml")
+    model = load_template("t.yaml", CORS_WILDCARD)
     findings = check_cors_wildcard(model)
     assert len(findings) == 1
     assert findings[0].rule_id == "R-CORS" and findings[0].severity is Severity.HIGH
@@ -249,22 +243,20 @@ def test_cors_high_when_unauthenticated():
 
 def test_cors_low_with_authorizer():
     doc = CORS_WILDCARD + "      Auth:\n        DefaultAuthorizer: Cognito\n"
-    model = parse_template(doc, IaCFramework.SAM, "t.yaml")
+    model = load_template("t.yaml", doc)
     findings = check_cors_wildcard(model)
     assert len(findings) == 1 and findings[0].severity is Severity.LOW
 
 
 def test_cors_negated_on_pinned_origin():
     doc = CORS_WILDCARD.replace("Default: '*'", "Default: 'https://example.com'")
-    model = parse_template(doc, IaCFramework.SAM, "t.yaml")
+    model = load_template("t.yaml", doc)
     assert check_cors_wildcard(model) == []
 
 
 def test_cors_silent_without_cors_keys():
-    for doc, framework in ((CFN_MINIMAL, IaCFramework.CLOUDFORMATION),
-                           (SAM_MINIMAL, IaCFramework.SAM),
-                           (TF_MINIMAL, IaCFramework.TERRAFORM)):
-        model = parse_template(doc, framework, "t")
+    for doc, name in ((CFN_MINIMAL, "t.yaml"), (SAM_MINIMAL, "t.yaml"), (TF_MINIMAL, "t.tf")):
+        model = load_template(name, doc)
         assert check_cors_wildcard(model) == []
 
 
@@ -278,13 +270,13 @@ Resources:
       Cors:
         AllowOrigin: "'*'"
 """
-    model = parse_template(doc, IaCFramework.SAM, "t.yaml")
+    model = load_template("t.yaml", doc)
     findings = check_cors_wildcard(model)
     assert len(findings) == 1 and findings[0].severity is Severity.HIGH
 
 
 def test_rules_order_independent():
-    model = parse_template(ARN_MISSING + KMS_DEFAULT[10:], IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", ARN_MISSING + KMS_DEFAULT[10:])
     rng = random.Random(5)
     catalog = list(DEFAULT_CATALOG)
     baseline = run_rules(model, catalog)
@@ -295,16 +287,13 @@ def test_rules_order_independent():
 
 def test_rules_only_fire_for_declared_framework():
     # A Terraform model must not trigger CloudFormation-typed rules.
-    model = parse_template(TF_MINIMAL, IaCFramework.TERRAFORM, "m.tf")
+    model = load_template("m.tf", TF_MINIMAL)
     assert run_rules(model) == []
 
 
 def test_spans_inside_file():
-    for doc, framework in (
-        (ARN_MISSING, IaCFramework.CLOUDFORMATION),
-        (KMS_DEFAULT, IaCFramework.CLOUDFORMATION),
-    ):
-        model = parse_template(doc, framework, "t.yaml")
+    for doc in (ARN_MISSING, KMS_DEFAULT):
+        model = load_template("t.yaml", doc)
         for resource in model.resources:
             assert 1 <= resource.source_span.line_start <= model.line_count
             assert resource.source_span.line_start <= resource.source_span.line_end
@@ -353,7 +342,7 @@ def test_catalog_file_round_trip(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
     catalog = load_catalog(path)
-    model = parse_template(ARN_MISSING, IaCFramework.CLOUDFORMATION, "t.yaml")
+    model = load_template("t.yaml", ARN_MISSING)
     findings = run_rules(model, catalog)
     assert [f.rule_id for f in findings] == ["X-TEST"]
     doc.append(dict(doc[0]))
@@ -368,7 +357,7 @@ def test_undetermined_terraform_value_notices():
         "  acl = var.acl_mode\n"
         "}\n"
     )
-    model = parse_template(doc, IaCFramework.TERRAFORM, "m.tf")
+    model = load_template("m.tf", doc)
     notices: list[str] = []
     findings = run_rules(model, notices=notices)
     assert findings == []

@@ -12,13 +12,11 @@ from slsa_audit.ingest import serialize_manifest
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
-    ConsistencyError,
     Finding,
     Repository,
     Severity,
 )
 from slsa_audit.report import (
-    FindingBatch,
     aggregate,
     emit,
     exit_code_for,
@@ -44,30 +42,23 @@ def _finding(rule_id="R-1", component=REF_A, severity=Severity.HIGH, location="f
 
 
 def test_aggregate_empty():
-    report = aggregate([FindingBatch("c", [])], {REF_A: 0, REF_B: 0})
+    report = aggregate([], "c", {REF_A: 0, REF_B: 0})
     assert report.stats.mean == 0
     assert report.severity_histogram == {}
     assert report.cdf_points[-1][1] == 1.0
 
 
 def test_aggregate_merges_components():
-    batch1 = FindingBatch("c", [_finding("R-1")])
-    batch2 = FindingBatch("c", [_finding("R-2", location="g.txt")])
-    report = aggregate([batch1, batch2])
+    report = aggregate([_finding("R-1"), _finding("R-2", location="g.txt")], "c")
     assert len(report.per_component[REF_A]) == 2
 
 
 def test_aggregate_dedups_on_rule_component_location():
     duplicated = _finding("R-1")
     other_loc = _finding("R-1", location="other.txt")
-    report = aggregate([FindingBatch("c", [duplicated]), FindingBatch("c", [duplicated, other_loc])])
+    report = aggregate([duplicated, duplicated, other_loc], "c")
     assert len(report.per_component[REF_A]) == 2
     assert sum(report.severity_histogram.values()) == 2
-
-
-def test_aggregate_rejects_mixed_corpora():
-    with pytest.raises(ConsistencyError):
-        aggregate([FindingBatch("one", []), FindingBatch("two", [])])
 
 
 def test_histogram_conservation():
@@ -76,7 +67,7 @@ def test_histogram_conservation():
         _finding("R-2", severity=Severity.UNKNOWN, location="u.txt"),
         _finding("R-3", severity=Severity.HIGH, location="h.txt"),
     ]
-    report = aggregate([FindingBatch("c", findings)])
+    report = aggregate(findings, "c")
     total = sum(report.severity_histogram.values())
     assert total == 3
     assert report.severity_histogram[Severity.UNKNOWN] == 1
@@ -87,7 +78,7 @@ def test_json_round_trip():
         _finding("R-1", severity=Severity.CRITICAL),
         _finding("R-2", component=REF_B, location="x/y.tf"),
     ]
-    report = aggregate([FindingBatch("corpus-1", findings)], {REF_A: 3, REF_B: 0})
+    report = aggregate(findings, "corpus-1", {REF_A: 3, REF_B: 0})
     blob = emit(report, "json")
     parsed = parse_report(blob)
     assert parsed == report
@@ -96,8 +87,8 @@ def test_json_round_trip():
 
 def test_json_deterministic():
     findings = [_finding("R-2", location="b"), _finding("R-1", location="a")]
-    report_a = aggregate([FindingBatch("c", findings)])
-    report_b = aggregate([FindingBatch("c", list(reversed(findings)))])
+    report_a = aggregate(findings, "c")
+    report_b = aggregate(list(reversed(findings)), "c")
     assert emit(report_a, "json") == emit(report_b, "json")
 
 
@@ -107,7 +98,7 @@ def test_json_findings_sorted():
         _finding("A", component=REF_A, location="1"),
         _finding("A", component=REF_A, location="0"),
     ]
-    doc = json.loads(emit(aggregate([FindingBatch("c", findings)]), "json"))
+    doc = json.loads(emit(aggregate(findings, "c"), "json"))
     flattened = [
         (c["component"]["publisher"], f["rule_id"], f["location"])
         for c in doc["components"]
@@ -117,7 +108,7 @@ def test_json_findings_sorted():
 
 
 def test_table_empty_has_header_only():
-    report = aggregate([FindingBatch("c", [])])
+    report = aggregate([], "c")
     text = emit(report, "table").decode()
     lines = [l for l in text.splitlines() if l]
     assert any("component" in l for l in lines)
@@ -133,7 +124,7 @@ def test_sarif_level_mapping():
         Severity.UNKNOWN: "none",
     }
     for severity, level in cases.items():
-        report = aggregate([FindingBatch("c", [_finding(severity=severity)])])
+        report = aggregate([_finding(severity=severity)], "c")
         doc = json.loads(emit(report, "sarif-like"))
         results = doc["runs"][0]["results"]
         assert len(results) == 1
@@ -147,17 +138,17 @@ def test_emit_unknown_format():
 
 
 def test_exit_codes():
-    report = aggregate([FindingBatch("c", [_finding(severity=Severity.MEDIUM)])])
+    report = aggregate([_finding(severity=Severity.MEDIUM)], "c")
     assert exit_code_for(report, None) == 0
     assert exit_code_for(report, Severity.HIGH) == 0
     assert exit_code_for(report, Severity.MEDIUM) == 1
     assert exit_code_for(report, Severity.LOW) == 1
-    unknown_only = aggregate([FindingBatch("c", [_finding(severity=Severity.UNKNOWN)])])
+    unknown_only = aggregate([_finding(severity=Severity.UNKNOWN)], "c")
     assert exit_code_for(unknown_only, Severity.LOW) == 0
 
 
 def test_report_dict_shape():
-    report = aggregate([FindingBatch("c", [_finding()])], {REF_A: 1})
+    report = aggregate([_finding()], "c", {REF_A: 1})
     doc = report_to_dict(report)
     assert set(doc) == {"corpus_id", "components", "severity_histogram", "stats", "cdf"}
     assert doc["components"][0]["vuln_count"] == 1
