@@ -13,7 +13,7 @@ from pathlib import Path
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
-from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
+from slsa_audit.model import AttackVector, AuditError, ConfigError, EmptyInputError, Severity
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
 
@@ -226,6 +226,8 @@ def _cmd_typosquat(args, config) -> int:
         kind = typosquat.NameKind.USERNAME if args.kind == "username" else typosquat.NameKind.IMAGE_NAME
         records = [r for r in records if r.kind is kind]
     max_distance = config.typosquat_max_distance if args.max_distance is None else args.max_distance
+    if max_distance < 1:
+        raise ConfigError(f"--max-distance must be >= 1, got {max_distance}")
     scan = typosquat.find_near_pairs(records, max_distance)
     for pair in scan.pairs:
         print(f"d={pair.distance} [{pair.a.kind.value}] {pair.a.name!r} ({pair.a.owner.slug}) "

@@ -151,6 +151,10 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
             typosquat_max_distance=int(squat.get("max_distance", config.typosquat_max_distance)),
             include_aws_sar=bool(squat.get("include_aws_sar", config.include_aws_sar)),
         )
+        if config.typosquat_max_distance < 1:
+            raise ValueError(
+                f"typosquat.max_distance must be >= 1, got {config.typosquat_max_distance}"
+            )
         thresholds = list_setting(doc.get("report", {}), "cdf_thresholds", config.cdf_thresholds)
         config = replace(config, cdf_thresholds=tuple(int(t) for t in thresholds))
     except (TypeError, ValueError, KeyError) as exc:

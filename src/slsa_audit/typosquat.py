@@ -2,12 +2,21 @@
 
 Distances use the optimal-string-alignment (OSA) variant of
 Damerau-Levenshtein: insertions, deletions, substitutions, and adjacent
-transpositions, with no substring edited twice. Near pairs are found
-exactly: every pair of distinct same-kind names whose lengths differ by
-at most the distance bound is compared with OSA.
+transpositions, with no substring edited twice. `dl_distance` computes it
+with Hyyrö's bit-parallel algorithm.
+
+Near pairs are found exactly with a symmetric-delete index (Bocek et al.,
+2007) over bounded name prefixes. Two names at OSA distance d <= k share
+a string reachable by at most k deletions from each, since every edit
+costs at most one deletion on each side. Each name is keyed by the
+strings at most k deletions away from its first `PREFIX` characters,
+which keeps the search exact (see `_near_name_pairs`) and bounds the keys
+per name however long the name is. Names sharing a key whose lengths
+differ by at most k are verified with `dl_distance`.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,38 +32,45 @@ from slsa_audit.model import (
 )
 
 
+PREFIX = 16  # characters of a name that key the near-name index
+
+
 def dl_distance(a: str, b: str) -> int:
-    """OSA (restricted Damerau-Levenshtein) distance between two strings."""
+    """OSA (restricted Damerau-Levenshtein) distance between two strings.
+
+    Hyyrö's bit-parallel form ("A bit-vector algorithm for computing
+    Levenshtein and Damerau edit distances", 2003): bit i of ``vp``/``vn``
+    is a +1/-1 step between rows i and i+1 of the current dynamic-
+    programming column, so each character of ``b`` costs a fixed number of
+    integer operations on len(a)-bit integers. Bits at and above len(a)
+    may hold carries; they never reach the lower bits.
+    """
     if a == b:
         return 0
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev2: list[int] | None = None
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        cur = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            cb = b[j - 1]
-            cost = 0 if ca == cb else 1
-            best = prev[j] + 1
-            alt = cur[j - 1] + 1
-            if alt < best:
-                best = alt
-            alt = prev[j - 1] + cost
-            if alt < best:
-                best = alt
-            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb:
-                alt = prev2[j - 2] + 1
-                if alt < best:
-                    best = alt
-            cur[j] = best
-        prev2 = prev
-        prev = cur
-    return prev[lb]
+    if not a:
+        return len(b)
+    match: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        match[ch] = match.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    vp, vn, d0, pm_prev = full, 0, 0, 0
+    distance = len(a)
+    for ch in b:
+        pm = match.get(ch, 0)
+        transposed = ((~d0 & pm) << 1) & pm_prev
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | transposed
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+        pm_prev = pm
+    return distance
 
 
 class NameKind(Enum):
@@ -133,9 +149,9 @@ def find_near_pairs(
     """All same-kind record pairs with OSA distance in [1, max_distance].
 
     Identical names owned by different components are surfaced separately
-    as collisions. Records are grouped by name, each pair of distinct names
-    is compared once with OSA, and names whose lengths differ by more than
-    max_distance are skipped, since OSA is at least the length difference.
+    as collisions. Records are grouped by name, and the distinct names of
+    each kind go through the symmetric-delete index of `_near_name_pairs`,
+    which returns exactly the name pairs that OSA puts within max_distance.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
@@ -168,17 +184,52 @@ def find_near_pairs(
     return scan
 
 
+def _deletion_keys(text: str, max_deletions: int) -> set[str]:
+    """Every string reachable from text by at most max_deletions deletions."""
+    keys = {text}
+    frontier = keys
+    for _ in range(max_deletions):
+        frontier = {s[:i] + s[i + 1:] for s in frontier for i in range(len(s))}
+        keys |= frontier
+    return keys
+
+
 def _near_name_pairs(names: list[str], max_distance: int) -> list[tuple[str, str, int]]:
+    """Sorted (a, b, d), a < b, for distinct names at OSA d in [1, max_distance].
+
+    A symmetric-delete index over prefixes: each distinct ``name[:PREFIX]``
+    is filed under every string at most max_distance deletions away from
+    it, and names whose prefixes share a key are candidates. The prefix
+    keeps this exact. If OSA(s, t) <= k, some common subsequence c is at
+    most k deletions from each; the longest prefix of c whose embeddings
+    lie in both ``s[:PREFIX]`` and ``t[:PREFIX]`` is then at most k
+    deletions from each of those prefixes, so they share a key. Candidates
+    whose lengths differ by more than max_distance are dropped (OSA is at
+    least the length difference) and the rest are verified with
+    `dl_distance`.
+    """
+    by_prefix: dict[str, list[str]] = {}
+    for name in names:
+        by_prefix.setdefault(name[:PREFIX], []).append(name)
+    index: dict[str, list[str]] = {}
     out: list[tuple[str, str, int]] = []
-    for i in range(len(names)):
-        a = names[i]
-        for j in range(i + 1, len(names)):
-            b = names[j]
+    for prefix, group in by_prefix.items():
+        earlier: set[str] = set()
+        for key in _deletion_keys(prefix, max_distance):
+            bucket = index.setdefault(key, [])
+            earlier.update(bucket)
+            bucket.append(prefix)
+        candidates = itertools.chain(
+            itertools.combinations(group, 2),
+            *(itertools.product(by_prefix[other], group) for other in earlier),
+        )
+        for a, b in candidates:
             if abs(len(a) - len(b)) > max_distance:
                 continue
             distance = dl_distance(a, b)
             if 1 <= distance <= max_distance:
-                out.append((a, b, distance))
+                out.append((a, b, distance) if a < b else (b, a, distance))
+    out.sort()
     return out
 
 

@@ -7,6 +7,7 @@ the metadata-only false-positive heuristic.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -114,7 +115,7 @@ def parse_version(text: str, notices: list[str] | None = None) -> Version:
     return Version(raw=raw, segments=segments, prerelease=None, fallback=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionInterval:
     """One affected range with inclusive/exclusive bounds (None = unbounded)."""
 
@@ -122,22 +123,39 @@ class VersionInterval:
     low_inclusive: bool = True
     high: str | None = None
     high_inclusive: bool = False
+    _low: Version | None = field(init=False, compare=False, repr=False)
+    _high: Version | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.low is not None and self.high is not None:
-            if parse_version(self.high) < parse_version(self.low):
-                raise ValueError(f"interval has high {self.high!r} below low {self.low!r}")
+        # Bounds are parsed once here, so a malformed one fails at load time.
+        low, high = _parse_bound(self.low), _parse_bound(self.high)
+        if low is not None and high is not None and high < low:
+            raise ValueError(f"interval has high {self.high!r} below low {self.low!r}")
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_high", high)
 
     def contains(self, version: Version) -> bool:
-        if self.low is not None:
-            low = parse_version(self.low)
+        low, high = self._low, self._high
+        if low is not None:
             if version < low or (not self.low_inclusive and not low < version):
                 return False
-        if self.high is not None:
-            high = parse_version(self.high)
+        if high is not None:
             if high < version or (not self.high_inclusive and not version < high):
                 return False
         return True
+
+
+# Advisory databases repeat a few version strings across many ranges, so
+# intervals share one parsed Version per string instead of each holding a copy.
+_parse_bound_text = functools.lru_cache(maxsize=4096)(parse_version)
+
+
+def _parse_bound(bound: object) -> Version | None:
+    if bound is None:
+        return None
+    if not isinstance(bound, str):
+        raise ValueError(f"version bound {bound!r} is not a string")
+    return _parse_bound_text(bound)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,42 @@ def test_scan_all_skips_advisories_of_the_wrong_shape(demo, tmp_path, capsys):
     assert sorted(line.split()[3] for line in skipped) == sorted(f"{n}:" for n in shapes)
 
 
+def test_scan_all_skips_advisories_with_bad_version_bounds(demo, tmp_path, capsys):
+    corpus, db = demo
+    command = ["--output", "json", "scan-all", "--corpus", str(corpus)]
+    assert main([*command, "--db", str(db)]) == 0
+    clean = capsys.readouterr().out
+    bad_db = shutil.copytree(db, tmp_path / "db")
+    for name, bound in {"int.json": 5, "empty.json": ""}.items():
+        (bad_db / name).write_text(json.dumps({"id": name, "affected": [{
+            "package": {"ecosystem": "npm", "name": "lodash"},
+            "ranges": [{"type": "SEMVER", "events": [{"introduced": bound}]}],
+        }]}))
+    assert main([*command, "--db", str(bad_db)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    skipped = [line for line in captured.err.splitlines() if "skipped advisory" in line]
+    assert sorted(line.split()[3] for line in skipped) == ["empty.json:", "int.json:"]
+
+
+@pytest.mark.parametrize("config, command", [
+    ({"typosquat": {"max_distance": 0}}, ["scan-all"]),
+    ({"typosquat": {"max_distance": 0}}, ["typosquat"]),
+    (None, ["typosquat", "--max-distance", "0"]),
+    (None, ["typosquat", "--max-distance", "-1"]),
+], ids=["config-scan-all", "config-typosquat", "flag-0", "flag-minus-1"])
+def test_max_distance_below_one_exits_2(demo, tmp_path, capsys, config, command):
+    corpus, _ = demo
+    argv = [*command[:1], "--corpus", str(corpus), *command[1:]]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path), *argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max" in err and ">= 1" in err, err
+
+
 @pytest.mark.parametrize("command", [
     ["--output", "json", "docker"],
     ["--output", "json", "iac"],

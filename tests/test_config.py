@@ -62,3 +62,11 @@ def test_string_for_a_list_is_a_config_error(tmp_path, section, key):
     path.write_text(json.dumps({section: {key: "0110"}}))
     with pytest.raises(ConfigError, match=f"{key}' must be a JSON list"):
         load_config(path)
+
+
+@pytest.mark.parametrize("max_distance", [0, -1])
+def test_max_distance_below_one_is_a_config_error(tmp_path, max_distance):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"typosquat": {"max_distance": max_distance}}))
+    with pytest.raises(ConfigError, match="typosquat.max_distance must be >= 1"):
+        load_config(path)

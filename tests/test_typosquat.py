@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from near_pair_oracle import all_pairs_oracle
+from near_pair_oracle import all_pairs_oracle, osa_table
 
+from slsa_audit import typosquat
 from slsa_audit.model import ComponentRef, EmptyInputError, Repository
 from slsa_audit.typosquat import (
     NameKind,
@@ -75,6 +77,41 @@ def test_dl_properties(a, b):
     assert d == dl_distance(b, a)
     assert d <= max(len(a), len(b))
     assert (d == 0) == (a == b)
+
+
+# Edges of the bit-parallel form: more characters than one 64-bit word,
+# characters outside ASCII (including one outside the BMP), runs of one
+# character, and transpositions at either end.
+_EDGE_STRINGS = st.one_of(
+    st.text(alphabet="ab", min_size=60, max_size=80),
+    st.text(alphabet="aé日\U0001F600", max_size=80),
+    st.lists(
+        st.tuples(st.sampled_from("aé"), st.integers(1, 30)), max_size=4
+    ).map(lambda runs: "".join(ch * n for ch, n in runs)),
+)
+
+
+@st.composite
+def _edge_pairs(draw) -> tuple[str, str]:
+    a = draw(_EDGE_STRINGS)
+    edit = draw(st.sampled_from(["swap-first", "swap-last", "swap-both", "other"]))
+    if edit == "other" or len(a) < 2:
+        return a, draw(_EDGE_STRINGS)
+    b = a
+    if edit in ("swap-first", "swap-both"):
+        b = b[1] + b[0] + b[2:]
+    if edit in ("swap-last", "swap-both"):
+        b = b[:-2] + b[-1] + b[-2]
+    return a, b
+
+
+@given(_edge_pairs())
+@settings(max_examples=150, deadline=None)
+def test_dl_matches_reference_at_edges(pair):
+    a, b = pair
+    expected = osa_reference(a, b)
+    assert dl_distance(a, b) == expected
+    assert dl_distance(b, a) == expected
 
 
 def test_dl_matches_reference_small_exhaustive():
@@ -163,6 +200,56 @@ def test_index_equals_brute_force(seed, count, max_distance):
     assert scan.collisions == sorted(scan.collisions, key=NearPair.sort_key)
 
 
+@pytest.mark.parametrize("max_distance", [1, 2])
+def test_long_names_found_quickly(monkeypatch, max_distance):
+    # The index keys only name[:PREFIX], and the verify is bit-parallel,
+    # so two very long names cost milliseconds: not a 5,000 x 5,000 table,
+    # nor the 12.5 million two-deletion keys of a whole 5,000-character name.
+    deletion_keys = typosquat._deletion_keys
+
+    def bounded(text: str, max_deletions: int) -> set[str]:
+        assert len(text) <= typosquat.PREFIX
+        return deletion_keys(text, max_deletions)
+
+    monkeypatch.setattr(typosquat, "_deletion_keys", bounded)
+    rng = random.Random(4)
+    base = "".join(rng.choices("abcdefgh", k=5000))
+    edited = base[:2500] + "z" + base[2501:]
+    records = [
+        NameRecord(name, NameKind.IMAGE_NAME, _ref(Repository.DOCKER_HUB, f"p{i}", f"n{i}"))
+        for i, name in enumerate([base, edited, "short"])
+    ]
+    started = time.perf_counter()
+    scan = find_near_pairs(records, max_distance)
+    elapsed = time.perf_counter() - started
+    assert [(p.a.name, p.b.name, p.distance) for p in scan.pairs] == [(base, edited, 1)]
+    assert elapsed < 2.0, elapsed
+
+
+def test_suffix_names_verify_a_fraction_of_all_pairs(monkeypatch):
+    # Names that differ only by a numeric suffix, as in the names benchmark:
+    # the index must not fall back to comparing every pair.
+    names = [f"qzxkvbw-fn{i}" for i in range(1, 201)]
+    records = [
+        NameRecord(name, NameKind.IMAGE_NAME, _ref(Repository.DOCKER_HUB, f"p{i % 40}", name))
+        for i, name in enumerate(names)
+    ]
+    calls = 0
+    verify = typosquat.dl_distance
+
+    def counted(a: str, b: str) -> int:
+        nonlocal calls
+        calls += 1
+        return verify(a, b)
+
+    monkeypatch.setattr(typosquat, "dl_distance", counted)
+    scan = find_near_pairs(records, max_distance=1)
+    pairs, _ = all_pairs_oracle(records, 1)
+    assert _as_multiset(scan.pairs) == pairs
+    all_pairs = len(names) * (len(names) - 1) // 2
+    assert calls < all_pairs / 4, (calls, all_pairs)
+
+
 def test_length_prefilter_soundness():
     # Any true near pair has length difference <= max_distance, so the filter
     # can only remove non-pairs.
@@ -211,7 +298,7 @@ def _distance_cdf_oracle(records: list[NameRecord], max_distance: int) -> list[t
     for a, b in itertools.combinations(records, 2):
         if a.kind is b.kind:
             num_pairs += 1
-            counts[dl_distance(a.name, b.name)] += 1
+            counts[osa_table(a.name, b.name)] += 1
     cumulative = 0
     cdf = []
     for d in range(max_distance + 1):
