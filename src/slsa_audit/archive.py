@@ -4,7 +4,8 @@ scanning, and the payload-injection harness (V2).
 Eight formats are supported: 7z, tar, tar.bz2, tar.gz, tar.lzma, tar.xz,
 tar.zst, and zip. Extraction is defensive: entry names may not traverse
 outside the tree, and decompressed output is capped by expansion ratio and
-an absolute byte limit.
+an absolute byte limit. Tar members are sliced from the in-memory tar, and
+each entry is hashed at most once per signature scan.
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ import hashlib
 import io
 import json
 import lzma
+import math
 import tarfile
 import zipfile
 import zlib
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Iterable
 
 from slsa_audit import sevenz, zstdcodec
@@ -78,6 +80,19 @@ class ExtractionLimits:
     max_expansion_ratio: float = 1000.0
     max_total_bytes: int = 1 << 30
 
+    def __post_init__(self) -> None:
+        # A cap of zero or less turns every archive into a bomb finding and
+        # skips its signature scan; NaN breaks cap_for.
+        if not (math.isfinite(self.max_expansion_ratio) and self.max_expansion_ratio > 0):
+            raise ValueError(
+                "archive.max_expansion_ratio must be a finite number > 0, "
+                f"got {self.max_expansion_ratio}"
+            )
+        if not self.max_total_bytes > 0:
+            raise ValueError(
+                f"archive.max_total_bytes must be > 0, got {self.max_total_bytes}"
+            )
+
     def cap_for(self, compressed_size: int) -> int:
         ratio_cap = int(max(compressed_size, 1) * self.max_expansion_ratio)
         return min(ratio_cap, self.max_total_bytes)
@@ -101,7 +116,18 @@ def detect_format(filename: str, leading_bytes: bytes) -> ArchiveFormat:
     Compression wrappers imply their tar-wrapped kind; the inner tar is
     confirmed during extraction.
     """
-    head = leading_bytes
+    fmt = _sniff_format(filename, leading_bytes)
+    if fmt is None:
+        supported = ", ".join(f.value for f in ArchiveFormat)
+        raise UnsupportedFormatError(
+            f"unrecognized archive format for {filename!r}; supported kinds: {supported}"
+        )
+    return fmt
+
+
+def _sniff_format(filename: str, head: bytes) -> ArchiveFormat | None:
+    """detect_format without the error: None when nothing matches. Only the
+    first 263 bytes of head are read, so whole entry data may be passed."""
     if head.startswith((b"PK\x03\x04", b"PK\x05\x06", b"PK\x07\x08")):
         return ArchiveFormat.ZIP
     if head.startswith(sevenz.MAGIC):
@@ -121,10 +147,7 @@ def detect_format(filename: str, leading_bytes: bytes) -> ArchiveFormat:
         return ArchiveFormat.TAR_LZMA
     if lower.endswith(".tar"):
         return ArchiveFormat.TAR
-    supported = ", ".join(f.value for f in ArchiveFormat)
-    raise UnsupportedFormatError(
-        f"unrecognized archive format for {filename!r}; supported kinds: {supported}"
-    )
+    return None
 
 
 def _plausible_lzma_header(head: bytes) -> bool:
@@ -133,16 +156,17 @@ def _plausible_lzma_header(head: bytes) -> bool:
 
 
 def _safe_entry_path(name: str) -> str:
-    path = PurePosixPath(name.replace("\\", "/"))
-    parts = path.parts
-    if path.is_absolute() or (parts and len(parts[0]) == 2 and parts[0][1] == ":"):
+    """The entry name as a clean relative POSIX path; backslashes count as
+    separators. Absolute, drive-letter, traversing and empty names raise."""
+    slashed = name.replace("\\", "/")
+    parts = [p for p in slashed.split("/") if p not in ("", ".")]
+    if slashed.startswith("/") or (parts and len(parts[0]) == 2 and parts[0][1] == ":"):
         raise ArchiveSecurityError(f"absolute entry path rejected: {name!r}")
     if ".." in parts:
         raise ArchiveSecurityError(f"path-traversal entry rejected: {name!r}")
-    cleaned = "/".join(p for p in parts if p not in ("", "."))
-    if not cleaned:
+    if not parts:
         raise ArchiveSecurityError(f"empty entry path rejected: {name!r}")
-    return cleaned
+    return "/".join(parts)
 
 
 def _inflate_wrapper(data: bytes, fmt: ArchiveFormat, cap: int) -> bytes:
@@ -188,6 +212,8 @@ def _inflate_wrapper(data: bytes, fmt: ArchiveFormat, cap: int) -> bytes:
 
 
 def _extract_tar(data: bytes, cap: int) -> list[ArchiveEntry]:
+    """Regular-file members of an in-memory tar. tarfile parses the headers;
+    member contents are sliced from data, except for sparse members."""
     entries: list[ArchiveEntry] = []
     total = 0
     try:
@@ -201,8 +227,14 @@ def _extract_tar(data: bytes, cap: int) -> list[ArchiveEntry]:
                     raise DecompressionBombError(
                         f"tar contents exceed the {cap}-byte cap"
                     )
-                fileobj = tar.extractfile(member)
-                entries.append(ArchiveEntry(path=name, data=fileobj.read() if fileobj else b""))
+                if member.issparse():
+                    content = tar.extractfile(member).read()
+                else:
+                    start = member.offset_data
+                    content = data[start : start + member.size]
+                    if len(content) < member.size:  # the tar is cut off
+                        raise ExtractionError("corrupt tar archive: unexpected end of data")
+                entries.append(ArchiveEntry(path=name, data=content))
     except tarfile.TarError as exc:
         offset = getattr(exc, "offset", None)
         suffix = f" at offset {offset}" if offset is not None else ""
@@ -235,7 +267,15 @@ def _extract_zip(data: bytes, cap: int) -> list[ArchiveEntry]:
                                 f"zip contents exceed the {cap}-byte cap"
                             )
                 entries.append(ArchiveEntry(path=name, data=bytes(content)))
-    except (zipfile.BadZipFile, zlib.error) as exc:
+    except (
+        zipfile.BadZipFile,
+        zlib.error,
+        lzma.LZMAError,
+        OSError,  # bz2 entries: "Invalid data stream"
+        EOFError,
+        NotImplementedError,  # compression method, zip version, strong encryption
+        ValueError,  # e.g. "negative seek value" from a bad header offset
+    ) as exc:
         raise ExtractionError(f"corrupt zip archive: {exc}") from exc
     return entries
 
@@ -305,13 +345,6 @@ class Signature:
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ValueError("signature pattern must be non-empty")
-
-    def matches(self, data: bytes) -> bool:
-        if self.kind is SignatureKind.EXACT_BYTES:
-            return data == self.pattern
-        if self.kind is SignatureKind.SHA256:
-            return hashlib.sha256(data).hexdigest().encode("ascii") == self.pattern.lower()
-        return self.pattern in data
 
 
 # Joined at runtime so this source file is not itself flagged by scanners.
@@ -402,11 +435,38 @@ class EngineVerdict:
             raise ValueError("flagged must mirror matched_signatures being non-empty")
 
 
-def _looks_like_archive(entry: ArchiveEntry) -> ArchiveFormat | None:
-    try:
-        return detect_format(entry.path, entry.data[:512])
-    except UnsupportedFormatError:
-        return None
+class _CompiledSignatures:
+    """A signature list compiled for one scan.
+
+    SHA256 signatures are looked up by the entry's digest, so an entry is
+    hashed at most once, and only when such a signature exists. Exact-bytes
+    signatures are looked up by length, substring signatures searched one by
+    one. A SHA256 pattern matches the lower-case hex digest after lowering.
+    """
+
+    def __init__(self, signatures: Iterable[Signature]) -> None:
+        self.ids: list[str] = []
+        self.by_digest: dict[bytes, list[int]] = {}
+        self.exact_by_length: dict[int, list[tuple[int, bytes]]] = {}
+        self.substrings: list[tuple[int, bytes]] = []
+        for index, sig in enumerate(signatures):
+            self.ids.append(sig.id)
+            if sig.kind is SignatureKind.SHA256:
+                self.by_digest.setdefault(sig.pattern.lower(), []).append(index)
+            elif sig.kind is SignatureKind.EXACT_BYTES:
+                self.exact_by_length.setdefault(len(sig.pattern), []).append((index, sig.pattern))
+            else:
+                self.substrings.append((index, sig.pattern))
+
+    def matching_ids(self, data: bytes) -> list[str]:
+        """Ids of the signatures data matches, in signature-list order."""
+        hits = [index for index, pattern in self.substrings if pattern in data]
+        for index, pattern in self.exact_by_length.get(len(data), ()):
+            if data == pattern:
+                hits.append(index)
+        if self.by_digest:
+            hits += self.by_digest.get(hashlib.sha256(data).hexdigest().encode("ascii"), ())
+        return [self.ids[index] for index in sorted(hits)]
 
 
 def scan_entries(
@@ -418,33 +478,40 @@ def scan_entries(
 ) -> list[SignatureMatch]:
     """Check entries against every signature, expanding nested archives.
 
-    Matches inside nested archives carry a bang-delimited path such as
-    ``outer.zip!inner/payload.py``. recursion_depth 0 disables nesting.
+    The signatures are compiled once per call, and each entry is hashed at
+    most once. Matches inside nested archives carry a bang-delimited path
+    such as ``outer.zip!inner/payload.py``. recursion_depth 0 disables
+    nesting.
     """
-    sigs = list(signatures)
     matches: list[SignatureMatch] = []
-    for entry in entries:
-        for sig in sigs:
-            if sig.matches(entry.data):
-                matches.append(SignatureMatch(entry_path=entry.path, signature_id=sig.id))
-        if recursion_depth > 0:
-            nested_fmt = _looks_like_archive(entry)
-            if nested_fmt is None:
-                continue
-            try:
-                nested = extract_bytes(entry.data, nested_fmt, limits)
-            except ArchiveError as exc:
-                if notices is not None:
-                    notices.append(f"nested archive {entry.path!r} not expanded: {exc}")
-                continue
-            for match in scan_entries(nested, sigs, recursion_depth - 1, limits, notices):
-                matches.append(
-                    SignatureMatch(
-                        entry_path=f"{entry.path}!{match.entry_path}",
-                        signature_id=match.signature_id,
-                    )
-                )
+    _scan(entries, _CompiledSignatures(signatures), "", recursion_depth, limits, notices, matches)
     return matches
+
+
+def _scan(
+    entries: Iterable[ArchiveEntry],
+    sigs: _CompiledSignatures,
+    prefix: str,
+    recursion_depth: int,
+    limits: ExtractionLimits,
+    notices: list[str] | None,
+    matches: list[SignatureMatch],
+) -> None:
+    for entry in entries:
+        for sig_id in sigs.matching_ids(entry.data):
+            matches.append(SignatureMatch(entry_path=prefix + entry.path, signature_id=sig_id))
+        if recursion_depth <= 0:
+            continue
+        nested_fmt = _sniff_format(entry.path, entry.data)
+        if nested_fmt is None:
+            continue
+        try:
+            nested = extract_bytes(entry.data, nested_fmt, limits)
+        except ArchiveError as exc:
+            if notices is not None:
+                notices.append(f"nested archive {entry.path!r} not expanded: {exc}")
+            continue
+        _scan(nested, sigs, f"{prefix}{entry.path}!", recursion_depth - 1, limits, notices, matches)
 
 
 @dataclass(frozen=True)

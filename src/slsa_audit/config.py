@@ -107,19 +107,14 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
             config = replace(config, fp_filter=bool(vuln["fp_filter"]))
         arch = doc.get("archive", {})
         limits = config.extraction_limits
-        if "max_expansion_ratio" in arch:
-            limits = ExtractionLimits(
-                max_expansion_ratio=float(arch["max_expansion_ratio"]),
-                max_total_bytes=limits.max_total_bytes,
-            )
-        if "max_total_bytes" in arch:
-            limits = ExtractionLimits(
-                max_expansion_ratio=limits.max_expansion_ratio,
-                max_total_bytes=int(arch["max_total_bytes"]),
-            )
         config = replace(
             config,
-            extraction_limits=limits,
+            extraction_limits=ExtractionLimits(
+                max_expansion_ratio=float(
+                    arch.get("max_expansion_ratio", limits.max_expansion_ratio)
+                ),
+                max_total_bytes=int(arch.get("max_total_bytes", limits.max_total_bytes)),
+            ),
             recursion_depth=int(arch.get("recursion_depth", config.recursion_depth)),
         )
         if "signature_db" in arch:
@@ -157,6 +152,6 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
             )
         thresholds = list_setting(doc.get("report", {}), "cdf_thresholds", config.cdf_thresholds)
         config = replace(config, cdf_thresholds=tuple(int(t) for t in thresholds))
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad config value: {exc}") from exc
     return config

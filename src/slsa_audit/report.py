@@ -249,8 +249,11 @@ def scan_vuln(
     notices: list[str],
 ) -> tuple[list[Finding], int]:
     """V1 for one component: inventory, advisory matching, optional FP filter."""
-    inventory = vulnscan.extract_inventory(entry.tree_path, notices)
-    vulnscan.mark_source_references(inventory, entry.tree_path, config.source_extensions, notices)
+    files = vulnscan.tree_files(entry.tree_path)
+    inventory = vulnscan.extract_inventory(entry.tree_path, files, notices)
+    vulnscan.mark_source_references(
+        inventory, entry.tree_path, files, config.source_extensions, notices
+    )
     matches = vulnscan.match_advisories(inventory, db, notices)
     selected = matches
     if config.fp_filter:

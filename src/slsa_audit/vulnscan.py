@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -477,19 +478,54 @@ def _parse_os_packages(path: str, contents: str, inv: PackageInventory) -> None:
         inv.add(name.strip(), version.strip(), Ecosystem.OS_PACKAGES, path)
 
 
-def extract_inventory(
-    tree_root: str | Path, notices: list[str] | None = None
-) -> PackageInventory:
-    """Walk a source tree and merge every supported manifest it contains."""
-    root = Path(tree_root)
-    inventory = PackageInventory()
-    if not root.is_dir():
-        return inventory
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name.lower() in MANIFEST_KINDS:
-            rel = str(path.relative_to(root))
+def tree_files(tree_root: str | Path) -> list[str]:
+    """Relative POSIX paths of the regular files under tree_root, in the order
+    ``sorted(root.rglob("*"))`` lists them (by path parts), from one walk.
+
+    As with rglob and ``Path.is_file``, symlinked directories are not
+    entered, symlinked files count, and directories that cannot be listed
+    are skipped. A missing tree has no files.
+    """
+    found: list[tuple[str, ...]] = []
+    pending: list[tuple[tuple[str, ...], str]] = [((), str(Path(tree_root)))]
+    while pending:
+        parts, directory = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                children = list(it)
+        except OSError:
+            continue
+        for child in children:
             try:
-                inventory.merge(parse_manifest(rel, path.read_text(encoding="utf-8", errors="replace"), notices))
+                if child.is_dir(follow_symlinks=False):
+                    pending.append(((*parts, child.name), child.path))
+                elif child.is_file():
+                    found.append((*parts, child.name))
+            except OSError:
+                continue
+    found.sort()
+    return ["/".join(parts) for parts in found]
+
+
+def _suffix(rel: str) -> str:
+    """``Path(rel).suffix``: "" for dotfiles and names ending in a dot."""
+    name = rel.rpartition("/")[2]
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
+
+
+def extract_inventory(
+    tree_root: str | Path, files: Iterable[str], notices: list[str] | None = None
+) -> PackageInventory:
+    """Merge every supported manifest among a tree's files (see tree_files)."""
+    root = str(Path(tree_root))
+    inventory = PackageInventory()
+    for rel in files:
+        if rel.rpartition("/")[2].lower() in MANIFEST_KINDS:
+            with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
+                contents = handle.read()
+            try:
+                inventory.merge(parse_manifest(rel, contents, notices))
             except ManifestError as exc:
                 if notices is not None:
                     notices.append(str(exc))
@@ -518,31 +554,34 @@ def _import_pattern(record: PackageRecord) -> re.Pattern[str]:
 def mark_source_references(
     inventory: PackageInventory,
     tree_root: str | Path,
+    files: Iterable[str],
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
     notices: list[str] | None = None,
 ) -> PackageInventory:
-    """Populate referenced_in_source with files importing each package.
+    """Populate referenced_in_source with the tree's files (see tree_files)
+    importing each package.
 
     Only files whose extension is in the source set count; metadata files
     never do. Matching requires the package name as a whole token in an
     import-like context, which is stricter than bare substring search.
     """
-    root = Path(tree_root)
+    root = str(Path(tree_root))
     source_exts = tuple(source_extensions)
-    if not root.is_dir() or not inventory.packages:
+    if not inventory.packages:
         return inventory
     # Compiled on first use: most packages are never named in any file.
     patterns: dict[tuple[str, Ecosystem], re.Pattern[str]] = {}
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.suffix.lower() not in source_exts:
+    for rel in files:
+        if _suffix(rel).lower() not in source_exts:
             continue
+        path = os.path.join(root, rel)
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                text = handle.read()
         except OSError as exc:
             if notices is not None:
                 notices.append(f"skipped unreadable source file {path}: {exc}")
             continue
-        rel = str(path.relative_to(root))
         for key, record in inventory.packages.items():
             # Every import pattern contains the name literally and is
             # case-sensitive, so a file without the name cannot match.

@@ -1,11 +1,17 @@
 """Format detection, safe extraction, scanning, injection, consensus."""
 from __future__ import annotations
 
+import hashlib
 import io
+import random
+import struct
 import tarfile
 import zipfile
+from pathlib import PurePosixPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsa_audit import sevenz
 from slsa_audit.ingest import serialize_manifest
@@ -15,6 +21,7 @@ from slsa_audit.archive import (
     BUILTIN_SIGNATURES,
     EICAR_TEST_STRING,
     ArchiveEntry,
+    ArchiveError,
     ArchiveFormat,
     ArchiveSecurityError,
     ConsensusResult,
@@ -26,6 +33,7 @@ from slsa_audit.archive import (
     Signature,
     SignatureKind,
     UnsupportedFormatError,
+    _safe_entry_path,
     consensus_flag,
     detect_format,
     dump_signatures,
@@ -117,6 +125,38 @@ def _tar_with_entry(name: str) -> bytes:
         info.size = len(data)
         tar.addfile(info, io.BytesIO(data))
     return buf.getvalue()
+
+
+def _reference_safe_entry_path(name: str) -> str:
+    """The PurePosixPath version _safe_entry_path replaced, kept as its oracle."""
+    path = PurePosixPath(name.replace("\\", "/"))
+    parts = path.parts
+    if path.is_absolute() or (parts and len(parts[0]) == 2 and parts[0][1] == ":"):
+        raise ArchiveSecurityError(f"absolute entry path rejected: {name!r}")
+    if ".." in parts:
+        raise ArchiveSecurityError(f"path-traversal entry rejected: {name!r}")
+    cleaned = "/".join(p for p in parts if p not in ("", "."))
+    if not cleaned:
+        raise ArchiveSecurityError(f"empty entry path rejected: {name!r}")
+    return cleaned
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+_NAME_TOKENS = st.sampled_from(
+    ["/", "\\", ".", "..", "...", "C:", "c:", ":", "a:", "a", "b.txt", " ", "é", "日本", "\x00"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_NAME_TOKENS, max_size=8).map("".join), st.text(max_size=12)))
+def test_safe_entry_path_equals_purepath_reference(name):
+    assert _outcome(_safe_entry_path, name) == _outcome(_reference_safe_entry_path, name)
 
 
 def test_path_traversal_rejected():
@@ -219,6 +259,94 @@ def test_sevenz_encoded_header():
         sevenz.MAGIC + bytes([0, 4]) + zlib.crc32(start).to_bytes(4, "little") + start + body
     )
     assert sevenz.read_7z(blob) == entries
+
+
+def _tar_blob(members: list[tuple[str, bytes]], format: int) -> bytes:
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w", format=format) as tar:
+        for name, data in members:
+            info = tarfile.TarInfo(name=name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+def _extractfile_contents(blob: bytes) -> list[tuple[str, bytes]]:
+    with tarfile.open(fileobj=io.BytesIO(blob), mode="r:") as tar:
+        return [(m.name, tar.extractfile(m).read()) for m in tar if m.isfile()]
+
+
+def test_truncated_tar_member_is_an_extraction_error():
+    blob = _tar_blob([("a.txt", b"a" * 100), ("b.bin", bytes(range(256)) * 4)], tarfile.USTAR_FORMAT)
+    cut = blob[: 512 + 512 + 512 + 600]  # a, then b's header and 600 of its 1024 bytes
+    with pytest.raises(tarfile.ReadError):
+        _extractfile_contents(cut)
+    with pytest.raises(ExtractionError, match="^corrupt tar archive: unexpected end of data$"):
+        extract_bytes(cut, ArchiveFormat.TAR)
+
+
+@pytest.mark.parametrize("format", [tarfile.GNU_FORMAT, tarfile.PAX_FORMAT], ids=["gnu", "pax"])
+def test_long_name_tar_members_match_extractfile(format):
+    long_name = "deep/" + "d" * 120 + "/payload.py"
+    members = [(long_name, EICAR_TEST_STRING), ("short.txt", b"s" * 700), ("ünï/cödé.py", b"x")]
+    blob = _tar_blob(members, format)
+    expected = _extractfile_contents(blob)
+    assert expected == members
+    assert [(e.path, e.data) for e in extract_bytes(blob, ArchiveFormat.TAR)] == expected
+
+
+def _gnu_sparse_tar(chunks: list[tuple[int, bytes]], real_size: int) -> bytes:
+    """One old-GNU sparse member ('S') holding chunks at their offsets."""
+    stored = b"".join(data for _, data in chunks)
+    info = tarfile.TarInfo("sparse.bin")
+    info.type = tarfile.GNUTYPE_SPARSE
+    info.size = len(stored)
+    header = bytearray(info.tobuf(format=tarfile.GNU_FORMAT))
+    for slot, (offset, data) in enumerate(chunks):
+        pos = 386 + 24 * slot
+        header[pos : pos + 12] = tarfile.itn(offset, 12, tarfile.GNU_FORMAT)
+        header[pos + 12 : pos + 24] = tarfile.itn(len(data), 12, tarfile.GNU_FORMAT)
+    header[483:495] = tarfile.itn(real_size, 12, tarfile.GNU_FORMAT)
+    header[148:156] = b" " * 8
+    header[148:156] = b"%06o\0 " % sum(header)
+    padding = -len(stored) % 512
+    return bytes(header) + stored + bytes(padding) + bytes(1024)
+
+
+def test_gnu_sparse_member_matches_extractfile():
+    chunks = [(0, b"head"), (100, b"middle"), (300, b"more"), (596, b"tail")]
+    blob = _gnu_sparse_tar(chunks, 600)
+    expected = _extractfile_contents(blob)
+    logical = bytearray(600)
+    for offset, data in chunks:
+        logical[offset : offset + len(data)] = data
+    assert expected == [("sparse.bin", bytes(logical))]
+    assert [(e.path, e.data) for e in extract_bytes(blob, ArchiveFormat.TAR)] == expected
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=[f.value for f in ALL_FORMATS])
+def test_mutated_archives_raise_only_archive_errors(fmt):
+    items = [(f"d{i % 3}/f{i}.txt", random.Random(i).randbytes(40 + 9 * i)) for i in range(16)]
+    blob = pack_entries(items, fmt)
+    rng = random.Random(f"mutate-{fmt.value}")
+    for _ in range(100):
+        mutant = bytearray(blob)
+        for _ in range(rng.randint(1, 4)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        try:
+            extract_bytes(bytes(mutant), fmt)
+        except ArchiveError:
+            pass
+
+
+@pytest.mark.parametrize("method", [12, 99], ids=["bzip2-on-deflate-data", "unknown"])
+def test_zip_bad_compression_method_is_an_extraction_error(method):
+    data = bytearray(pack_entries([("a.txt", b"hello world" * 50)], ArchiveFormat.ZIP))
+    data[8:10] = struct.pack("<H", method)
+    central = data.index(b"PK\x01\x02")
+    data[central + 10 : central + 12] = struct.pack("<H", method)
+    with pytest.raises(ExtractionError, match="^corrupt zip archive: "):
+        extract_bytes(bytes(data), ArchiveFormat.ZIP)
 
 
 def test_corrupt_archive_errors():
@@ -349,6 +477,42 @@ def test_signature_kinds():
     matches = scan_entries([entry], [sha, exact, sub], recursion_depth=0)
     assert {m.signature_id for m in matches} == {"h", "e", "s"}
     assert scan_entries([ArchiveEntry("g", b"other")], [sha, exact, sub], 0) == []
+
+
+def _old_matches(sig: Signature, data: bytes) -> bool:
+    """The per-signature test scan_entries used to make, kept as its oracle."""
+    if sig.kind is SignatureKind.EXACT_BYTES:
+        return data == sig.pattern
+    if sig.kind is SignatureKind.SHA256:
+        return hashlib.sha256(data).hexdigest().encode("ascii") == sig.pattern.lower()
+    return sig.pattern in data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_signatures_equal_per_signature_loop(data):
+    datas = data.draw(st.lists(st.text("ab", max_size=5).map(str.encode), min_size=1, max_size=5))
+    entries = [ArchiveEntry(f"e{i}", d) for i, d in enumerate(datas)]
+    picked = st.sampled_from([d for d in datas if d] or [b"a"])
+    patterns = {
+        SignatureKind.EXACT_BYTES: st.one_of(picked, st.binary(min_size=1, max_size=3)),
+        SignatureKind.SUBSTRING: st.one_of(
+            picked.map(lambda d: d[: len(d) // 2 + 1]), st.text("ab", min_size=1, max_size=3).map(str.encode)
+        ),
+        SignatureKind.SHA256: st.tuples(st.sampled_from(datas), st.booleans()).map(
+            lambda pair: (hashlib.sha256(pair[0]).hexdigest().upper() if pair[1]
+                          else hashlib.sha256(pair[0]).hexdigest()).encode("ascii")
+        ),
+    }
+    sigs = []
+    for i in range(data.draw(st.integers(1, 8))):
+        if sigs and data.draw(st.booleans()):
+            sigs.append(data.draw(st.sampled_from(sigs)))  # the same signature twice
+            continue
+        kind = data.draw(st.sampled_from(list(SignatureKind)))
+        sigs.append(Signature(f"s{i}", kind, data.draw(patterns[kind])))
+    got = [(m.entry_path, m.signature_id) for m in scan_entries(entries, sigs, 0)]
+    assert got == [(e.path, s.id) for e in entries for s in sigs if _old_matches(s, e.data)]
 
 
 def test_signature_pattern_nonempty():

@@ -204,6 +204,19 @@ def test_max_distance_below_one_exits_2(demo, tmp_path, capsys, config, command)
     assert err.startswith("error: ") and "max" in err and ">= 1" in err, err
 
 
+@pytest.mark.parametrize("key", ["max_expansion_ratio", "max_total_bytes"])
+@pytest.mark.parametrize("value", [-1, 0, float("nan")], ids=["-1", "0", "NaN"])
+def test_extraction_limit_that_disables_v2_exits_2(demo, tmp_path, capsys, key, value):
+    corpus, db = demo
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"archive": {key: value}}))
+    argv = ["--config", str(config_path), "scan-all", "--corpus", str(corpus), "--db", str(db)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {config_path}: bad config value: "), captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["--output", "json", "docker"],
     ["--output", "json", "iac"],

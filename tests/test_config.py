@@ -70,3 +70,13 @@ def test_max_distance_below_one_is_a_config_error(tmp_path, max_distance):
     path.write_text(json.dumps({"typosquat": {"max_distance": max_distance}}))
     with pytest.raises(ConfigError, match="typosquat.max_distance must be >= 1"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key", ["max_expansion_ratio", "max_total_bytes"])
+@pytest.mark.parametrize("value", [-1, 0, float("nan"), float("inf")], ids=["-1", "0", "NaN", "Infinity"])
+def test_extraction_limit_that_disables_v2_is_a_config_error(tmp_path, key, value):
+    # A cap <= 0 made every archive a V2-UNSAFE-ARCHIVE finding; NaN broke cap_for.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"archive": {key: value}}))
+    with pytest.raises(ConfigError, match=f"bad config value: .*({key}|NaN|infinity)"):
+        load_config(path)

@@ -30,6 +30,7 @@ from slsa_audit.vulnscan import (
     match_advisories,
     parse_manifest,
     parse_version,
+    tree_files,
 )
 
 LODASH_OSV = {
@@ -262,11 +263,58 @@ def test_extract_inventory_merges(tmp_path):
     sub = tmp_path / "svc"
     sub.mkdir()
     (sub / "package.json").write_text(json.dumps({"dependencies": {"lodash": "4.17.20"}}))
-    inventory = extract_inventory(tmp_path)
+    inventory = extract_inventory(tmp_path, tree_files(tmp_path))
     records = inventory.records()
     assert len(records) == 1
     assert records[0].versions == {"4.17.11", "4.17.20"}
     assert len(records[0].declared_in) == 2
+
+
+def _tree_with_links(tmp_path):
+    root = tmp_path / "tree"
+    files = ["a/b.py", "a-b/c.py", "a.b/d.py", "a/b/c/deep.go", ".env", ".hidden/x.js", ".py",
+             "file.", "Z.PY", "PACKAGE.JSON", "ab", "A/upper.ts"]
+    for rel in files:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text("import requests\n")
+    (root / "PACKAGE.JSON").write_text(json.dumps({"dependencies": {"lodash": "4.17.20"}}))
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "o.py").write_text("import requests\n")
+    (root / "linkdir").symlink_to(outside, target_is_directory=True)
+    (root / "linkfile.py").symlink_to(root / "a" / "b.py")
+    (root / "broken.py").symlink_to(tmp_path / "missing")
+    return root
+
+
+def test_tree_files_equal_sorted_rglob(tmp_path):
+    root = _tree_with_links(tmp_path)
+    expected = [p.relative_to(root).as_posix() for p in sorted(root.rglob("*")) if p.is_file()]
+    files = tree_files(root)
+    assert files == expected
+    assert files.index("a/b.py") < files.index("a-b/c.py")  # by parts, not by string
+    assert "linkfile.py" in files and "broken.py" not in files
+    assert not any(rel.startswith("linkdir") for rel in files)
+    assert tree_files(tmp_path / "missing") == []
+    assert tree_files(root / "ab") == []
+
+
+@pytest.mark.parametrize(
+    "extensions", [SOURCE_EXTENSIONS, (".", ".py"), ("", ".py")], ids=["default", "dot", "empty"]
+)
+def test_single_walk_feeds_both_tree_stages(tmp_path, extensions):
+    root = _tree_with_links(tmp_path)
+    files = tree_files(root)
+    inventory = extract_inventory(root, files)
+    inventory.add("requests", "1.0.0", Ecosystem.PYPI, "requirements.txt")
+    assert [r.declared_in for r in inventory.records() if r.name == "lodash"] == [{"PACKAGE.JSON"}]
+    expected = _marked_by_full_search(inventory, root, extensions)
+    mark_source_references(inventory, root, files, extensions)
+    assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
+    # Path.suffix semantics: ".py", ".env" and "file." have no suffix; "Z.PY" counts.
+    referenced = inventory.packages[("requests", Ecosystem.PYPI)].referenced_in_source
+    assert {"Z.PY", "linkfile.py"} <= referenced
+    assert ({".py", ".env", "file."} <= referenced) is ("" in extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +331,7 @@ def _inventory_with(name: str, ecosystem: Ecosystem = Ecosystem.PYPI) -> Package
 def test_source_reference_import(tmp_path):
     (tmp_path / "handler.py").write_text("import requests\n\nprint(requests)\n")
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
     record = inventory.records()[0]
     assert record.referenced_in_source == {"handler.py"}
 
@@ -292,13 +340,13 @@ def test_metadata_only_package(tmp_path):
     (tmp_path / "README.md").write_text("uses requests heavily\nimport requests\n")
     (tmp_path / "package.json").write_text(json.dumps({"dependencies": {"requests": "1.0.0"}}))
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
     assert inventory.records()[0].referenced_in_source == set()
 
 
 def test_empty_tree_all_metadata_only(tmp_path):
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
     matches = match_advisories(
         inventory,
         index_advisories(
@@ -315,7 +363,7 @@ def test_require_and_from_contexts(tmp_path):
     inventory.add("lodash", "4.17.11", Ecosystem.NPM, "package.json")
     inventory.add("left-pad", "1.3.0", Ecosystem.NPM, "package.json")
     inventory.add("minimist", "1.2.5", Ecosystem.NPM, "package.json")
-    mark_source_references(inventory, tmp_path)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
     by_name = {r.name: r for r in inventory.records()}
     assert by_name["lodash"].referenced_in_source == {"app.js"}
     assert by_name["left-pad"].referenced_in_source == {"mod.ts"}
@@ -326,7 +374,7 @@ def test_gomod_bare_path_context(tmp_path):
     (tmp_path / "main.go").write_text('import "github.com/gin-gonic/gin"\n')
     inventory = PackageInventory()
     inventory.add("github.com/gin-gonic/gin", "1.4.0", Ecosystem.GOMOD, "go.mod")
-    mark_source_references(inventory, tmp_path)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
     assert inventory.records()[0].referenced_in_source == {"main.go"}
 
 
@@ -393,7 +441,7 @@ def test_source_marking_equals_full_search(tmp_path, seed):
         inventory.add(name, "1.0.0", ecosystem, "manifest")
     extensions = (".py", ".js", ".go") if seed % 2 else SOURCE_EXTENSIONS
     expected = _marked_by_full_search(inventory, tmp_path, extensions)
-    mark_source_references(inventory, tmp_path, extensions)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), extensions)
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     assert any(expected.values())
 
