@@ -117,13 +117,13 @@ def test_extract_from_file(benign_tree, tmp_path):
     assert len(extract(path)) == 3
 
 
-def _tar_with_entry(name: str) -> bytes:
+def _tar_blob(members: list[tuple[str, bytes]], format: int = tarfile.USTAR_FORMAT) -> bytes:
     buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w", format=tarfile.USTAR_FORMAT) as tar:
-        info = tarfile.TarInfo(name=name)
-        data = b"x"
-        info.size = len(data)
-        tar.addfile(info, io.BytesIO(data))
+    with tarfile.open(fileobj=buf, mode="w", format=format) as tar:
+        for name, data in members:
+            info = tarfile.TarInfo(name=name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
     return buf.getvalue()
 
 
@@ -161,12 +161,12 @@ def test_safe_entry_path_equals_purepath_reference(name):
 
 def test_path_traversal_rejected():
     with pytest.raises(ArchiveSecurityError):
-        extract_bytes(_tar_with_entry("../../etc/passwd"), ArchiveFormat.TAR)
+        extract_bytes(_tar_blob([("../../etc/passwd", b"x")]), ArchiveFormat.TAR)
 
 
 def test_absolute_path_rejected():
     with pytest.raises(ArchiveSecurityError):
-        extract_bytes(_tar_with_entry("/etc/passwd"), ArchiveFormat.TAR)
+        extract_bytes(_tar_blob([("/etc/passwd", b"x")]), ArchiveFormat.TAR)
 
 
 def test_traversal_rejected_in_zip():
@@ -261,23 +261,13 @@ def test_sevenz_encoded_header():
     assert sevenz.read_7z(blob) == entries
 
 
-def _tar_blob(members: list[tuple[str, bytes]], format: int) -> bytes:
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w", format=format) as tar:
-        for name, data in members:
-            info = tarfile.TarInfo(name=name)
-            info.size = len(data)
-            tar.addfile(info, io.BytesIO(data))
-    return buf.getvalue()
-
-
 def _extractfile_contents(blob: bytes) -> list[tuple[str, bytes]]:
     with tarfile.open(fileobj=io.BytesIO(blob), mode="r:") as tar:
         return [(m.name, tar.extractfile(m).read()) for m in tar if m.isfile()]
 
 
 def test_truncated_tar_member_is_an_extraction_error():
-    blob = _tar_blob([("a.txt", b"a" * 100), ("b.bin", bytes(range(256)) * 4)], tarfile.USTAR_FORMAT)
+    blob = _tar_blob([("a.txt", b"a" * 100), ("b.bin", bytes(range(256)) * 4)])
     cut = blob[: 512 + 512 + 512 + 600]  # a, then b's header and 600 of its 1024 bytes
     with pytest.raises(tarfile.ReadError):
         _extractfile_contents(cut)
