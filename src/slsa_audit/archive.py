@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable
 
 from slsa_audit import sevenz, zstdcodec
+from slsa_audit.ingest import tree_files
 from slsa_audit.model import AuditError, ConfigError
 
 
@@ -169,39 +170,33 @@ def _safe_entry_path(name: str) -> str:
     return "/".join(parts)
 
 
+_WRAPPER_DECOMPRESSORS = {
+    ArchiveFormat.TAR_GZ: lambda: zlib.decompressobj(wbits=31),
+    ArchiveFormat.TAR_BZ2: bz2.BZ2Decompressor,
+    ArchiveFormat.TAR_XZ: lambda: lzma.LZMADecompressor(format=lzma.FORMAT_XZ),
+    ArchiveFormat.TAR_LZMA: lambda: lzma.LZMADecompressor(format=lzma.FORMAT_ALONE),
+}
+
+
 def _inflate_wrapper(data: bytes, fmt: ArchiveFormat, cap: int) -> bytes:
     """Decompress a tar compression wrapper with an output cap."""
     out = bytearray()
     try:
-        if fmt is ArchiveFormat.TAR_GZ:
-            stream = zlib.decompressobj(wbits=31)
-            out += stream.decompress(data, cap + 1)
-            while stream.unconsumed_tail and len(out) <= cap:
-                out += stream.decompress(stream.unconsumed_tail, cap + 1 - len(out))
-        elif fmt is ArchiveFormat.TAR_BZ2:
-            stream = bz2.BZ2Decompressor()
-            out += stream.decompress(data, cap + 1)
-            while not stream.eof and len(out) <= cap:
-                chunk = stream.decompress(b"", cap + 1 - len(out))
-                if not chunk:
-                    break
-                out += chunk
-        elif fmt in (ArchiveFormat.TAR_XZ, ArchiveFormat.TAR_LZMA):
-            lz_format = lzma.FORMAT_XZ if fmt is ArchiveFormat.TAR_XZ else lzma.FORMAT_ALONE
-            stream = lzma.LZMADecompressor(format=lz_format)
-            out += stream.decompress(data, cap + 1)
-            while not stream.eof and len(out) <= cap:
-                chunk = stream.decompress(b"", cap + 1 - len(out))
-                if not chunk:
-                    break
-                out += chunk
-        elif fmt is ArchiveFormat.TAR_ZST:
+        if fmt is ArchiveFormat.TAR_ZST:
             for chunk in zstdcodec.decompress_chunks(data):
                 out += chunk
                 if len(out) > cap:
                     break
         else:
-            raise ValueError(f"not a wrapper format: {fmt}")
+            stream = _WRAPPER_DECOMPRESSORS[fmt]()
+            out += stream.decompress(data, cap + 1)
+            while not stream.eof and len(out) <= cap:
+                # zlib hands back the input it has not used; bz2 and lzma keep it.
+                tail = getattr(stream, "unconsumed_tail", b"")
+                chunk = stream.decompress(tail, cap + 1 - len(out))
+                if not chunk:
+                    break
+                out += chunk
     except (zlib.error, lzma.LZMAError, OSError, EOFError, zstdcodec.ZstdError) as exc:
         raise ExtractionError(f"corrupt {fmt.value} stream: {exc}") from exc
     if len(out) > cap:
@@ -533,15 +528,6 @@ def consensus_flag(verdicts: Iterable[EngineVerdict], threshold: int) -> Consens
 # ---------------------------------------------------------------------------
 
 
-def _collect_tree(tree_root: Path) -> list[tuple[str, bytes]]:
-    files = [
-        (p.relative_to(tree_root).as_posix(), p.read_bytes())
-        for p in sorted(tree_root.rglob("*"))
-        if p.is_file()
-    ]
-    return files
-
-
 def _pack_tar(items: list[tuple[str, bytes]]) -> bytes:
     out = io.BytesIO()
     with tarfile.open(fileobj=out, mode="w", format=tarfile.USTAR_FORMAT) as tar:
@@ -609,7 +595,7 @@ def inject_and_pack(
     tree_root = Path(benign_tree)
     if not tree_root.is_dir():
         raise FileNotFoundError(f"benign tree not found: {tree_root}")
-    items = _collect_tree(tree_root)
+    items = [(rel, (tree_root / rel).read_bytes()) for rel in tree_files(tree_root)]
     if not items:
         raise ValueError(f"benign tree is empty: {tree_root}")
     if payload_file is not None:

@@ -17,6 +17,10 @@ from slsa_audit.model import AttackVector, AuditError, ConfigError, EmptyInputEr
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
 
+# What _cmd_scan_all reads beyond --corpus, for the subcommands that lack some of it.
+_SCAN_ALL_DEFAULTS = {"db": None, "filter_serverless": False, "run_meta": None, "histogram": False}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slsa-audit",
@@ -45,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-format", nargs=2, metavar=("FMT_A", "FMT_B"),
                    default=["trivy-json", "grype-json"],
                    choices=["trivy-json", "grype-json"])
+    p.set_defaults(**_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("archive", help="archive scanning and the injection harness")
     archive_sub = p.add_subparsers(dest="archive_command", required=True)
@@ -69,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corpus")
     group.add_argument("--cmd", help="one docker run command, or '-' to read commands from stdin")
     p.add_argument("--rules", help="JSON rules override file")
+    p.set_defaults(**_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("iac", help="classify and lint IaC templates")
     group = p.add_mutually_exclusive_group(required=True)
@@ -76,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--paths", nargs="+", help="explicit template files")
     p.add_argument("--catalog", help="JSON rule catalog")
     p.add_argument("--histogram", action="store_true", help="print per-framework severity counts")
+    p.set_defaults(**_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("typosquat", help="find suspiciously similar names")
     p.add_argument("--corpus", required=True)
@@ -88,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", help="advisory database directory")
     p.add_argument("--filter-serverless", action="store_true")
     p.add_argument("--run-meta", help="write run metadata JSON to this file")
+    p.set_defaults(**_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("demo", help="materialize the bundled demo corpus")
     p.add_argument("--dest", required=True)
@@ -128,12 +136,7 @@ def _cmd_vulnscan(args, config, output: str, fail_on: Severity | None) -> int:
         enabled_vectors=frozenset({AttackVector.V1}),
         fp_filter=args.fp_filter or config.fp_filter,
     )
-    db_notices: list[str] = []
-    db = vulnscan.load_advisory_db(args.db, db_notices)
-    run = scan_corpus(args.corpus, config, db)
-    sys.stdout.buffer.write(emit(run.report, output))
-    _print_notices(db_notices + run.notices)
-    return exit_code_for(run.report, fail_on)
+    return _cmd_scan_all(args, config, output, fail_on)
 
 
 def _cmd_archive(args, config, fail_on: Severity | None) -> int:
@@ -149,7 +152,15 @@ def _cmd_archive(args, config, fail_on: Severity | None) -> int:
         return 0
     signatures = archive.load_signatures(args.signatures) if args.signatures else config.signatures
     depth = config.recursion_depth if args.depth is None else args.depth
-    entries = archive.extract(args.file, limits=config.extraction_limits)
+    # Reported with the verdict and severity scan-all gives the archive.
+    try:
+        entries = archive.extract(args.file, limits=config.extraction_limits)
+    except (archive.DecompressionBombError, archive.ArchiveSecurityError) as exc:
+        print(f"unsafe: {exc}")
+        return 1 if fail_on is not None and Severity.HIGH.at_least(fail_on) else 0
+    except archive.EncryptedArchiveError as exc:
+        print(f"encrypted: {exc}")
+        return 1 if fail_on is not None and Severity.MEDIUM.at_least(fail_on) else 0
     notices: list[str] = []
     matches = archive.scan_entries(entries, signatures, depth, config.extraction_limits, notices)
     for match in matches:
@@ -166,15 +177,13 @@ def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
     if args.corpus:
         config = replace(config, enabled_vectors=frozenset({AttackVector.V3}),
                          docker_rules=rules, sensitive_keys=key_config)
-        run = scan_corpus(args.corpus, config)
-        report, notices = run.report, run.notices
-    else:
-        notices = []
-        text = sys.stdin.read() if args.cmd == "-" else args.cmd
-        findings = dockerlint.lint_commands_text(
-            text, source_name="cmdline", rules=rules, key_config=key_config, notices=notices
-        )
-        report = aggregate(findings, "cmdline")
+        return _cmd_scan_all(args, config, output, fail_on)
+    notices: list[str] = []
+    text = sys.stdin.read() if args.cmd == "-" else args.cmd
+    findings = dockerlint.lint_commands_text(
+        text, source_name="cmdline", rules=rules, key_config=key_config, notices=notices
+    )
+    report = aggregate(findings, "cmdline")
     sys.stdout.buffer.write(emit(report, output))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
@@ -184,34 +193,27 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
     catalog = tuple(iaclint.load_catalog(args.catalog)) if args.catalog else config.iac_catalog
     if args.corpus:
         config = replace(config, enabled_vectors=frozenset({AttackVector.V4}), iac_catalog=catalog)
-        run = scan_corpus(args.corpus, config)
-        report, notices, histogram = run.report, run.notices, run.iac_histogram
-    else:
-        notices = []
-        tagged: list[tuple[iaclint.IaCFramework, object]] = []
-        for path in args.paths:
-            try:
-                framework, findings = iaclint.lint_template(
-                    path, Path(path).read_text(encoding="utf-8"),
-                    catalog=catalog, notices=notices,
-                    cors_substrings=config.cors_substrings,
-                )
-            except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
-                notices.append(str(exc))
-                continue
-            except UnicodeDecodeError as exc:
-                notices.append(f"{path}: {exc}")
-                continue
-            tagged.extend((framework, f) for f in findings)
-        report = aggregate((f for _, f in tagged), "paths")
-        histogram = iaclint.severity_histogram(tagged)
+        return _cmd_scan_all(args, config, output, fail_on)
+    notices: list[str] = []
+    tagged: list[tuple[iaclint.IaCFramework, object]] = []
+    for path in args.paths:
+        try:
+            framework, findings = iaclint.lint_template(
+                path, Path(path).read_text(encoding="utf-8"),
+                catalog=catalog, notices=notices,
+                cors_substrings=config.cors_substrings,
+            )
+        except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
+            notices.append(str(exc))
+            continue
+        except UnicodeDecodeError as exc:
+            notices.append(f"{path}: {exc}")
+            continue
+        tagged.extend((framework, f) for f in findings)
+    report = aggregate((f for _, f in tagged), "paths")
     sys.stdout.buffer.write(emit(report, output))
     if args.histogram:
-        for framework in sorted(histogram.by_framework, key=lambda f: f.value):
-            counts = histogram.by_framework[framework]
-            rendered = "  ".join(f"{sev.value} {n}" for sev, n in sorted(
-                counts.items(), key=lambda kv: kv[0].value))
-            print(f"{framework.value}: {rendered}", file=sys.stderr)
+        _print_histogram(iaclint.severity_histogram(tagged))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
 
@@ -257,6 +259,8 @@ def _cmd_scan_all(args, config, output: str, fail_on: Severity | None) -> int:
         Path(args.run_meta).write_text(
             json.dumps(run.meta_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+    if args.histogram:
+        _print_histogram(run.iac_histogram)
     _print_notices(run.notices)
     return exit_code_for(run.report, fail_on)
 
@@ -270,6 +274,14 @@ def _cmd_demo(args) -> int:
     print(f"demo corpus: {corpus}", file=sys.stderr)
     print(f"advisory db: {db}", file=sys.stderr)
     return 0
+
+
+def _print_histogram(histogram: iaclint.IaCHistogram) -> None:
+    for framework in sorted(histogram.by_framework, key=lambda f: f.value):
+        counts = histogram.by_framework[framework]
+        rendered = "  ".join(f"{sev.value} {n}" for sev, n in sorted(
+            counts.items(), key=lambda kv: kv[0].value))
+        print(f"{framework.value}: {rendered}", file=sys.stderr)
 
 
 def _print_notices(notices: list[str]) -> None:

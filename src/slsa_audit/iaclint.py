@@ -398,6 +398,12 @@ def _is_wildcard_origin(value: object) -> bool:
     return False
 
 
+def _cfn_and_sam(matcher: RuleMatcher) -> dict[IaCFramework, RuleMatcher]:
+    """One matcher for both CloudFormation and SAM, whose templates share
+    the AWS resource types and property names it reads."""
+    return {IaCFramework.CLOUDFORMATION: matcher, IaCFramework.SAM: matcher}
+
+
 DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
     MisconfigRule(
         rule_id="R-ARN",
@@ -405,12 +411,7 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
         description="Lambda permission without a source ARN allows any principal of the service to invoke the function",
         remediation="set SourceArn to the specific resource allowed to invoke",
         matchers={
-            IaCFramework.CLOUDFORMATION: RuleMatcher(
-                ("AWS::Lambda::Permission",), {"absent": "SourceArn"}
-            ),
-            IaCFramework.SAM: RuleMatcher(
-                ("AWS::Lambda::Permission",), {"absent": "SourceArn"}
-            ),
+            **_cfn_and_sam(RuleMatcher(("AWS::Lambda::Permission",), {"absent": "SourceArn"})),
             IaCFramework.TERRAFORM: RuleMatcher(
                 ("aws_lambda_permission",), {"absent": "source_arn"}
             ),
@@ -422,7 +423,7 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
         description="S3 bucket encrypted with an AWS-managed key instead of a customer-managed KMS key",
         remediation="reference a customer-managed key id in the bucket encryption settings",
         matchers={
-            IaCFramework.CLOUDFORMATION: RuleMatcher(
+            **_cfn_and_sam(RuleMatcher(
                 ("AWS::S3::Bucket",),
                 {
                     "all": [
@@ -436,22 +437,7 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
                         },
                     ]
                 },
-            ),
-            IaCFramework.SAM: RuleMatcher(
-                ("AWS::S3::Bucket",),
-                {
-                    "all": [
-                        {
-                            "present": "BucketEncryption.ServerSideEncryptionConfiguration."
-                            "ServerSideEncryptionByDefault.SSEAlgorithm"
-                        },
-                        {
-                            "absent": "BucketEncryption.ServerSideEncryptionConfiguration."
-                            "ServerSideEncryptionByDefault.KMSMasterKeyID"
-                        },
-                    ]
-                },
-            ),
+            )),
             IaCFramework.TERRAFORM: RuleMatcher(
                 ("aws_s3_bucket", "aws_s3_bucket_server_side_encryption_configuration"),
                 {
@@ -475,16 +461,11 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
         description="S3 bucket grants public access through its ACL",
         remediation="switch the ACL to private and use bucket policies for scoped access",
         matchers={
-            IaCFramework.CLOUDFORMATION: RuleMatcher(
+            **_cfn_and_sam(RuleMatcher(
                 ("AWS::S3::Bucket",),
                 {"any": [{"equals": ["AccessControl", "PublicRead"]},
                           {"equals": ["AccessControl", "PublicReadWrite"]}]},
-            ),
-            IaCFramework.SAM: RuleMatcher(
-                ("AWS::S3::Bucket",),
-                {"any": [{"equals": ["AccessControl", "PublicRead"]},
-                          {"equals": ["AccessControl", "PublicReadWrite"]}]},
-            ),
+            )),
             IaCFramework.TERRAFORM: RuleMatcher(
                 ("aws_s3_bucket", "aws_s3_bucket_acl"),
                 {"any": [{"equals": ["acl", "public-read"]},
@@ -498,20 +479,13 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
         description="IAM policy statement allows every action",
         remediation="enumerate the specific actions the role needs",
         matchers={
-            IaCFramework.CLOUDFORMATION: RuleMatcher(
+            **_cfn_and_sam(RuleMatcher(
                 ("AWS::IAM::Policy", "AWS::IAM::Role", "AWS::IAM::ManagedPolicy"),
                 {"any": [
                     {"equals": ["PolicyDocument.Statement.Action", "*"]},
                     {"equals": ["Policies.PolicyDocument.Statement.Action", "*"]},
                 ]},
-            ),
-            IaCFramework.SAM: RuleMatcher(
-                ("AWS::IAM::Policy", "AWS::IAM::Role", "AWS::IAM::ManagedPolicy"),
-                {"any": [
-                    {"equals": ["PolicyDocument.Statement.Action", "*"]},
-                    {"equals": ["Policies.PolicyDocument.Statement.Action", "*"]},
-                ]},
-            ),
+            )),
             IaCFramework.TERRAFORM: RuleMatcher(
                 ("aws_iam_policy", "aws_iam_role_policy"),
                 {"equals": ["policy.Statement.Action", "*"]},

@@ -11,6 +11,7 @@ A corpus is a directory with one subdirectory per component:
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -173,8 +174,35 @@ def is_serverless(entry: CorpusEntry) -> bool:
     for key, value in entry.metadata.items():
         if keyword in key.lower() or keyword in value.lower():
             return True
-    if entry.root_path.is_dir():
-        for path in entry.root_path.rglob("serverless.yml"):
-            if path.is_file():
-                return True
-    return False
+    return any(rel.rpartition("/")[2] == "serverless.yml" for rel in tree_files(entry.root_path))
+
+
+def tree_files(tree_root: str | Path) -> list[str]:
+    """Relative POSIX paths of the regular files under tree_root, sorted by
+    path parts as their ``Path`` objects sort, from one walk.
+
+    As with pathlib's recursive glob and ``Path.is_file``, symlinked
+    directories are not entered, symlinked files count, and directories
+    that cannot be listed are skipped. A missing tree has no files. This
+    is the one recursive listing: V1 trees, IaC templates, the advisory
+    database, the serverless filter and the injection harness all use it.
+    """
+    found: list[tuple[str, ...]] = []
+    pending: list[tuple[tuple[str, ...], str]] = [((), str(Path(tree_root)))]
+    while pending:
+        parts, directory = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                children = list(it)
+        except OSError:
+            continue
+        for child in children:
+            try:
+                if child.is_dir(follow_symlinks=False):
+                    pending.append(((*parts, child.name), child.path))
+                elif child.is_file():
+                    found.append((*parts, child.name))
+            except OSError:
+                continue
+    found.sort()
+    return ["/".join(parts) for parts in found]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import AuditConfig
-from slsa_audit.ingest import CorpusEntry, CorpusLoadResult, is_serverless, load_corpus
+from slsa_audit.ingest import CorpusEntry, CorpusLoadResult, is_serverless, load_corpus, tree_files
 from slsa_audit.model import (
     DEFAULT_CDF_THRESHOLDS,
     AttackVector,
@@ -249,7 +249,7 @@ def scan_vuln(
     notices: list[str],
 ) -> tuple[list[Finding], int]:
     """V1 for one component: inventory, advisory matching, optional FP filter."""
-    files = vulnscan.tree_files(entry.tree_path)
+    files = tree_files(entry.tree_path)
     inventory = vulnscan.extract_inventory(entry.tree_path, files, notices)
     vulnscan.mark_source_references(
         inventory, entry.tree_path, files, config.source_extensions, notices
@@ -370,17 +370,12 @@ def scan_iac(
 ) -> list[tuple[iaclint.IaCFramework, Finding]]:
     """V4 for one component: lint every template under iac/."""
     tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
-    iac_dir = entry.iac_path
-    if not iac_dir.is_dir():
-        return tagged
-    for path in sorted(iac_dir.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = f"iac/{path.relative_to(iac_dir).as_posix()}"
+    for name in tree_files(entry.iac_path):
+        rel = f"iac/{name}"
         try:
             framework, findings = iaclint.lint_template(
                 rel,
-                path.read_text(encoding="utf-8"),
+                (entry.iac_path / name).read_text(encoding="utf-8"),
                 catalog=config.iac_catalog,
                 component=entry.ref,
                 notices=notices,

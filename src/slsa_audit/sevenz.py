@@ -74,6 +74,20 @@ def _read_number(buf: io.BytesIO) -> int:
     return value
 
 
+def _check_count(value: int, buf: io.BytesIO) -> int:
+    """value, a count or size read from the header in buf. Each counted item
+    takes at least one header byte, so a value larger than the header is
+    corrupt; rejecting it keeps the lists and reads it sizes bounded."""
+    size = len(buf.getbuffer())
+    if value > size:
+        raise SevenZipError(f"header count {value} is larger than the {size}-byte header")
+    return value
+
+
+def _read_count(buf: io.BytesIO) -> int:
+    return _check_count(_read_number(buf), buf)
+
+
 def _write_number(value: int) -> bytes:
     if value < 0:
         raise ValueError("negative numbers are not representable")
@@ -144,7 +158,7 @@ class _StreamsInfo:
 
 def _parse_folder(buf: io.BytesIO) -> _Folder:
     folder = _Folder()
-    num_coders = _read_number(buf)
+    num_coders = _read_count(buf)
     total_in = 0
     total_out = 0
     for _ in range(num_coders):
@@ -153,11 +167,11 @@ def _parse_folder(buf: io.BytesIO) -> _Folder:
         codec_id = buf.read(id_size)
         num_in = num_out = 1
         if flags & 0x10:
-            num_in = _read_number(buf)
-            num_out = _read_number(buf)
+            num_in = _read_count(buf)
+            num_out = _read_count(buf)
         properties = b""
         if flags & 0x20:
-            properties = buf.read(_read_number(buf))
+            properties = buf.read(_read_count(buf))
         total_in += num_in
         total_out += num_out
         folder.coders.append(_Coder(codec_id=codec_id, properties=properties))
@@ -176,7 +190,7 @@ def _parse_streams_info(buf: io.BytesIO) -> _StreamsInfo:
     prop = _read_number(buf)
     if prop == _K_PACK_INFO:
         info.pack_pos = _read_number(buf)
-        num_pack = _read_number(buf)
+        num_pack = _read_count(buf)
         while True:
             sub = _read_number(buf)
             if sub == _K_END:
@@ -192,7 +206,7 @@ def _parse_streams_info(buf: io.BytesIO) -> _StreamsInfo:
     if prop == _K_UNPACK_INFO:
         if _read_number(buf) != _K_FOLDER:
             raise SevenZipError("expected folder property in unpack info")
-        num_folders = _read_number(buf)
+        num_folders = _read_count(buf)
         if _read_byte(buf) != 0:
             raise SevenZipError("external folder data is not supported")
         info.folders = [_parse_folder(buf) for _ in range(num_folders)]
@@ -217,7 +231,8 @@ def _parse_streams_info(buf: io.BytesIO) -> _StreamsInfo:
         prop = _read_number(buf)
         if prop == _K_NUM_UNPACK_STREAM:
             for folder in info.folders:
-                folder.num_unpack_streams = _read_number(buf)
+                folder.num_unpack_streams = _read_count(buf)
+            _check_count(sum(f.num_unpack_streams for f in info.folders), buf)
             prop = _read_number(buf)
         for folder in info.folders:
             if folder.num_unpack_streams == 0:
@@ -278,15 +293,16 @@ def _decode_folder(folder: _Folder, packed: bytes, max_output: int | None) -> by
     if coder.codec_id == _CODER_COPY:
         return packed[: folder.unpack_size]
     if coder.codec_id == _CODER_LZMA2:
-        filt = lzma._decode_filter_properties(lzma.FILTER_LZMA2, coder.properties)
+        filter_id = lzma.FILTER_LZMA2
     elif coder.codec_id == _CODER_LZMA1:
-        filt = lzma._decode_filter_properties(lzma.FILTER_LZMA1, coder.properties)
+        filter_id = lzma.FILTER_LZMA1
     else:
         raise SevenZipError(f"unsupported 7z coder {coder.codec_id.hex()}")
-    decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=[filt])
     out = bytearray()
     fed = False
     try:
+        filt = lzma._decode_filter_properties(filter_id, coder.properties)
+        decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=[filt])
         while not decompressor.eof and len(out) < folder.unpack_size:
             chunk = decompressor.decompress(packed if not fed else b"", max_length=1 << 17)
             fed = True
@@ -303,7 +319,7 @@ def _decode_folder(folder: _Folder, packed: bytes, max_output: int | None) -> by
 
 
 def _parse_files_info(buf: io.BytesIO) -> tuple[list[str], list[bool], list[bool]]:
-    num_files = _read_number(buf)
+    num_files = _read_count(buf)
     names: list[str] = []
     empty_stream = [False] * num_files
     empty_file: list[bool] = []
@@ -311,7 +327,7 @@ def _parse_files_info(buf: io.BytesIO) -> tuple[list[str], list[bool], list[bool
         prop = _read_number(buf)
         if prop == _K_END:
             break
-        size = _read_number(buf)
+        size = _read_count(buf)
         data = buf.read(size)
         if len(data) != size:
             raise SevenZipError("truncated files-info property")
@@ -323,8 +339,10 @@ def _parse_files_info(buf: io.BytesIO) -> tuple[list[str], list[bool], list[bool
         elif prop == _K_NAME:
             if _read_byte(sub) != 0:
                 raise SevenZipError("external file names are not supported")
-            raw = sub.read()
-            text = raw.decode("utf-16-le")
+            try:
+                text = sub.read().decode("utf-16-le")
+            except UnicodeDecodeError as exc:
+                raise SevenZipError(f"undecodable file names: {exc}") from exc
             names = text.split("\x00")[:-1] if text else []
         elif prop == _K_DUMMY:
             continue

@@ -35,6 +35,7 @@ class TfBlock:
 
 
 _PUNCT = "{}[],=:()"
+_CLOSERS = {"(": ")", "[": "]"}  # brackets a reference or call may carry
 
 
 @dataclass
@@ -148,7 +149,10 @@ def _tokenize(text: str) -> list[_Token]:
             try:
                 value: object = int(literal)
             except ValueError:
-                value = float(literal)
+                try:
+                    value = float(literal)
+                except ValueError:
+                    raise TerraformParseError(f"malformed number {literal!r}", line) from None
             tokens.append(_Token("number", value, line))
             i = j
             continue
@@ -303,38 +307,26 @@ class _Parser:
     def parse_reference(self, head: _Token) -> Undetermined:
         """Swallow a reference or call expression without evaluating it."""
         parts = [str(head.value)]
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            if token.kind == "punct" and token.value == "(":
-                depth = 0
-                while True:
-                    inner = self.next()
-                    parts.append(str(inner.value))
-                    if inner.kind == "punct" and inner.value == "(":
-                        depth += 1
-                    elif inner.kind == "punct" and inner.value == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                continue
-            if token.kind == "punct" and token.value == "[":
-                depth = 0
-                while True:
-                    inner = self.next()
-                    parts.append(str(inner.value))
-                    if inner.kind == "punct" and inner.value == "[":
-                        depth += 1
-                    elif inner.kind == "punct" and inner.value == "]":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                continue
-            break
+        while (token := self.peek()) is not None and token.kind == "punct" and token.value in _CLOSERS:
+            opener, closer = token.value, _CLOSERS[token.value]
+            depth = 0
+            while True:
+                inner = self.next()
+                parts.append(str(inner.value))
+                if inner.kind == "punct" and inner.value == opener:
+                    depth += 1
+                elif inner.kind == "punct" and inner.value == closer:
+                    depth -= 1
+                    if depth == 0:
+                        break
         return Undetermined(raw=" ".join(parts))
 
 
 def parse_terraform(text: str) -> list[TfBlock]:
     """Parse Terraform source into top-level blocks."""
-    return _Parser(_tokenize(text)).parse_file()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        token = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise TerraformParseError("nesting too deep to parse", token.line) from None

@@ -9,14 +9,17 @@ Near pairs are found exactly with a symmetric-delete index (Bocek et al.,
 2007) over bounded name prefixes. Two names at OSA distance d <= k share
 a string reachable by at most k deletions from each, since every edit
 costs at most one deletion on each side. Each name is keyed by the
-strings at most k deletions away from its first `PREFIX` characters,
-which keeps the search exact (see `_near_name_pairs`) and bounds the keys
-per name however long the name is. Names sharing a key whose lengths
-differ by at most k are verified with `dl_distance`.
+strings at most k deletions away from its first P characters, which
+keeps the search exact (see `_near_name_pairs`) and bounds the keys per
+name however long the name is: P (see `_prefix_length`) is at most
+`PREFIX` and shrinks as k grows, so no name has more than `MAX_KEYS`
+keys. Names sharing a key whose lengths differ by at most k are verified
+with `dl_distance`.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,7 +35,8 @@ from slsa_audit.model import (
 )
 
 
-PREFIX = 16  # characters of a name that key the near-name index
+PREFIX = 16  # most characters of a name that key the near-name index
+MAX_KEYS = sum(math.comb(PREFIX, i) for i in range(3))  # 137, a PREFIX-long key's count at k = 2
 
 
 def dl_distance(a: str, b: str) -> int:
@@ -194,23 +198,34 @@ def _deletion_keys(text: str, max_deletions: int) -> set[str]:
     return keys
 
 
+def _prefix_length(max_distance: int) -> int:
+    """The longest prefix, up to PREFIX characters, whose strings at most
+    max_distance deletions away number at most MAX_KEYS: 16 for k <= 2,
+    9 for k = 3 and 7 for k >= 4."""
+    length = PREFIX
+    while sum(math.comb(length, i) for i in range(max_distance + 1)) > MAX_KEYS:
+        length -= 1
+    return length
+
+
 def _near_name_pairs(names: list[str], max_distance: int) -> list[tuple[str, str, int]]:
     """Sorted (a, b, d), a < b, for distinct names at OSA d in [1, max_distance].
 
-    A symmetric-delete index over prefixes: each distinct ``name[:PREFIX]``
-    is filed under every string at most max_distance deletions away from
-    it, and names whose prefixes share a key are candidates. The prefix
-    keeps this exact. If OSA(s, t) <= k, some common subsequence c is at
-    most k deletions from each; the longest prefix of c whose embeddings
-    lie in both ``s[:PREFIX]`` and ``t[:PREFIX]`` is then at most k
-    deletions from each of those prefixes, so they share a key. Candidates
-    whose lengths differ by more than max_distance are dropped (OSA is at
-    least the length difference) and the rest are verified with
-    `dl_distance`.
+    A symmetric-delete index over prefixes: each distinct ``name[:P]``, P
+    from `_prefix_length`, is filed under every string at most
+    max_distance deletions away from it, and names whose prefixes share a
+    key are candidates. The prefix keeps this exact for any P. If
+    OSA(s, t) <= k, some common subsequence c is at most k deletions from
+    each; the longest prefix of c whose embeddings lie in both ``s[:P]``
+    and ``t[:P]`` is then at most k deletions from each of those
+    prefixes, so they share a key. Candidates whose lengths differ by more
+    than max_distance are dropped (OSA is at least the length difference)
+    and the rest are verified with `dl_distance`.
     """
+    length = _prefix_length(max_distance)
     by_prefix: dict[str, list[str]] = {}
     for name in names:
-        by_prefix.setdefault(name[:PREFIX], []).append(name)
+        by_prefix.setdefault(name[:length], []).append(name)
     index: dict[str, list[str]] = {}
     out: list[tuple[str, str, int]] = []
     for prefix, group in by_prefix.items():

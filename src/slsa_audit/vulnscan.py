@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from slsa_audit.ingest import tree_files
 from slsa_audit.model import AuditError, Severity, severity_band
 
 
@@ -253,13 +254,16 @@ def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> li
     if not root.is_dir():
         raise FileNotFoundError(f"advisory database directory not found: {root}")
     advisories: list[Advisory] = []
-    for path in sorted(root.rglob("*.json")):
+    for rel in tree_files(root):
+        if not rel.endswith(".json"):
+            continue
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            with open(os.path.join(root, rel), encoding="utf-8") as handle:
+                doc = json.load(handle)
             advisories.extend(advisory_from_osv(doc))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not OSV-shaped
             if notices is not None:
-                notices.append(f"skipped advisory {path.name}: {exc}")
+                notices.append(f"skipped advisory {rel.rpartition('/')[2]}: {exc}")
     return advisories
 
 
@@ -478,35 +482,6 @@ def _parse_os_packages(path: str, contents: str, inv: PackageInventory) -> None:
         inv.add(name.strip(), version.strip(), Ecosystem.OS_PACKAGES, path)
 
 
-def tree_files(tree_root: str | Path) -> list[str]:
-    """Relative POSIX paths of the regular files under tree_root, in the order
-    ``sorted(root.rglob("*"))`` lists them (by path parts), from one walk.
-
-    As with rglob and ``Path.is_file``, symlinked directories are not
-    entered, symlinked files count, and directories that cannot be listed
-    are skipped. A missing tree has no files.
-    """
-    found: list[tuple[str, ...]] = []
-    pending: list[tuple[tuple[str, ...], str]] = [((), str(Path(tree_root)))]
-    while pending:
-        parts, directory = pending.pop()
-        try:
-            with os.scandir(directory) as it:
-                children = list(it)
-        except OSError:
-            continue
-        for child in children:
-            try:
-                if child.is_dir(follow_symlinks=False):
-                    pending.append(((*parts, child.name), child.path))
-                elif child.is_file():
-                    found.append((*parts, child.name))
-            except OSError:
-                continue
-    found.sort()
-    return ["/".join(parts) for parts in found]
-
-
 def _suffix(rel: str) -> str:
     """``Path(rel).suffix``: "" for dotfiles and names ending in a dot."""
     name = rel.rpartition("/")[2]
@@ -517,7 +492,7 @@ def _suffix(rel: str) -> str:
 def extract_inventory(
     tree_root: str | Path, files: Iterable[str], notices: list[str] | None = None
 ) -> PackageInventory:
-    """Merge every supported manifest among a tree's files (see tree_files)."""
+    """Merge every supported manifest among a tree's files (see ingest.tree_files)."""
     root = str(Path(tree_root))
     inventory = PackageInventory()
     for rel in files:
@@ -558,7 +533,7 @@ def mark_source_references(
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
     notices: list[str] | None = None,
 ) -> PackageInventory:
-    """Populate referenced_in_source with the tree's files (see tree_files)
+    """Populate referenced_in_source with the tree's files (see ingest.tree_files)
     importing each package.
 
     Only files whose extension is in the source set count; metadata files

@@ -6,7 +6,9 @@ import io
 import random
 import struct
 import tarfile
+import tracemalloc
 import zipfile
+import zlib
 from pathlib import PurePosixPath
 
 import pytest
@@ -209,11 +211,21 @@ def test_traversal_rejected_in_sevenz():
         extract_bytes(blob, ArchiveFormat.SEVENZ)
 
 
+def _sevenz_archive(body: bytes, header: bytes) -> bytes:
+    """A 7z archive holding body then header, with both CRCs computed."""
+    start = (
+        len(body).to_bytes(8, "little")
+        + len(header).to_bytes(8, "little")
+        + zlib.crc32(header).to_bytes(4, "little")
+    )
+    start_crc = zlib.crc32(start).to_bytes(4, "little")
+    return sevenz.MAGIC + bytes([0, 4]) + start_crc + start + body + header
+
+
 def test_sevenz_encoded_header():
     # Mainstream 7z writers LZMA-compress their headers; rebuild one of our
     # plain-header archives into that layout and read it back.
     import lzma
-    import zlib
 
     entries = [("a.txt", b"alpha"), ("b/c.txt", b"beta"), ("empty", b"")]
     plain = sevenz.write_7z(entries)
@@ -249,16 +261,41 @@ def test_sevenz_encoded_header():
     encoded += sevenz._write_number(sevenz._K_END)
     encoded += sevenz._write_number(sevenz._K_END)
 
-    body = packed_area + packed_header + bytes(encoded)
-    start = (
-        (len(packed_area) + len(packed_header)).to_bytes(8, "little")
-        + len(encoded).to_bytes(8, "little")
-        + zlib.crc32(bytes(encoded)).to_bytes(4, "little")
-    )
-    blob = (
-        sevenz.MAGIC + bytes([0, 4]) + zlib.crc32(start).to_bytes(4, "little") + start + body
-    )
+    blob = _sevenz_archive(packed_area + packed_header, bytes(encoded))
     assert sevenz.read_7z(blob) == entries
+
+
+def test_mutated_sevenz_headers_raise_only_archive_errors():
+    # Both CRCs are recomputed, so every mutant reaches the header parser.
+    items = [("a.txt", b"hello world" * 20), ("dir/b.py", b"import os\n" * 30),
+             ("empty", b""), ("c/d/e.bin", bytes(range(256)))]
+    blob = sevenz.write_7z(items)
+    header_start = 32 + int.from_bytes(blob[12:20], "little")
+    body, header = blob[32:header_start], blob[header_start:]
+    rng = random.Random("mutate-7z-header")
+    for _ in range(2000):
+        mutant = bytearray(header)
+        for _ in range(rng.randint(1, 3)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        try:
+            extract_bytes(_sevenz_archive(body, bytes(mutant)), ArchiveFormat.SEVENZ)
+        except ArchiveError:
+            pass
+
+
+def test_sevenz_count_beyond_header_is_refused_before_allocating():
+    header = b"".join(sevenz._write_number(n) for n in (
+        sevenz._K_HEADER, sevenz._K_FILES_INFO, 10**8, sevenz._K_END, sevenz._K_END))
+    blob = _sevenz_archive(b"", header)
+    assert len(blob) == 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExtractionError, match="larger than the 8-byte header"):
+            extract_bytes(blob, ArchiveFormat.SEVENZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def _extractfile_contents(blob: bytes) -> list[tuple[str, bytes]]:

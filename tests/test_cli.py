@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from slsa_audit import archive
+from slsa_audit import archive, sevenz
 from slsa_audit.cli import main
 from slsa_audit.demo import build_demo_corpus, build_demo_db
 
@@ -366,6 +366,52 @@ def test_archive_scan_reads_signatures_and_depth_from_config(tmp_path, capsys):
     no_signatures = tmp_path / "none.jsonl"
     no_signatures.write_text("")
     assert matches(with_config, ("--signatures", str(no_signatures))) == []
+
+
+def _archive_scan_sample(tmp_path, kind: str) -> list[str]:
+    """Arguments that make `archive scan` hit one unsafe or encrypted archive."""
+    path = tmp_path / f"{kind}.bin"
+    if kind == "bomb":
+        path.write_bytes(archive.pack_entries([("a.txt", b"a" * 4096)], archive.ArchiveFormat.TAR_GZ))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"archive": {"max_total_bytes": 1024}}))
+        return ["--config", str(config), "archive", "scan", str(path)]
+    if kind == "traversal":
+        path.write_bytes(sevenz.write_7z([("../evil.py", b"import os")]))
+    else:
+        data = bytearray(archive.pack_entries([("secret.txt", b"hidden")], archive.ArchiveFormat.ZIP))
+        data[6] |= 0x1  # the encryption bit, in the local header and the central directory
+        data[data.index(b"PK\x01\x02") + 8] |= 0x1
+        path.write_bytes(bytes(data))
+    return ["archive", "scan", str(path)]
+
+
+@pytest.mark.parametrize("kind, fail_on, code, line", [
+    ("bomb", None, 0, "unsafe: tar.gz stream inflated past the 1024-byte cap"),
+    ("bomb", "High", 1, "unsafe: "),
+    ("bomb", "Critical", 0, "unsafe: "),
+    ("traversal", "Low", 1, "unsafe: path-traversal entry rejected: '../evil.py'"),
+    ("encrypted", None, 0, "encrypted: zip entry 'secret.txt' is encrypted"),
+    ("encrypted", "Medium", 1, "encrypted: "),
+    ("encrypted", "High", 0, "encrypted: "),
+], ids=["bomb", "bomb-fail-high", "bomb-fail-critical", "traversal-fail-low", "encrypted",
+        "encrypted-fail-medium", "encrypted-fail-high"])
+def test_archive_scan_reports_unsafe_and_encrypted(tmp_path, capsys, kind, fail_on, code, line):
+    # The severities are those scan-all gives: High for unsafe, Medium for encrypted.
+    fail_args = ["--fail-on", fail_on] if fail_on else []
+    assert main([*fail_args, *_archive_scan_sample(tmp_path, kind)]) == code
+    out = capsys.readouterr().out
+    assert out.startswith(line) and out.count("\n") == 1, out
+
+
+@pytest.mark.parametrize("name, data", [
+    ("corrupt.tar.gz", b"\x1f\x8b\x08garbage"), ("notes.txt", b"plain text")
+], ids=["corrupt", "unsupported"])
+def test_archive_scan_corrupt_or_unsupported_exits_2(tmp_path, capsys, name, data):
+    (tmp_path / name).write_bytes(data)
+    assert main(["archive", "scan", str(tmp_path / name)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 def test_typosquat_reads_max_distance_from_config(demo, tmp_path, capsys):

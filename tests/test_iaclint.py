@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from slsa_audit.iaclint import (
 from slsa_audit.ingest import serialize_manifest
 from slsa_audit.model import AttackVector, AuditError, ComponentRef, Repository, Severity
 from slsa_audit.report import scan_corpus
+from slsa_audit.tfparse import TerraformParseError, parse_terraform
 
 SAM_MINIMAL = f"""Transform: {SAM_TRANSFORM}
 Resources:
@@ -125,6 +127,76 @@ def test_parse_terraform_resource_block():
 def test_parse_terraform_syntax_error_names_line():
     with pytest.raises(TemplateParseError, match="line 2"):
         load_template("m.tf", 'resource "a" "b" {\n  x = = 1\n}\n')
+
+
+@pytest.mark.parametrize("literal", ["2E", "1e", "1.2.3", "\u00b2", "-1e+", "7.e"])
+def test_terraform_malformed_number_names_line(literal):
+    with pytest.raises(TemplateParseError, match=re.escape(f"line 2: malformed number '{literal}'")):
+        load_template("m.tf", f'resource "a" "b" {{\n  x = {literal}\n}}\n')
+
+
+def test_terraform_numbers_keep_their_tokens():
+    literals = ["0", "12", "-3", "1.5", "-0.25", "2e3", "1E-2", "1e+2", "4.", "007"]
+    text = "a {\n" + "".join(f"  v{i} = {lit}\n" for i, lit in enumerate(literals)) + "}\n"
+    body = parse_terraform(text)[0].body
+    for i, literal in enumerate(literals):
+        try:
+            expected: object = int(literal)
+        except ValueError:
+            expected = float(literal)
+        assert type(body[f"v{i}"]) is type(expected) and body[f"v{i}"] == expected
+
+
+_TF_DEEP = 3000
+
+
+@pytest.mark.parametrize("text", [
+    'resource "a" "b" { x = ' + "[" * _TF_DEEP + "]" * _TF_DEEP + " }",
+    "a {" * _TF_DEEP + "}" * _TF_DEEP,
+    'resource "a" "b" { x = ' + "{ k = " * _TF_DEEP + "1" + "}" * _TF_DEEP + " }",
+], ids=["lists", "blocks", "maps"])
+def test_terraform_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(TerraformParseError, match="nesting too deep"):
+        parse_terraform(text)
+
+
+_TF_HAND_WRITTEN = """# numbers, references, calls, heredocs and nested blocks
+variable "size" { default = 128 }
+resource "aws_lambda_function" "fn" {
+  memory_size = var.size
+  timeout     = 3.5e1
+  layers      = [aws_lambda_layer_version.dep[0].arn, "arn:aws:x"]
+  environment {
+    variables = { K = "v", N = -2, S = "${var.size}" }
+  }
+  policy = <<EOF
+{"Statement": [{"Action": "*"}]}
+EOF
+  tags = merge(local.tags, { name = lookup(var.m, "k", 1) })
+}
+"""
+_TF_BYTES = '{}[]()=,:"#/*<-+.eE0123456789\u00b2$ \n'
+
+
+def test_mutated_terraform_raises_only_parse_errors(demo_templates):
+    texts = [t for p, t in demo_templates if p.endswith(".tf")] + [_TF_HAND_WRITTEN]
+    rng = random.Random("mutate-tf")
+    for _ in range(2000):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(chars) + 1)
+            op = rng.choice(("replace", "insert", "delete"))
+            char = rng.choice(_TF_BYTES) if rng.random() < 0.8 else chr(rng.randrange(0x250))
+            if op == "insert" or pos == len(chars):
+                chars.insert(pos, char)
+            elif op == "replace":
+                chars[pos] = char
+            else:
+                del chars[pos]
+        try:
+            parse_terraform("".join(chars))
+        except TerraformParseError:
+            pass
 
 
 def test_intrinsics_kept_opaque():
@@ -398,7 +470,9 @@ def _one_component_corpus(root: Path, filename: str, text: str) -> ComponentRef:
     ("t.json", '{"Resources": {"R": {"Type": "X", "Properties": {"P": '
      + "[" * 600 + "]" * 600 + "}}}}", [], "nesting deeper than 512 levels"),
     ("t.yaml", "Resources:\n  R: &a {Type: X, Properties: {P: *a}}\n", [], "aliases expand"),
-], ids=["bad-timestamp", "deep-json", "recursive-alias"])
+    ("t.tf", 'resource "a" "b" {\n  x = 2E\n}\n', [], "line 2: malformed number"),
+    ("t.tf", "a {" * 3000 + "}" * 3000, [], "nesting too deep"),
+], ids=["bad-timestamp", "deep-json", "recursive-alias", "bad-tf-number", "deep-tf"])
 def test_scan_corpus_isolates_bad_template(tmp_path, filename, text, rule_ids, notice):
     ref = _one_component_corpus(tmp_path / "corpus", filename, text)
     config = AuditConfig(enabled_vectors=frozenset({AttackVector.V4}))

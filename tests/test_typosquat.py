@@ -169,7 +169,7 @@ def test_kinds_compared_separately():
     assert find_near_pairs(records, max_distance=1).pairs == []
 
 
-def _random_records(rng: random.Random, count: int) -> list[NameRecord]:
+def _random_records(rng: random.Random, count: int, stem: str = "") -> list[NameRecord]:
     # Reused names, a small publisher pool and both kinds exercise
     # collisions and the same-publisher and cross-kind exclusions.
     records = []
@@ -177,7 +177,10 @@ def _random_records(rng: random.Random, count: int) -> list[NameRecord]:
         if records and rng.random() < 0.2:
             name = rng.choice(records).name
         else:
-            name = "".join(rng.choices("abcdefgh", k=rng.randint(3, 9)))
+            name = stem + "".join(rng.choices("abcdefgh", k=rng.randint(3, 9)))
+            if stem and rng.random() < 0.5:  # an edit inside the stem
+                at = rng.randrange(len(stem))
+                name = name[:at] + rng.choice("abcdefgh") + name[at + 1:]
         kind = rng.choice(list(NameKind))
         publisher = f"P{rng.randint(0, count // 4)}"
         records.append(NameRecord(name, kind, _ref(Repository.DOCKER_HUB, publisher, f"n{i}")))
@@ -188,9 +191,12 @@ def _as_multiset(pairs: list[NearPair]) -> Counter:
     return Counter((p.a, p.b, p.distance) for p in pairs)
 
 
-@pytest.mark.parametrize("seed,count,max_distance", [(1, 120, 1), (2, 150, 2), (3, 80, 3)])
-def test_index_equals_brute_force(seed, count, max_distance):
-    records = _random_records(random.Random(seed), count)
+@pytest.mark.parametrize("seed,count,max_distance,stem", [
+    (1, 120, 1, ""), (2, 150, 2, ""), (3, 80, 3, ""),
+    (4, 60, 4, "serverless-image-"), (5, 60, 5, "serverless-image-"),
+], ids=["1-120-1", "2-150-2", "3-80-3", "4-60-4-stem", "5-60-5-stem"])
+def test_index_equals_brute_force(seed, count, max_distance, stem):
+    records = _random_records(random.Random(seed), count, stem)
     scan = find_near_pairs(records, max_distance)
     pairs, collisions = all_pairs_oracle(records, max_distance)
     assert pairs and collisions
@@ -198,6 +204,14 @@ def test_index_equals_brute_force(seed, count, max_distance):
     assert _as_multiset(scan.collisions) == collisions
     assert scan.pairs == sorted(scan.pairs, key=NearPair.sort_key)
     assert scan.collisions == sorted(scan.collisions, key=NearPair.sort_key)
+
+
+def test_keys_per_name_bounded_for_any_distance():
+    assert [typosquat._prefix_length(k) for k in range(1, 9)] == [16, 16, 9, 7, 7, 7, 7, 7]
+    name = "abcdefghijklmnopqrstuvwxyz"  # distinct letters give the most keys
+    for max_distance in range(1, 9):
+        keys = typosquat._deletion_keys(name[: typosquat._prefix_length(max_distance)], max_distance)
+        assert len(keys) <= typosquat.MAX_KEYS == 137
 
 
 @pytest.mark.parametrize("max_distance", [1, 2])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slsa_audit.ingest import tree_files
 from slsa_audit.model import Severity, severity_band
 from slsa_audit.vulnscan import (
     SOURCE_EXTENSIONS,
@@ -30,7 +31,6 @@ from slsa_audit.vulnscan import (
     match_advisories,
     parse_manifest,
     parse_version,
-    tree_files,
 )
 
 LODASH_OSV = {
