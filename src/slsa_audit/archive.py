@@ -292,11 +292,10 @@ def extract_bytes(
             raw = sevenz.read_7z(data, max_output=cap)
         except sevenz.SevenZipEncryptedError as exc:
             raise EncryptedArchiveError(str(exc)) from exc
+        except sevenz.SevenZipLimitError as exc:
+            raise DecompressionBombError(str(exc)) from exc
         except sevenz.SevenZipError as exc:
-            message = str(exc)
-            if "limit" in message or "exceeds" in message:
-                raise DecompressionBombError(message) from exc
-            raise ExtractionError(message) from exc
+            raise ExtractionError(str(exc)) from exc
         return [ArchiveEntry(path=_safe_entry_path(p), data=d) for p, d in raw]
     if fmt is ArchiveFormat.TAR:
         return _extract_tar(data, cap)

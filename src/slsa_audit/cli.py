@@ -13,7 +13,7 @@ from pathlib import Path
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
-from slsa_audit.model import AttackVector, AuditError, ConfigError, EmptyInputError, Severity
+from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
 
@@ -38,6 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--filter-serverless", action="store_true",
                    help="keep only components passing the serverless filter")
+    p.set_defaults(run=_cmd_ingest)
 
     p = sub.add_parser("vulnscan", help="match package inventories against an advisory DB")
     p.add_argument("--corpus", required=True)
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-format", nargs=2, metavar=("FMT_A", "FMT_B"),
                    default=["trivy-json", "grype-json"],
                    choices=["trivy-json", "grype-json"])
-    p.set_defaults(**_SCAN_ALL_DEFAULTS)
+    p.set_defaults(run=_cmd_vulnscan, **_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("archive", help="archive scanning and the injection harness")
     archive_sub = p.add_subparsers(dest="archive_command", required=True)
@@ -59,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="nested-archive recursion depth (default: archive.recursion_depth)")
     scan_p.add_argument("--signatures",
                         help="JSON-lines signature DB (default: archive.signature_db)")
+    scan_p.set_defaults(run=_cmd_archive_scan)
     inject_p = archive_sub.add_parser("inject", help="pack a tree with a payload (test harness)")
     inject_p.add_argument("tree")
     inject_p.add_argument("payload")
@@ -68,13 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     inject_p.add_argument("--dest-path", help="payload path inside the archive")
     inject_p.add_argument("--i-am-testing", action="store_true",
                           help="required acknowledgement that this builds test samples")
+    inject_p.set_defaults(run=_cmd_archive_inject)
 
     p = sub.add_parser("docker", help="lint docker run commands")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus")
     group.add_argument("--cmd", help="one docker run command, or '-' to read commands from stdin")
     p.add_argument("--rules", help="JSON rules override file")
-    p.set_defaults(**_SCAN_ALL_DEFAULTS)
+    p.set_defaults(run=_cmd_docker, **_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("iac", help="classify and lint IaC templates")
     group = p.add_mutually_exclusive_group(required=True)
@@ -82,28 +85,30 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--paths", nargs="+", help="explicit template files")
     p.add_argument("--catalog", help="JSON rule catalog")
     p.add_argument("--histogram", action="store_true", help="print per-framework severity counts")
-    p.set_defaults(**_SCAN_ALL_DEFAULTS)
+    p.set_defaults(run=_cmd_iac, **_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("typosquat", help="find suspiciously similar names")
     p.add_argument("--corpus", required=True)
     p.add_argument("--max-distance", type=int, help="default: typosquat.max_distance")
     p.add_argument("--kind", choices=["username", "image"], help="restrict to one name kind")
     p.add_argument("--include-aws-sar", action="store_true")
+    p.set_defaults(run=_cmd_typosquat)
 
     p = sub.add_parser("scan-all", help="run every enabled vector over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--db", help="advisory database directory")
     p.add_argument("--filter-serverless", action="store_true")
     p.add_argument("--run-meta", help="write run metadata JSON to this file")
-    p.set_defaults(**_SCAN_ALL_DEFAULTS)
+    p.set_defaults(run=_cmd_scan_all, **_SCAN_ALL_DEFAULTS)
 
     p = sub.add_parser("demo", help="materialize the bundled demo corpus")
     p.add_argument("--dest", required=True)
+    p.set_defaults(run=_cmd_demo)
 
     return parser
 
 
-def _cmd_ingest(args, config) -> int:
+def _cmd_ingest(args, config, fail_on: Severity | None) -> int:
     result = load_corpus(args.root)
     entries = result.entries
     if args.filter_serverless:
@@ -119,7 +124,8 @@ def _cmd_ingest(args, config) -> int:
     return 0
 
 
-def _cmd_vulnscan(args, config, output: str, fail_on: Severity | None) -> int:
+def _cmd_vulnscan(args, config, fail_on: Severity | None) -> int:
+    config = replace(config, fp_filter=args.fp_filter or config.fp_filter)
     if args.compare:
         fmt_a, fmt_b = args.compare_format
         sets_a = vulnscan.import_external_scan(args.compare[0], fmt_a)
@@ -131,27 +137,26 @@ def _cmd_vulnscan(args, config, output: str, fail_on: Severity | None) -> int:
             print(f"{component}: jaccard {similarity:.3f} "
                   f"({len(sets_a.get(component, set()))} vs {len(sets_b.get(component, set()))})")
         return 0
-    config = replace(
-        config,
-        enabled_vectors=frozenset({AttackVector.V1}),
-        fp_filter=args.fp_filter or config.fp_filter,
+    return _cmd_scan_all(args, replace(config, enabled_vectors=frozenset({AttackVector.V1})), fail_on)
+
+
+def _cmd_archive_inject(args, config, fail_on: Severity | None) -> int:
+    if not args.i_am_testing:
+        print("refusing to build an injection sample without --i-am-testing", file=sys.stderr)
+        return 2
+    blob = archive.inject_and_pack(
+        args.tree, args.payload, archive.ArchiveFormat(args.format), args.dest_path
     )
-    return _cmd_scan_all(args, config, output, fail_on)
+    Path(args.output_file).write_bytes(blob)
+    print(f"wrote {len(blob)} bytes to {args.output_file}", file=sys.stderr)
+    return 0
 
 
-def _cmd_archive(args, config, fail_on: Severity | None) -> int:
-    if args.archive_command == "inject":
-        if not args.i_am_testing:
-            print("refusing to build an injection sample without --i-am-testing", file=sys.stderr)
-            return 2
-        blob = archive.inject_and_pack(
-            args.tree, args.payload, archive.ArchiveFormat(args.format), args.dest_path
-        )
-        Path(args.output_file).write_bytes(blob)
-        print(f"wrote {len(blob)} bytes to {args.output_file}", file=sys.stderr)
-        return 0
-    signatures = archive.load_signatures(args.signatures) if args.signatures else config.signatures
-    depth = config.recursion_depth if args.depth is None else args.depth
+def _cmd_archive_scan(args, config, fail_on: Severity | None) -> int:
+    if args.signatures:
+        config = replace(config, signatures=tuple(archive.load_signatures(args.signatures)))
+    if args.depth is not None:
+        config = replace(config, recursion_depth=args.depth)
     # Reported with the verdict and severity scan-all gives the archive.
     try:
         entries = archive.extract(args.file, limits=config.extraction_limits)
@@ -162,7 +167,9 @@ def _cmd_archive(args, config, fail_on: Severity | None) -> int:
         print(f"encrypted: {exc}")
         return 1 if fail_on is not None and Severity.MEDIUM.at_least(fail_on) else 0
     notices: list[str] = []
-    matches = archive.scan_entries(entries, signatures, depth, config.extraction_limits, notices)
+    matches = archive.scan_entries(
+        entries, config.signatures, config.recursion_depth, config.extraction_limits, notices
+    )
     for match in matches:
         print(f"match: {match.signature_id} at {match.entry_path}")
     print(f"{len(entries)} entries, {len(matches)} matches", file=sys.stderr)
@@ -170,37 +177,40 @@ def _cmd_archive(args, config, fail_on: Severity | None) -> int:
     return 1 if matches and fail_on is not None else 0
 
 
-def _cmd_docker(args, config, output: str, fail_on: Severity | None) -> int:
-    rules, key_config = config.docker_rules, config.sensitive_keys
+def _cmd_docker(args, config, fail_on: Severity | None) -> int:
     if args.rules:
-        rules, key_config = dockerlint.load_rules_file(args.rules)
+        docker_rules, sensitive_keys = dockerlint.load_rules_file(args.rules)
+        config = replace(config, docker_rules=docker_rules, sensitive_keys=sensitive_keys)
     if args.corpus:
-        config = replace(config, enabled_vectors=frozenset({AttackVector.V3}),
-                         docker_rules=rules, sensitive_keys=key_config)
-        return _cmd_scan_all(args, config, output, fail_on)
+        return _cmd_scan_all(
+            args, replace(config, enabled_vectors=frozenset({AttackVector.V3})), fail_on
+        )
     notices: list[str] = []
     text = sys.stdin.read() if args.cmd == "-" else args.cmd
     findings = dockerlint.lint_commands_text(
-        text, source_name="cmdline", rules=rules, key_config=key_config, notices=notices
+        text, source_name="cmdline", rules=config.docker_rules,
+        key_config=config.sensitive_keys, notices=notices,
     )
     report = aggregate(findings, "cmdline")
-    sys.stdout.buffer.write(emit(report, output))
+    sys.stdout.buffer.write(emit(report, args.output))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
 
 
-def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
-    catalog = tuple(iaclint.load_catalog(args.catalog)) if args.catalog else config.iac_catalog
+def _cmd_iac(args, config, fail_on: Severity | None) -> int:
+    if args.catalog:
+        config = replace(config, iac_catalog=iaclint.load_catalog(args.catalog))
     if args.corpus:
-        config = replace(config, enabled_vectors=frozenset({AttackVector.V4}), iac_catalog=catalog)
-        return _cmd_scan_all(args, config, output, fail_on)
+        return _cmd_scan_all(
+            args, replace(config, enabled_vectors=frozenset({AttackVector.V4})), fail_on
+        )
     notices: list[str] = []
     tagged: list[tuple[iaclint.IaCFramework, object]] = []
     for path in args.paths:
         try:
             framework, findings = iaclint.lint_template(
                 path, Path(path).read_text(encoding="utf-8"),
-                catalog=catalog, notices=notices,
+                catalog=config.iac_catalog, notices=notices,
                 cors_substrings=config.cors_substrings,
             )
         except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
@@ -211,33 +221,32 @@ def _cmd_iac(args, config, output: str, fail_on: Severity | None) -> int:
             continue
         tagged.extend((framework, f) for f in findings)
     report = aggregate((f for _, f in tagged), "paths")
-    sys.stdout.buffer.write(emit(report, output))
+    sys.stdout.buffer.write(emit(report, args.output))
     if args.histogram:
         _print_histogram(iaclint.severity_histogram(tagged))
     _print_notices(notices)
     return exit_code_for(report, fail_on)
 
 
-def _cmd_typosquat(args, config) -> int:
+def _cmd_typosquat(args, config, fail_on: Severity | None) -> int:
+    if args.max_distance is not None:
+        config = replace(config, typosquat_max_distance=args.max_distance)
+    config = replace(config, include_aws_sar=args.include_aws_sar or config.include_aws_sar)
     result = load_corpus(args.corpus)
     records = typosquat.build_name_records(
-        (e.ref for e in result.entries),
-        include_aws_sar=args.include_aws_sar or config.include_aws_sar,
+        (e.ref for e in result.entries), include_aws_sar=config.include_aws_sar
     )
     if args.kind:
         kind = typosquat.NameKind.USERNAME if args.kind == "username" else typosquat.NameKind.IMAGE_NAME
         records = [r for r in records if r.kind is kind]
-    max_distance = config.typosquat_max_distance if args.max_distance is None else args.max_distance
-    if max_distance < 1:
-        raise ConfigError(f"--max-distance must be >= 1, got {max_distance}")
-    scan = typosquat.find_near_pairs(records, max_distance)
+    scan = typosquat.find_near_pairs(records, config.typosquat_max_distance)
     for pair in scan.pairs:
         print(f"d={pair.distance} [{pair.a.kind.value}] {pair.a.name!r} ({pair.a.owner.slug}) "
               f"~ {pair.b.name!r} ({pair.b.owner.slug})")
     for pair in scan.collisions:
         print(f"d=0 [collision] {pair.a.name!r}: {pair.a.owner.slug} vs {pair.b.owner.slug}")
     try:
-        cdf = typosquat.distance_cdf(records, max_distance)
+        cdf = typosquat.distance_cdf(records, config.typosquat_max_distance)
     except EmptyInputError:
         cdf = []
     if cdf:
@@ -249,12 +258,12 @@ def _cmd_typosquat(args, config) -> int:
     return 0
 
 
-def _cmd_scan_all(args, config, output: str, fail_on: Severity | None) -> int:
+def _cmd_scan_all(args, config, fail_on: Severity | None) -> int:
     db_notices: list[str] = []
     db = vulnscan.load_advisory_db(args.db, db_notices) if args.db else []
     run = scan_corpus(args.corpus, config, db, filter_serverless=args.filter_serverless)
     run.notices = db_notices + run.notices
-    sys.stdout.buffer.write(emit(run.report, output))
+    sys.stdout.buffer.write(emit(run.report, args.output))
     if args.run_meta:
         Path(args.run_meta).write_text(
             json.dumps(run.meta_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -265,7 +274,7 @@ def _cmd_scan_all(args, config, output: str, fail_on: Severity | None) -> int:
     return exit_code_for(run.report, fail_on)
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args, config, fail_on: Severity | None) -> int:
     from slsa_audit.demo import build_demo_corpus, build_demo_db
 
     dest = Path(args.dest)
@@ -290,37 +299,16 @@ def _print_notices(notices: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config_notices: list[str] = []
         config = load_config(args.config, config_notices)
         _print_notices(config_notices)
         fail_on = Severity(args.fail_on) if args.fail_on else None
-        if args.command == "ingest":
-            return _cmd_ingest(args, config)
-        if args.command == "vulnscan":
-            return _cmd_vulnscan(args, config, args.output, fail_on)
-        if args.command == "archive":
-            return _cmd_archive(args, config, fail_on)
-        if args.command == "docker":
-            return _cmd_docker(args, config, args.output, fail_on)
-        if args.command == "iac":
-            return _cmd_iac(args, config, args.output, fail_on)
-        if args.command == "typosquat":
-            return _cmd_typosquat(args, config)
-        if args.command == "scan-all":
-            return _cmd_scan_all(args, config, args.output, fail_on)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        parser.error(f"unknown command {args.command!r}")
-    except AuditError as exc:
+        return args.run(args, config, fail_on)
+    except (AuditError, OSError) as exc:  # OSError: a path that is missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

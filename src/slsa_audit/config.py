@@ -1,18 +1,25 @@
 """Runtime configuration: every analyzer knob in one JSON-loadable object.
 
 Resolution order for the CLI: --config flag, then the SLSA_AUDIT_CONFIG
-environment variable, then built-in defaults.
+environment variable, then built-in defaults. A subcommand flag then
+overrides its setting by replacing it in the loaded AuditConfig, so a flag
+and a config key are checked by the same code.
 """
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from slsa_audit import dockerlint, iaclint, vulnscan
 from slsa_audit.archive import BUILTIN_SIGNATURES, ExtractionLimits, Signature, load_signatures
-from slsa_audit.model import DEFAULT_CDF_THRESHOLDS, AttackVector, ConfigError, list_setting
+from slsa_audit.model import (
+    DEFAULT_CDF_THRESHOLDS,
+    AttackVector,
+    ConfigError,
+    list_setting,
+    read_settings_file,
+)
 
 
 CONFIG_ENV_VAR = "SLSA_AUDIT_CONFIG"
@@ -39,6 +46,13 @@ class AuditConfig:
     include_aws_sar: bool = False
     # reporting
     cdf_thresholds: tuple[int, ...] = DEFAULT_CDF_THRESHOLDS
+
+    def __post_init__(self) -> None:
+        # The near-name search refuses it too; this names the setting before any scan.
+        if not self.typosquat_max_distance >= 1:
+            raise ConfigError(
+                f"typosquat.max_distance must be >= 1, got {self.typosquat_max_distance}"
+            )
 
 
 # The keys load_config reads in each section; "enabled_vectors" is the one top-level setting.
@@ -78,12 +92,7 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
         if not env_path:
             return AuditConfig()
         path = env_path
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_settings_file(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     for section in _SECTION_KEYS:
@@ -91,67 +100,35 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
             raise ConfigError(f"{path}: section {section!r} must be a JSON object")
     if notices is not None:
         notices.extend(f"{path}: unknown config key {key!r} ignored" for key in _unknown_keys(doc))
-    config = AuditConfig()
+    default = AuditConfig()
+    limits = default.extraction_limits
+    vuln, arch, docker, iac, squat, report = (
+        doc.get(s, {}) for s in ("vulnscan", "archive", "dockerlint", "iaclint", "typosquat", "report")
+    )
     try:
-        if "enabled_vectors" in doc:
-            config = replace(
-                config,
-                enabled_vectors=frozenset(AttackVector(v) for v in doc["enabled_vectors"]),
-            )
-        vuln = doc.get("vulnscan", {})
-        config = replace(
-            config,
-            source_extensions=list_setting(vuln, "source_extensions", config.source_extensions),
-        )
-        if "fp_filter" in vuln:
-            config = replace(config, fp_filter=bool(vuln["fp_filter"]))
-        arch = doc.get("archive", {})
-        limits = config.extraction_limits
-        config = replace(
-            config,
+        return AuditConfig(
+            enabled_vectors=frozenset(
+                AttackVector(v) for v in doc.get("enabled_vectors", default.enabled_vectors)
+            ),
+            source_extensions=list_setting(vuln, "source_extensions", default.source_extensions),
+            fp_filter=bool(vuln.get("fp_filter", default.fp_filter)),
             extraction_limits=ExtractionLimits(
-                max_expansion_ratio=float(
-                    arch.get("max_expansion_ratio", limits.max_expansion_ratio)
-                ),
+                max_expansion_ratio=float(arch.get("max_expansion_ratio", limits.max_expansion_ratio)),
                 max_total_bytes=int(arch.get("max_total_bytes", limits.max_total_bytes)),
             ),
-            recursion_depth=int(arch.get("recursion_depth", config.recursion_depth)),
+            recursion_depth=int(arch.get("recursion_depth", default.recursion_depth)),
+            signatures=(
+                tuple(load_signatures(arch["signature_db"]))
+                if "signature_db" in arch else default.signatures
+            ),
+            sensitive_keys=dockerlint.parse_key_config(docker),
+            iac_catalog=iaclint.load_catalog(iac["catalog"]) if "catalog" in iac else default.iac_catalog,
+            cors_substrings=list_setting(iac, "cors_substrings", default.cors_substrings),
+            typosquat_max_distance=int(squat.get("max_distance", default.typosquat_max_distance)),
+            include_aws_sar=bool(squat.get("include_aws_sar", default.include_aws_sar)),
+            cdf_thresholds=tuple(
+                int(t) for t in list_setting(report, "cdf_thresholds", default.cdf_thresholds)
+            ),
         )
-        if "signature_db" in arch:
-            config = replace(config, signatures=tuple(load_signatures(arch["signature_db"])))
-        docker = doc.get("dockerlint", {})
-        if docker:
-            key_config = dockerlint.SensitiveKeyConfig(
-                patterns=list_setting(
-                    docker, "sensitive_key_patterns", config.sensitive_keys.patterns
-                ),
-                exact=list_setting(docker, "sensitive_keys_exact", config.sensitive_keys.exact),
-                min_value_length=int(
-                    docker.get("min_value_length", config.sensitive_keys.min_value_length)
-                ),
-                entropy_threshold=float(
-                    docker.get("entropy_threshold", config.sensitive_keys.entropy_threshold)
-                ),
-            )
-            config = replace(config, sensitive_keys=key_config)
-        iac = doc.get("iaclint", {})
-        if "catalog" in iac:
-            config = replace(config, iac_catalog=tuple(iaclint.load_catalog(iac["catalog"])))
-        config = replace(
-            config, cors_substrings=list_setting(iac, "cors_substrings", config.cors_substrings)
-        )
-        squat = doc.get("typosquat", {})
-        config = replace(
-            config,
-            typosquat_max_distance=int(squat.get("max_distance", config.typosquat_max_distance)),
-            include_aws_sar=bool(squat.get("include_aws_sar", config.include_aws_sar)),
-        )
-        if config.typosquat_max_distance < 1:
-            raise ValueError(
-                f"typosquat.max_distance must be >= 1, got {config.typosquat_max_distance}"
-            )
-        thresholds = list_setting(doc.get("report", {}), "cdf_thresholds", config.cdf_thresholds)
-        config = replace(config, cdf_thresholds=tuple(int(t) for t in thresholds))
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad config value: {exc}") from exc
-    return config

@@ -7,7 +7,6 @@ sensitive environment variables, and hard-coded credentials.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 import shlex
@@ -23,6 +22,7 @@ from slsa_audit.model import (
     Repository,
     Severity,
     list_setting,
+    read_settings_file,
 )
 
 
@@ -451,14 +451,23 @@ def lint_commands_text(
     return findings
 
 
+def parse_key_config(section: dict) -> SensitiveKeyConfig:
+    """The sensitive-key settings of a config section or rules file; unset keys keep defaults."""
+    return SensitiveKeyConfig(
+        patterns=list_setting(section, "sensitive_key_patterns", SENSITIVE_KEY_PATTERNS),
+        exact=list_setting(section, "sensitive_keys_exact", SENSITIVE_KEYS_EXACT),
+        min_value_length=int(section.get("min_value_length", MIN_CREDENTIAL_LENGTH)),
+        entropy_threshold=float(section.get("entropy_threshold", ENTROPY_THRESHOLD_BITS)),
+    )
+
+
 def load_rules_file(path: str) -> tuple[dict[ParamClass, SensitiveParamRule], SensitiveKeyConfig]:
     """Load rule overrides: per-class severity/enabled plus key settings.
 
     Malformed content raises ConfigError.
     """
+    doc = read_settings_file(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
         rules = dict(DEFAULT_RULES)
         for name, override in (doc.get("classes") or {}).items():
             param_class = ParamClass(name)
@@ -473,12 +482,7 @@ def load_rules_file(path: str) -> tuple[dict[ParamClass, SensitiveParamRule], Se
                 description=override.get("description", base.description),
                 remediation=override.get("remediation", base.remediation),
             )
-        key_config = SensitiveKeyConfig(
-            patterns=list_setting(doc, "sensitive_key_patterns", SENSITIVE_KEY_PATTERNS),
-            exact=list_setting(doc, "sensitive_keys_exact", SENSITIVE_KEYS_EXACT),
-            min_value_length=int(doc.get("min_value_length", MIN_CREDENTIAL_LENGTH)),
-            entropy_threshold=float(doc.get("entropy_threshold", ENTROPY_THRESHOLD_BITS)),
-        )
+        key_config = parse_key_config(doc)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path}: bad rules file: {exc}") from exc
     return rules, key_config

@@ -6,7 +6,6 @@ catalog plus the dedicated wildcard-CORS check.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +23,7 @@ from slsa_audit.model import (
     Repository,
     Severity,
     list_setting,
+    read_settings_file,
 )
 from slsa_audit.tfparse import TerraformParseError, Undetermined, parse_terraform
 
@@ -536,14 +536,14 @@ DEFAULT_CATALOG: tuple[MisconfigRule, ...] = (
 )
 
 
-def load_catalog(path: str | Path) -> list[MisconfigRule]:
+def load_catalog(path: str | Path) -> tuple[MisconfigRule, ...]:
     """Load a JSON rule catalog: a list of rule objects with per-framework
     matchers ({framework: {resource_types, predicate}}).
 
     Malformed content raises ConfigError.
     """
+    doc = read_settings_file(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         rules: list[MisconfigRule] = []
         seen: set[str] = set()
         for entry in doc:
@@ -571,7 +571,7 @@ def load_catalog(path: str | Path) -> list[MisconfigRule]:
             )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path}: bad rule catalog: {exc}") from exc
-    return rules
+    return tuple(rules)
 
 
 _FALLBACK_COMPONENT = ComponentRef(Repository.LOCAL_CORPUS, "adhoc", "template")

@@ -151,6 +151,9 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
         rel = str(manifest.relative_to(root_path))
         try:
             ref, metadata = parse_manifest(rel, manifest.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            result.errors.append(ManifestParseError(rel, f"not UTF-8: {exc}"))
+            continue
         except ManifestParseError as exc:
             result.errors.append(exc)
             continue

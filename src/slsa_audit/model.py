@@ -5,10 +5,12 @@ attack vectors; the report layer folds them into a :class:`ScanReport`.
 """
 from __future__ import annotations
 
+import json
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 
@@ -26,6 +28,19 @@ class ScoreRangeError(AuditError, ValueError):
 
 class ConfigError(AuditError, ValueError):
     """A config, rules, catalog or signature file is missing or malformed."""
+
+
+def read_settings_file(path: str | Path) -> object:
+    """The JSON document of a config, rules or catalog file.
+
+    A file that cannot be read, is not UTF-8 or is not JSON raises ConfigError naming it.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
+        raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
 
 
 def list_setting(section: dict, key: str, default: tuple | None = None) -> tuple:

@@ -55,6 +55,10 @@ class SevenZipEncryptedError(SevenZipError):
     """Archive content or header is AES-encrypted."""
 
 
+class SevenZipLimitError(SevenZipError):
+    """Decompressed content is declared or inflates past the output cap."""
+
+
 def _read_number(buf: io.BytesIO) -> int:
     head = buf.read(1)
     if not head:
@@ -310,7 +314,7 @@ def _decode_folder(folder: _Folder, packed: bytes, max_output: int | None) -> by
                 break
             out += chunk
             if max_output is not None and len(out) > max_output:
-                raise SevenZipError("7z output exceeds configured limit")
+                raise SevenZipLimitError("7z output exceeds configured limit")
     except lzma.LZMAError as exc:
         raise SevenZipError(f"corrupt 7z stream: {exc}") from exc
     if len(out) < folder.unpack_size:
@@ -405,7 +409,7 @@ def read_7z(data: bytes, max_output: int | None = None) -> list[tuple[str, bytes
             raise SevenZipError(f"unsupported header section {prop:#x}")
     declared = sum(f.unpack_size for f in streams.folders)
     if max_output is not None and declared > max_output:
-        raise SevenZipError(f"declared 7z content ({declared} bytes) exceeds limit")
+        raise SevenZipLimitError(f"declared 7z content ({declared} bytes) exceeds limit")
     # Decode folders sequentially; each consumes one packed stream.
     substreams: list[bytes] = []
     crcs: list[int | None] = []

@@ -375,13 +375,35 @@ def parse_manifest(
     return inventory
 
 
-def _parse_package_json(path: str, contents: str, inv: PackageInventory, notices) -> None:
+def _npm_document(path: str, contents: str) -> dict:
+    """The JSON object an npm manifest holds; an empty file reads as {}."""
     try:
         doc = json.loads(contents) if contents.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, nesting too deep
+        raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: the document is not a JSON object")
+    return doc
+
+
+def _json_object(path: str, value, what: str, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ManifestError(f"{path}: {what} {key!r} is not a JSON object")
+    return value
+
+
+def _npm_version(path: str, meta, what: str, key: str) -> str | None:
+    """The version of one lockfile entry, which must be a JSON object."""
+    version = _json_object(path, meta, what, key).get("version")
+    if version is not None and not isinstance(version, str):
+        raise ManifestError(f"{path}: version of {what} {key!r} is not a string")
+    return version
+
+
+def _parse_package_json(path: str, contents: str, inv: PackageInventory, notices) -> None:
+    doc = _npm_document(path, contents)
     for section in ("dependencies", "devDependencies", "optionalDependencies"):
-        for name, spec in (doc.get(section) or {}).items():
+        for name, spec in _json_object(path, doc.get(section) or {}, "section", section).items():
             version = _min_satisfying_npm(str(spec))
             if version is None:
                 if notices is not None:
@@ -391,27 +413,24 @@ def _parse_package_json(path: str, contents: str, inv: PackageInventory, notices
 
 
 def _parse_package_lock(path: str, contents: str, inv: PackageInventory) -> None:
-    try:
-        doc = json.loads(contents) if contents.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    doc = _npm_document(path, contents)
     # Lockfile v2/v3 layout.
-    for pkg_path, meta in (doc.get("packages") or {}).items():
+    for pkg_path, meta in _json_object(path, doc.get("packages") or {}, "section", "packages").items():
         if not pkg_path:
             continue
         name = pkg_path.rsplit("node_modules/", 1)[-1]
-        version = meta.get("version")
+        version = _npm_version(path, meta, "packages entry", pkg_path)
         if name and version:
             inv.add(name, version, Ecosystem.NPM, path)
     # Lockfile v1 layout (possibly alongside v2 keys).
     def walk(deps: dict) -> None:
         for name, meta in deps.items():
-            version = meta.get("version")
+            version = _npm_version(path, meta, "dependencies entry", name)
             if version:
                 inv.add(name, version, Ecosystem.NPM, path)
-            walk(meta.get("dependencies") or {})
+            walk(_json_object(path, meta.get("dependencies") or {}, "dependencies of", name))
 
-    walk(doc.get("dependencies") or {})
+    walk(_json_object(path, doc.get("dependencies") or {}, "section", "dependencies"))
 
 
 _REQUIREMENT_RE = re.compile(

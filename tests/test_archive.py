@@ -222,12 +222,11 @@ def _sevenz_archive(body: bytes, header: bytes) -> bytes:
     return sevenz.MAGIC + bytes([0, 4]) + start_crc + start + body + header
 
 
-def test_sevenz_encoded_header():
-    # Mainstream 7z writers LZMA-compress their headers; rebuild one of our
-    # plain-header archives into that layout and read it back.
+def _sevenz_with_encoded_header(entries: list[tuple[str, bytes]]) -> bytes:
+    """A 7z archive of entries whose header is LZMA2-compressed, as mainstream
+    7z writers do, rebuilt from one of our plain-header archives."""
     import lzma
 
-    entries = [("a.txt", b"alpha"), ("b/c.txt", b"beta"), ("empty", b"")]
     plain = sevenz.write_7z(entries)
     next_offset = int.from_bytes(plain[12:20], "little")
     next_size = int.from_bytes(plain[20:28], "little")
@@ -261,8 +260,30 @@ def test_sevenz_encoded_header():
     encoded += sevenz._write_number(sevenz._K_END)
     encoded += sevenz._write_number(sevenz._K_END)
 
-    blob = _sevenz_archive(packed_area + packed_header, bytes(encoded))
-    assert sevenz.read_7z(blob) == entries
+    return _sevenz_archive(packed_area + packed_header, bytes(encoded))
+
+
+def test_sevenz_encoded_header():
+    entries = [("a.txt", b"alpha"), ("b/c.txt", b"beta"), ("empty", b"")]
+    assert sevenz.read_7z(_sevenz_with_encoded_header(entries)) == entries
+
+
+def test_sevenz_declared_size_past_the_cap_is_a_bomb():
+    blob = sevenz.write_7z([("zeros.bin", bytes(4096))])
+    with pytest.raises(sevenz.SevenZipLimitError, match="declared 7z content"):
+        sevenz.read_7z(blob, max_output=1024)
+    with pytest.raises(DecompressionBombError, match="declared 7z content"):
+        extract_bytes(blob, ArchiveFormat.SEVENZ, ExtractionLimits(max_total_bytes=1024))
+
+
+def test_sevenz_stream_inflating_past_the_cap_is_a_bomb():
+    # The encoded header is decoded before any declared size is known, so
+    # only the cap inside the decoding loop bounds it.
+    blob = _sevenz_with_encoded_header([("a.txt", b"alpha"), ("b/c.txt", b"beta")])
+    with pytest.raises(sevenz.SevenZipLimitError, match="7z output exceeds"):
+        sevenz.read_7z(blob, max_output=8)
+    with pytest.raises(DecompressionBombError, match="7z output exceeds"):
+        extract_bytes(blob, ArchiveFormat.SEVENZ, ExtractionLimits(max_total_bytes=8))
 
 
 def test_mutated_sevenz_headers_raise_only_archive_errors():

@@ -124,11 +124,11 @@ def test_vulnscan_compare(tmp_path, capsys):
     assert "jaccard 0.333" in out
 
 
-def _corpus_with_bad_component(corpus, tmp_path):
+def _corpus_with_bad_component(corpus, tmp_path, manifest=b"repository=dockerhub\nname=c\n"):
     broken_corpus = shutil.copytree(corpus, tmp_path / corpus.name)
     bad = broken_corpus / "bad__c"
     bad.mkdir()
-    (bad / "component.meta").write_text("repository=dockerhub\nname=c\n")  # publisher missing
+    (bad / "component.meta").write_bytes(manifest)  # by default, publisher missing
     return broken_corpus
 
 
@@ -201,7 +201,7 @@ def test_max_distance_below_one_exits_2(demo, tmp_path, capsys, config, command)
         argv = ["--config", str(config_path), *argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "max" in err and ">= 1" in err, err
+    assert err.startswith("error: ") and "typosquat.max_distance must be >= 1, got " in err, err
 
 
 @pytest.mark.parametrize("key", ["max_expansion_ratio", "max_total_bytes"])
@@ -232,6 +232,23 @@ def test_corpus_commands_report_load_errors(demo, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == clean.out
     assert BAD_COMPONENT_NOTICE in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "--root"],
+    ["--output", "json", "scan-all", "--corpus"],
+], ids=["ingest", "scan-all"])
+def test_non_utf8_manifest_is_a_load_error(demo, tmp_path, capsys, command):
+    corpus, _ = demo
+    assert main([*command, str(corpus)]) == 0
+    clean = capsys.readouterr()
+    broken_corpus = _corpus_with_bad_component(
+        corpus, tmp_path, b"repository=dockerhub\npublisher=b\nname=b\xff\n"
+    )
+    assert main([*command, str(broken_corpus)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    assert "bad__c/component.meta: not UTF-8: " in captured.err
 
 
 def test_iac_over_corpus(demo, capsys):
@@ -451,3 +468,73 @@ def test_malformed_rules_file_exits_2(demo, tmp_path, capsys, monkeypatch, comma
     assert main([*command, str(rules)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {rules}"), err
+
+
+@pytest.mark.parametrize("command", [["iac", "--paths"], ["archive", "scan"]], ids=["iac", "archive"])
+def test_directory_for_a_file_exits_2(tmp_path, capsys, command):
+    assert main([*command, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert repr(str(tmp_path)) in captured.err
+
+
+@pytest.mark.parametrize("content", [None, b'{"a": "\xff"}', b"{not json"],
+                         ids=["missing", "not-utf8", "not-json"])
+@pytest.mark.parametrize("command", [
+    ["--config", "settings.json", "docker", "--cmd", "docker run img"],
+    ["iac", "--paths", "t.yaml", "--catalog", "settings.json"],
+    ["docker", "--cmd", "docker run img", "--rules", "settings.json"],
+], ids=["config", "catalog", "rules"])
+def test_unreadable_settings_file_exits_2(tmp_path, capsys, monkeypatch, command, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.yaml").write_text("Resources: {}\n")
+    if content is not None:
+        (tmp_path / "settings.json").write_bytes(content)
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: settings.json: "), captured.err
+    assert captured.err.count("\n") == 1
+
+
+_SIGNATURES = json.dumps({"id": "marker", "kind": "substring", "pattern": "MARKER"})
+_CATALOG = json.dumps([{"rule_id": "X-ENC", "severity": "High", "matchers": {"CloudFormation": {
+    "resource_types": ["AWS::S3::Bucket"], "predicate": {"present": "BucketEncryption"}}}}])
+
+
+@pytest.mark.parametrize("command, flag, setting", [
+    (["archive", "scan", "outer.zip"], ["--depth", "0"], {"archive": {"recursion_depth": 0}}),
+    (["archive", "scan", "outer.zip"], ["--signatures", "sigs.jsonl"],
+     {"archive": {"signature_db": "sigs.jsonl"}}),
+    (["--output", "json", "iac", "--corpus", "corpus"], ["--catalog", "catalog.json"],
+     {"iaclint": {"catalog": "catalog.json"}}),
+    (["typosquat", "--corpus", "corpus"], ["--max-distance", "2"],
+     {"typosquat": {"max_distance": 2}}),
+    (["typosquat", "--corpus", "corpus"], ["--include-aws-sar"],
+     {"typosquat": {"include_aws_sar": True}}),
+    (["--output", "json", "vulnscan", "--corpus", "corpus", "--db", "db"], ["--fp-filter"],
+     {"vulnscan": {"fp_filter": True}}),
+], ids=["depth", "signatures", "catalog", "max-distance", "include-aws-sar", "fp-filter"])
+def test_flag_gives_the_output_of_its_config_key(
+    demo, tmp_path, capsys, monkeypatch, command, flag, setting
+):
+    corpus, db = demo
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").symlink_to(corpus)
+    (tmp_path / "db").symlink_to(db)
+    inner = archive.pack_entries([("eicar.txt", archive.EICAR_TEST_STRING)], archive.ArchiveFormat.ZIP)
+    (tmp_path / "outer.zip").write_bytes(archive.pack_entries(
+        [("top.txt", b"MARKER"), ("inner.zip", inner)], archive.ArchiveFormat.ZIP
+    ))
+    (tmp_path / "sigs.jsonl").write_text(_SIGNATURES)
+    (tmp_path / "catalog.json").write_text(_CATALOG)
+    (tmp_path / "config.json").write_text(json.dumps(setting))
+
+    def output(*argv: str) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    by_flag = output(*command, *flag)
+    assert by_flag == output("--config", "config.json", *command)
+    assert by_flag != output(*command)

@@ -1,6 +1,7 @@
 """Inventory extraction, advisory matching, FP heuristic, Jaccard, imports."""
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -249,6 +250,62 @@ def test_manifest_syntax_error_names_line():
         parse_manifest("os-packages.txt", "good=1.0\nbroken-line\n")
     with pytest.raises(ManifestError, match="line"):
         parse_manifest("package.json", "{not json")
+
+
+_NPM_SEEDS = {
+    "package.json": {
+        "name": "app",
+        "dependencies": {"lodash": "^4.17.11", "left-pad": "1.x"},
+        "devDependencies": {"mocha": "~2.0.0"},
+        "optionalDependencies": {"fsevents": "*"},
+    },
+    "package-lock.json": {
+        "lockfileVersion": 2,
+        "packages": {"": {"name": "app"}, "node_modules/lodash": {"version": "4.17.11"}},
+        "dependencies": {"a": {"version": "1.0.0", "dependencies": {"b": {"version": "2.0.0"}}}},
+    },
+}
+_JSON_VALUES = ([], ["1"], {}, {"version": 3}, {"dependencies": 1}, 5, 1.5, "x", "", None, True)
+_JSON_BYTES = '{}[]":,.-0123456789eE \n'
+
+
+def _json_nodes(doc, path=()):
+    """The path to every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _json_nodes(value, (*path, key))
+
+
+@pytest.mark.parametrize("filename", sorted(_NPM_SEEDS))
+def test_mutated_npm_manifests_raise_only_manifest_errors(filename):
+    rng = random.Random(f"mutate-{filename}")
+    for _ in range(2000):
+        doc = copy.deepcopy(_NPM_SEEDS[filename])
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice(list(_json_nodes(doc)))
+            value = copy.deepcopy(rng.choice(_JSON_VALUES))
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        chars = list(json.dumps(doc))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            chars[rng.randrange(len(chars))] = rng.choice(_JSON_BYTES)
+        try:
+            inventory = parse_manifest(filename, "".join(chars))
+        except ManifestError:
+            continue
+        # A version that is not a string would fail later, in advisory matching.
+        assert all(isinstance(v, str) for r in inventory.records() for v in r.versions)
 
 
 def test_unsupported_kind_notice():
