@@ -362,10 +362,13 @@ def load_signatures(path: str | Path) -> list[Signature]:
     """Load a JSON-lines signature database (one signature per line).
 
     Lines hold {"id", "kind", "description"?} plus "pattern" (UTF-8 text)
-    or "pattern_base64". Malformed content raises ConfigError.
+    or "pattern_base64". A file that cannot be read, or malformed content,
+    raises ConfigError naming the file.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     signatures: list[Signature] = []

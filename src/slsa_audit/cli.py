@@ -5,7 +5,6 @@ Exit codes: 0 clean, 1 findings at/above --fail-on, 2 operational error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +12,7 @@ from pathlib import Path
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
 from slsa_audit.ingest import is_serverless, load_corpus
-from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity
+from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity, dump_json
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
 
@@ -265,9 +264,7 @@ def _cmd_scan_all(args, config, fail_on: Severity | None) -> int:
     run.notices = db_notices + run.notices
     sys.stdout.buffer.write(emit(run.report, args.output))
     if args.run_meta:
-        Path(args.run_meta).write_text(
-            json.dumps(run.meta_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.run_meta).write_text(dump_json(run.meta_dict()) + "\n", encoding="utf-8")
     if args.histogram:
         _print_histogram(run.iac_histogram)
     _print_notices(run.notices)

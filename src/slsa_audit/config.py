@@ -81,6 +81,15 @@ def _unknown_keys(doc: dict) -> list[str]:
     return unknown
 
 
+def _load_named_file(config_path: str | Path, key: str, load, name: object):
+    """``load(name)`` for a setting that names another settings file. Its
+    errors also name the config file and the setting."""
+    try:
+        return load(name)
+    except (ConfigError, TypeError) as exc:  # TypeError: the value is not a path
+        raise ConfigError(f"{config_path}: {key}: {exc}") from exc
+
+
 def load_config(path: str | Path | None = None, notices: list[str] | None = None) -> AuditConfig:
     """Build an AuditConfig from a JSON file (or defaults when absent).
 
@@ -105,6 +114,13 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
     vuln, arch, docker, iac, squat, report = (
         doc.get(s, {}) for s in ("vulnscan", "archive", "dockerlint", "iaclint", "typosquat", "report")
     )
+    signatures, iac_catalog = default.signatures, default.iac_catalog
+    if "signature_db" in arch:
+        signatures = tuple(
+            _load_named_file(path, "archive.signature_db", load_signatures, arch["signature_db"])
+        )
+    if "catalog" in iac:
+        iac_catalog = _load_named_file(path, "iaclint.catalog", iaclint.load_catalog, iac["catalog"])
     try:
         return AuditConfig(
             enabled_vectors=frozenset(
@@ -117,12 +133,9 @@ def load_config(path: str | Path | None = None, notices: list[str] | None = None
                 max_total_bytes=int(arch.get("max_total_bytes", limits.max_total_bytes)),
             ),
             recursion_depth=int(arch.get("recursion_depth", default.recursion_depth)),
-            signatures=(
-                tuple(load_signatures(arch["signature_db"]))
-                if "signature_db" in arch else default.signatures
-            ),
+            signatures=signatures,
             sensitive_keys=dockerlint.parse_key_config(docker),
-            iac_catalog=iaclint.load_catalog(iac["catalog"]) if "catalog" in iac else default.iac_catalog,
+            iac_catalog=iac_catalog,
             cors_substrings=list_setting(iac, "cors_substrings", default.cors_substrings),
             typosquat_max_distance=int(squat.get("max_distance", default.typosquat_max_distance)),
             include_aws_sar=bool(squat.get("include_aws_sar", default.include_aws_sar)),

@@ -11,7 +11,7 @@ from pathlib import Path
 from slsa_audit import archive
 from slsa_audit.archive import ArchiveFormat
 from slsa_audit.ingest import serialize_manifest
-from slsa_audit.model import ComponentRef, Repository
+from slsa_audit.model import ComponentRef, Repository, dump_json
 
 _ADVISORIES = [
     {
@@ -103,7 +103,7 @@ def build_demo_db(dest: str | Path) -> Path:
     db_dir.mkdir(parents=True, exist_ok=True)
     for advisory in _ADVISORIES:
         path = db_dir / f"{advisory['id']}.json"
-        path.write_text(json.dumps(advisory, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(dump_json(advisory) + "\n", encoding="utf-8")
     return db_dir
 
 

@@ -10,6 +10,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,6 +42,54 @@ def read_settings_file(path: str | Path) -> object:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
         raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
+
+
+def dump_json(value: object) -> str:
+    """JSON text indented by two spaces with sorted keys, as json.dumps gives
+    it with ``indent`` 2 and ``sort_keys``.
+
+    json.dumps encodes in pure Python whenever an indent is asked for. This
+    walks the containers itself and hands each string to the C string
+    encoder and every other scalar to json.dumps, dispatching as json's
+    encoder does: dict; list or tuple; str. A dict key that is not a str
+    raises TypeError.
+    """
+    parts: list[str] = []
+    _dump_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _dump_json(value: object, parts: list[str], newline: str) -> None:
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(encode_basestring_ascii(key))
+            parts.append(": ")
+            _dump_json(item, parts, inner)
+            separator = comma
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            parts.append(separator)
+            _dump_json(item, parts, inner)
+            separator = comma
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def list_setting(section: dict, key: str, default: tuple | None = None) -> tuple:
@@ -312,8 +361,9 @@ class ScanReport:
     def recompute(self, cdf_thresholds: Iterable[int] = DEFAULT_CDF_THRESHOLDS) -> None:
         """Derive histogram, stats, and CDF points from findings and counts."""
         hist: dict[Severity, int] = {}
-        for finding in self.all_findings():
-            hist[finding.severity] = hist.get(finding.severity, 0) + 1
+        for findings in self.per_component.values():
+            for finding in findings:
+                hist[finding.severity] = hist.get(finding.severity, 0) + 1
         self.severity_histogram = hist
         if self.vuln_counts:
             counts = list(self.vuln_counts.values())

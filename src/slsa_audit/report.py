@@ -11,6 +11,7 @@ import json
 import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -25,6 +26,7 @@ from slsa_audit.model import (
     Finding,
     ScanReport,
     Severity,
+    dump_json,
 )
 
 
@@ -42,15 +44,26 @@ def aggregate(
     without findings; vuln stats and the CDF are derived from
     ``vuln_counts`` alone.
     """
-    merged = sorted(findings, key=Finding.sort_key)
+    # Findings are grouped by their component's sort key, computed once per
+    # component object. Sorting the keys, then each group by rule and
+    # location, orders findings as Finding.sort_key does, ties in input order.
+    keys: dict[int, tuple] = {}
+    groups: dict[tuple, list[Finding]] = {}
+    for finding in findings:
+        component = finding.component
+        key = keys.get(id(component))
+        if key is None:
+            key = keys[id(component)] = component.sort_key()
+        groups.setdefault(key, []).append(finding)
     seen: set[tuple] = set()
     per_component: dict[ComponentRef, list[Finding]] = {}
-    for finding in merged:
-        key = finding.dedup_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        per_component.setdefault(finding.component, []).append(finding)
+    for key in sorted(groups):
+        for finding in sorted(groups[key], key=attrgetter("rule_id", "location")):
+            dedup = finding.dedup_key()
+            if dedup in seen:
+                continue
+            seen.add(dedup)
+            per_component.setdefault(finding.component, []).append(finding)
     counts = dict(vuln_counts or {})
     for component in (*components, *counts):
         per_component.setdefault(component, [])
@@ -119,11 +132,11 @@ _SARIF_LEVELS = {
 def emit(report: ScanReport, format: str = "json") -> bytes:
     """Render a report as json, table, or sarif-like bytes."""
     if format == "json":
-        return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode()
+        return (dump_json(report_to_dict(report)) + "\n").encode()
     if format == "table":
         return _emit_table(report).encode()
     if format == "sarif-like":
-        return (json.dumps(_emit_sarif(report), indent=2, sort_keys=True) + "\n").encode()
+        return (dump_json(_emit_sarif(report)) + "\n").encode()
     raise ValueError(f"unknown output format {format!r} (expected json, table, or sarif-like)")
 
 
@@ -248,13 +261,21 @@ def scan_vuln(
     config: AuditConfig,
     notices: list[str],
 ) -> tuple[list[Finding], int]:
-    """V1 for one component: inventory, advisory matching, optional FP filter."""
+    """V1 for one component: inventory, advisory matching, optional FP filter.
+
+    Notices about a file read ``<slug>/tree/<file>: ...``; the others
+    ``<slug>: ...``.
+    """
     files = tree_files(entry.tree_path)
-    inventory = vulnscan.extract_inventory(entry.tree_path, files, notices)
+    file_notices: list[str] = []
+    inventory = vulnscan.extract_inventory(entry.tree_path, files, file_notices)
     vulnscan.mark_source_references(
-        inventory, entry.tree_path, files, config.source_extensions, notices
+        inventory, entry.tree_path, files, config.source_extensions, file_notices
     )
-    matches = vulnscan.match_advisories(inventory, db, notices)
+    match_notices: list[str] = []
+    matches = vulnscan.match_advisories(inventory, db, match_notices)
+    notices.extend(f"{entry.ref.slug}/tree/{notice}" for notice in file_notices)
+    notices.extend(f"{entry.ref.slug}: {notice}" for notice in match_notices)
     selected = matches
     if config.fp_filter:
         selected = vulnscan.filter_false_positives(matches).kept

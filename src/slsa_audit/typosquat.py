@@ -48,9 +48,19 @@ def dl_distance(a: str, b: str) -> int:
     programming column, so each character of ``b`` costs a fixed number of
     integer operations on len(a)-bit integers. Bits at and above len(a)
     may hold carries; they never reach the lower bits.
+
+    The common prefix and suffix are stripped first, since a shared affix
+    never changes the OSA distance, so only the differing middle is run.
     """
     if a == b:
         return 0
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_a and start < end_b and a[start] == b[start]:
+        start += 1
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if not a:
         return len(b)
     match: dict[str, int] = {}
@@ -141,12 +151,6 @@ class NearPairScan:
     collisions: list[NearPair] = field(default_factory=list)
 
 
-def _ordered(a: NameRecord, b: NameRecord) -> tuple[NameRecord, NameRecord]:
-    if (a.name, a.owner.sort_key()) <= (b.name, b.owner.sort_key()):
-        return a, b
-    return b, a
-
-
 def find_near_pairs(
     records: Iterable[NameRecord], max_distance: int = 1
 ) -> NearPairScan:
@@ -156,35 +160,52 @@ def find_near_pairs(
     as collisions. Records are grouped by name, and the distinct names of
     each kind go through the symmetric-delete index of `_near_name_pairs`,
     which returns exactly the name pairs that OSA puts within max_distance.
+
+    Both lists come out in `NearPair.sort_key` order, ties in input order.
+    Near pairs are never sorted themselves: each name's records are sorted
+    once into runs of equal owner key, the distinct-name pairs are sorted,
+    and each expands run by run, which is already (first owner, second
+    owner) order. Collisions, far fewer, are sorted on keys computed once
+    per record.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
-    scan = NearPairScan()
-    by_kind: dict[NameKind, list[NameRecord]] = {}
+    by_kind: dict[NameKind, dict[str, list[NameRecord]]] = {}
     for record in records:
-        by_kind.setdefault(record.kind, []).append(record)
-    for kind_records in by_kind.values():
-        by_name: dict[str, list[NameRecord]] = {}
-        for record in kind_records:
-            by_name.setdefault(record.name, []).append(record)
-        names = sorted(by_name)
-        # Identical names count as collisions only across publishers.
-        for name in names:
-            owners = by_name[name]
+        by_kind.setdefault(record.kind, {}).setdefault(record.name, []).append(record)
+    # (distance, kind, name a, name b, runs of a, runs of b): the first four
+    # fields are unique per row, so sorting never compares the runs.
+    rows: list[tuple] = []
+    collisions: list[tuple[tuple, NearPair]] = []
+    for kind, by_name in by_kind.items():
+        for name, owners in by_name.items():
+            keys = [record.owner.sort_key() for record in owners]
+            # Identical names count as collisions only across publishers.
+            publishers = [normalize_name(record.owner.publisher) for record in owners]
             for i in range(len(owners)):
                 for j in range(i + 1, len(owners)):
-                    pub_a = normalize_name(owners[i].owner.publisher)
-                    pub_b = normalize_name(owners[j].owner.publisher)
-                    if pub_a != pub_b:
-                        first, second = _ordered(owners[i], owners[j])
-                        scan.collisions.append(NearPair(first, second, 0))
-        for name_a, name_b, distance in _near_name_pairs(names, max_distance):
-            for rec_a in by_name[name_a]:
-                for rec_b in by_name[name_b]:
-                    first, second = _ordered(rec_a, rec_b)
-                    scan.pairs.append(NearPair(first, second, distance))
-    scan.pairs.sort(key=NearPair.sort_key)
-    scan.collisions.sort(key=NearPair.sort_key)
+                    if publishers[i] != publishers[j]:
+                        first, second = (i, j) if keys[i] <= keys[j] else (j, i)
+                        collisions.append((
+                            (kind.value, name, keys[first], keys[second]),
+                            NearPair(owners[first], owners[second], 0),
+                        ))
+            # The name's records in runs of equal owner key, runs in key order.
+            order = sorted(range(len(owners)), key=keys.__getitem__)
+            by_name[name] = [
+                [owners[i] for i in run]
+                for _, run in itertools.groupby(order, key=keys.__getitem__)
+            ]
+        for name_a, name_b, distance in _near_name_pairs(sorted(by_name), max_distance):
+            rows.append((distance, kind.value, name_a, name_b, by_name[name_a], by_name[name_b]))
+    rows.sort()
+    collisions.sort(key=lambda keyed: keyed[0])
+    scan = NearPairScan(collisions=[pair for _, pair in collisions])
+    for distance, _, _, _, runs_a, runs_b in rows:
+        scan.pairs.extend([
+            NearPair(a, b, distance)
+            for run_a in runs_a for run_b in runs_b for a in run_a for b in run_b
+        ])
     return scan
 
 
@@ -287,6 +308,16 @@ def distance_cdf(
 def findings_from_pairs(scan: NearPairScan) -> list[Finding]:
     """Render near pairs and collisions as findings (anchored on the first
     record of each pair)."""
+    # Each record's part of the evidence, formatted once however many pairs
+    # it is in: (kind and name, name and owner slug).
+    texts: dict[int, tuple[str, str]] = {}
+    for pair in (*scan.pairs, *scan.collisions):
+        for record in (pair.a, pair.b):
+            if id(record) not in texts:
+                texts[id(record)] = (
+                    f"{record.kind.value} {record.name!r}",
+                    f"{record.name!r} ({record.owner.slug})",
+                )
     findings: list[Finding] = []
     for pair in scan.pairs:
         findings.append(
@@ -297,8 +328,8 @@ def findings_from_pairs(scan: NearPairScan) -> list[Finding]:
                 component=pair.a.owner,
                 location="component.meta",
                 evidence=(
-                    f"{pair.a.kind.value} {pair.a.name!r} is within edit distance "
-                    f"{pair.distance} of {pair.b.name!r} ({pair.b.owner.slug})"
+                    f"{texts[id(pair.a)][0]} is within edit distance "
+                    f"{pair.distance} of {texts[id(pair.b)][1]}"
                 ),
                 remediation="review whether the similar name is a squatting attempt",
             )
@@ -311,10 +342,7 @@ def findings_from_pairs(scan: NearPairScan) -> list[Finding]:
                 severity=Severity.MEDIUM,
                 component=pair.a.owner,
                 location="component.meta",
-                evidence=(
-                    f"{pair.a.kind.value} {pair.a.name!r} is also published by "
-                    f"{pair.b.owner.slug}"
-                ),
+                evidence=f"{texts[id(pair.a)][0]} is also published by {pair.b.owner.slug}",
                 remediation="confirm both publishers are legitimate owners of the name",
             )
         )

@@ -371,7 +371,7 @@ def parse_manifest(
         _parse_os_packages(path, contents, inventory)
     else:
         if notices is not None:
-            notices.append(f"skipped unsupported manifest kind: {path}")
+            notices.append(f"{path}: skipped unsupported manifest kind")
     return inventory
 
 
@@ -511,7 +511,10 @@ def _suffix(rel: str) -> str:
 def extract_inventory(
     tree_root: str | Path, files: Iterable[str], notices: list[str] | None = None
 ) -> PackageInventory:
-    """Merge every supported manifest among a tree's files (see ingest.tree_files)."""
+    """Merge every supported manifest among a tree's files (see ingest.tree_files).
+
+    Each notice begins with the tree-relative path of the file it is about.
+    """
     root = str(Path(tree_root))
     inventory = PackageInventory()
     for rel in files:
@@ -558,6 +561,7 @@ def mark_source_references(
     Only files whose extension is in the source set count; metadata files
     never do. Matching requires the package name as a whole token in an
     import-like context, which is stricter than bare substring search.
+    Each notice begins with the tree-relative path of the file it is about.
     """
     root = str(Path(tree_root))
     source_exts = tuple(source_extensions)
@@ -568,13 +572,12 @@ def mark_source_references(
     for rel in files:
         if _suffix(rel).lower() not in source_exts:
             continue
-        path = os.path.join(root, rel)
         try:
-            with open(path, encoding="utf-8", errors="replace") as handle:
+            with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
                 text = handle.read()
         except OSError as exc:
             if notices is not None:
-                notices.append(f"skipped unreadable source file {path}: {exc}")
+                notices.append(f"{rel}: skipped unreadable source file: {exc.strerror or exc}")
             continue
         for key, record in inventory.packages.items():
             # Every import pattern contains the name literally and is

@@ -498,6 +498,29 @@ def test_unreadable_settings_file_exits_2(tmp_path, capsys, monkeypatch, command
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("setting, argv, expected", [
+    ({"archive": {"signature_db": "nope.jsonl"}},
+     ["--config", "config.json", "docker", "--cmd", "docker run img"],
+     "error: config.json: archive.signature_db: nope.jsonl: cannot read: "),
+    ({"iaclint": {"catalog": "nope.json"}},
+     ["--config", "config.json", "docker", "--cmd", "docker run img"],
+     "error: config.json: iaclint.catalog: nope.json: cannot read: "),
+    ({}, ["archive", "scan", "t.zip", "--signatures", "nope.jsonl"],
+     "error: nope.jsonl: cannot read: "),
+], ids=["signature-db", "catalog", "signatures-flag"])
+def test_missing_settings_file_is_named(tmp_path, capsys, monkeypatch, setting, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(setting))
+    (tmp_path / "t.zip").write_bytes(
+        archive.pack_entries([("a.txt", b"text")], archive.ArchiveFormat.ZIP)
+    )
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(expected), captured.err
+    assert captured.err.count("\n") == 1
+
+
 _SIGNATURES = json.dumps({"id": "marker", "kind": "substring", "pattern": "MARKER"})
 _CATALOG = json.dumps([{"rule_id": "X-ENC", "severity": "High", "matchers": {"CloudFormation": {
     "resource_types": ["AWS::S3::Bucket"], "predicate": {"present": "BucketEncryption"}}}}])

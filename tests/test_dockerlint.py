@@ -1,6 +1,7 @@
 """Command splitting, run-command parsing, and sensitive-parameter rules."""
 from __future__ import annotations
 
+import random
 import shlex
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slsa_audit.demo import build_demo_corpus
 from slsa_audit.dockerlint import (
     CommandParseError,
     IncompleteCommandError,
@@ -20,6 +22,7 @@ from slsa_audit.dockerlint import (
     split_commands,
     value_entropy_bits,
 )
+from slsa_audit.model import AuditError
 
 # Shapes observed in real execution instructions: inline credentials,
 # host-env passthrough, and a daemon-socket mount.
@@ -215,3 +218,40 @@ def test_lint_collects_parse_errors_as_notices():
     findings = lint_commands_text("docker run -e X='broken\n", notices=notices)
     assert findings == []
     assert notices and "run_commands.txt#1" in notices[0]
+
+
+_SHELL_BYTES = " \t\n\\'\"$()=:-/@.,;|&#`{}e0"
+
+
+def test_mutated_run_commands_raise_only_audit_errors(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    lines = sorted(
+        line
+        for path in corpus.glob("*/run_commands.txt")
+        for line in path.read_text(encoding="utf-8").splitlines()
+    )
+    assert len(lines) >= 3
+    rng = random.Random("mutate-run-commands")
+    for _ in range(2000):
+        text = "\n".join(rng.sample(lines, rng.randint(1, 3)))
+        tokens = text.split(" ")
+        for _ in range(rng.choice((0, 1, 2))):
+            i = rng.randrange(len(tokens))
+            tokens.insert(rng.randrange(len(tokens) + 1), tokens.pop(i) * rng.randint(0, 2))
+        chars = list(" ".join(tokens))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.random()
+            if op < 0.4:
+                chars.insert(i, rng.choice(_SHELL_BYTES))
+            elif i < len(chars):
+                if op < 0.7:
+                    chars[i] = rng.choice(_SHELL_BYTES)
+                else:
+                    del chars[i]
+        notices: list[str] = []
+        try:
+            findings = lint_commands_text("".join(chars), notices=notices)
+        except AuditError:
+            continue
+        assert all(f.location.startswith("run_commands.txt#") for f in findings)

@@ -1,8 +1,10 @@
 """Severity banding, count statistics, and CDF behaviour."""
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from slsa_audit.model import (
     ScoreRangeError,
     Severity,
     cdf_of_counts,
+    dump_json,
     severity_band,
     summarize_counts,
 )
@@ -156,3 +159,45 @@ def test_component_ref_validation():
         ComponentRef(Repository.GITHUB, "pub", "")
     ref = ComponentRef(Repository.GITHUB, "pub", "name", "1.0")
     assert ComponentRef.from_dict(ref.to_dict()) == ref
+
+
+class _DictSubclass(dict):
+    pass
+
+
+# Escapes, controls, non-ASCII, a character outside the BMP and lone surrogates.
+_JSON_TEXT = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001F600", "\ud800", "\udfff"]),
+), max_size=8)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64), 10**100]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, 1.5e300, math.nan, math.inf, -math.inf]),
+    _JSON_TEXT,
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+        st.dictionaries(_JSON_TEXT, children, max_size=4).map(lambda d: OrderedDict(reversed(d.items()))),
+        st.dictionaries(_JSON_TEXT, children, max_size=4).map(_DictSubclass),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_JSON_DOCS)
+def test_dump_json_equals_stdlib_indent_2(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{1: "x"}, {"a": [{None: 1}]}, {"a": 1, 2.5: 1}])
+def test_dump_json_refuses_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)

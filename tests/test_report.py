@@ -187,3 +187,14 @@ def test_scan_corpus_reports_undecodable_run_commands(tmp_path):
     assert run.notices[0].startswith(f"{refs['bad'].slug}/run_commands.txt: ")
     assert run.report.per_component[refs["bad"]] == []
     assert [f.rule_id for f in run.report.per_component[refs["good"]]] == ["V3-PRIVILEGED"]
+
+
+def test_v1_notices_name_the_component(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    (corpus / "acme__serverless-resizer" / "tree" / "package.json").write_text("[]")
+    run = scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset({AttackVector.V1})), db)
+    assert run.notices == [
+        "acme__serverless-resizer/tree/package.json: the document is not a JSON object",
+        "quayteam__event-gateway: version '1.0.1f' is not semver; using segment fallback",
+    ]

@@ -114,6 +114,29 @@ def test_dl_matches_reference_at_edges(pair):
     assert dl_distance(b, a) == expected
 
 
+@st.composite
+def _affixed_pairs(draw) -> tuple[str, str]:
+    """Two strings sharing a prefix and a suffix around differing middles,
+    sometimes with one adjacent pair swapped across an affix boundary."""
+    text = st.text(alphabet="abc", max_size=6)
+    prefix, suffix = draw(text), draw(text)
+    a = prefix + draw(text) + suffix
+    b = prefix + draw(text) + suffix
+    boundary = draw(st.sampled_from([None, len(prefix), len(b) - len(suffix)]))
+    if boundary is not None and 0 < boundary < len(b):
+        b = b[:boundary - 1] + b[boundary] + b[boundary - 1] + b[boundary + 1:]
+    return a, b
+
+
+@given(_affixed_pairs())
+@settings(max_examples=500)
+def test_dl_with_shared_affixes_matches_table(pair):
+    a, b = pair
+    expected = osa_table(a, b)
+    assert dl_distance(a, b) == expected
+    assert dl_distance(b, a) == expected
+
+
 def test_dl_matches_reference_small_exhaustive():
     strings = [""]
     for length in range(1, 5):
@@ -204,6 +227,55 @@ def test_index_equals_brute_force(seed, count, max_distance, stem):
     assert _as_multiset(scan.collisions) == collisions
     assert scan.pairs == sorted(scan.pairs, key=NearPair.sort_key)
     assert scan.collisions == sorted(scan.collisions, key=NearPair.sort_key)
+
+
+def _expand_then_sort(records: list[NameRecord], max_distance: int) -> typosquat.NearPairScan:
+    """Every record pair of every near name pair, then one sort by NearPair.sort_key."""
+    def ordered(a: NameRecord, b: NameRecord) -> tuple[NameRecord, NameRecord]:
+        return (a, b) if (a.name, a.owner.sort_key()) <= (b.name, b.owner.sort_key()) else (b, a)
+
+    scan = typosquat.NearPairScan()
+    for kind in NameKind:
+        by_name: dict[str, list[NameRecord]] = {}
+        for record in records:
+            if record.kind is kind:
+                by_name.setdefault(record.name, []).append(record)
+        names = sorted(by_name)
+        for name in names:
+            for a, b in itertools.combinations(by_name[name], 2):
+                if normalize_name(a.owner.publisher) != normalize_name(b.owner.publisher):
+                    scan.collisions.append(NearPair(*ordered(a, b), 0))
+        for name_a, name_b in itertools.combinations(names, 2):
+            distance = osa_table(name_a, name_b)
+            if 1 <= distance <= max_distance:
+                for a in by_name[name_a]:
+                    for b in by_name[name_b]:
+                        scan.pairs.append(NearPair(*ordered(a, b), distance))
+    scan.pairs.sort(key=NearPair.sort_key)
+    scan.collisions.sort(key=NearPair.sort_key)
+    return scan
+
+
+@pytest.mark.parametrize("max_distance", [1, 2, 3])
+def test_near_pairs_come_out_in_sorted_order_ties_included(max_distance):
+    # Owners whose versions are None and "" share a sort key but differ, so
+    # the order of tied pairs is visible in the lists.
+    rng = random.Random(f"report-order-{max_distance}")
+    for _ in range(20):
+        owners = [
+            ComponentRef(rng.choice(list(Repository)), f"P{rng.randint(0, 3)}",
+                         f"n{rng.randint(0, 3)}", rng.choice([None, "", "1"]))
+            for _ in range(8)
+        ]
+        names = ["".join(rng.choices("abc", k=rng.randint(2, 5))) for _ in range(10)]
+        records = [
+            NameRecord(rng.choice(names), rng.choice(list(NameKind)), rng.choice(owners))
+            for _ in range(rng.randint(2, 40))
+        ]
+        expected = _expand_then_sort(records, max_distance)
+        scan = find_near_pairs(records, max_distance)
+        assert scan.pairs == expected.pairs
+        assert scan.collisions == expected.collisions
 
 
 def test_keys_per_name_bounded_for_any_distance():

@@ -308,6 +308,42 @@ def test_mutated_npm_manifests_raise_only_manifest_errors(filename):
         assert all(isinstance(v, str) for r in inventory.records() for v in r.versions)
 
 
+_TEXT_SEEDS = {
+    "requirements.txt": (
+        "requests==2.19.0\nflask>=2.0\nurllib3~=1.24.1  # pinned\n-r other.txt\n"
+        "git+https://example.com/lib.git\nDjango>3.0\nsix\nPyYAML[extra] == 5.1 ; python_version<'3'\n"
+    ),
+    "go.mod": (
+        "module example.com/app\n\ngo 1.20\n\nrequire (\n\tgithub.com/gin-gonic/gin v1.6.0\n"
+        "\tgolang.org/x/text v0.3.2 // indirect\n)\n\nrequire github.com/pkg/errors v0.9.1\n"
+    ),
+    "os-packages.txt": "openssl=1.1.1k\n# base image\nbash = 5.1-2\nzlib=1.2.11 # pinned\n",
+}
+_TEXT_BYTES = " \t\n#=<>~!.,-/()[];:@v0123456789aZ'\"\\"
+
+
+@pytest.mark.parametrize("filename", sorted(_TEXT_SEEDS))
+def test_mutated_text_manifests_raise_only_manifest_errors(filename):
+    rng = random.Random(f"mutate-{filename}")
+    seed_lines = _TEXT_SEEDS[filename].splitlines()
+    for _ in range(2000):
+        lines = [rng.choice(seed_lines) if rng.random() < 0.2 else line for line in seed_lines]
+        if rng.random() < 0.2:
+            rng.shuffle(lines)
+        chars = list("\n".join(lines))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.5 or i == len(chars):
+                chars.insert(i, rng.choice(_TEXT_BYTES))
+            else:
+                chars[i] = rng.choice(_TEXT_BYTES)
+        try:
+            inventory = parse_manifest(filename, "".join(chars), [])
+        except ManifestError:
+            continue
+        assert all(isinstance(v, str) for r in inventory.records() for v in r.versions)
+
+
 def test_unsupported_kind_notice():
     notices: list[str] = []
     inventory = parse_manifest("Pipfile", "x", notices)
