@@ -19,7 +19,7 @@ import math
 import tarfile
 import zipfile
 import zlib
-from base64 import b64decode, b64encode
+from base64 import b64decode
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -395,24 +395,6 @@ def load_signatures(path: str | Path) -> list[Signature]:
     return signatures
 
 
-def dump_signatures(signatures: Iterable[Signature]) -> str:
-    lines = []
-    for sig in signatures:
-        doc: dict = {"id": sig.id, "kind": sig.kind.value}
-        try:
-            text = sig.pattern.decode("ascii")
-            if text.isprintable():
-                doc["pattern"] = text
-            else:
-                raise UnicodeDecodeError("ascii", sig.pattern, 0, 1, "unprintable")
-        except UnicodeDecodeError:
-            doc["pattern_base64"] = b64encode(sig.pattern).decode("ascii")
-        if sig.description:
-            doc["description"] = sig.description
-        lines.append(json.dumps(doc, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class SignatureMatch:
     """A signature hit, carrying the (possibly nested) entry path."""
@@ -471,7 +453,8 @@ def scan_entries(
     signatures: Iterable[Signature],
     recursion_depth: int = 3,
     limits: ExtractionLimits = DEFAULT_LIMITS,
-    notices: list[str] | None = None,
+    *,
+    notices: list[str],
 ) -> list[SignatureMatch]:
     """Check entries against every signature, expanding nested archives.
 
@@ -491,7 +474,7 @@ def _scan(
     prefix: str,
     recursion_depth: int,
     limits: ExtractionLimits,
-    notices: list[str] | None,
+    notices: list[str],
     matches: list[SignatureMatch],
 ) -> None:
     for entry in entries:
@@ -505,8 +488,7 @@ def _scan(
         try:
             nested = extract_bytes(entry.data, nested_fmt, limits)
         except ArchiveError as exc:
-            if notices is not None:
-                notices.append(f"nested archive {entry.path!r} not expanded: {exc}")
+            notices.append(f"nested archive {entry.path!r} not expanded: {exc}")
             continue
         _scan(nested, sigs, f"{prefix}{entry.path}!", recursion_depth - 1, limits, notices, matches)
 

@@ -167,7 +167,8 @@ def _cmd_archive_scan(args, config, fail_on: Severity | None) -> int:
         return 1 if fail_on is not None and Severity.MEDIUM.at_least(fail_on) else 0
     notices: list[str] = []
     matches = archive.scan_entries(
-        entries, config.signatures, config.recursion_depth, config.extraction_limits, notices
+        entries, config.signatures, config.recursion_depth, config.extraction_limits,
+        notices=notices,
     )
     for match in matches:
         print(f"match: {match.signature_id} at {match.entry_path}")

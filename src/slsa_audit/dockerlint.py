@@ -428,7 +428,8 @@ def lint_commands_text(
     source_name: str = "run_commands.txt",
     rules: dict[ParamClass, SensitiveParamRule] | None = None,
     key_config: SensitiveKeyConfig = DEFAULT_KEY_CONFIG,
-    notices: list[str] | None = None,
+    *,
+    notices: list[str],
 ) -> list[Finding]:
     """Split, parse, and check every docker run command in a text blob."""
     findings: list[Finding] = []
@@ -436,8 +437,7 @@ def lint_commands_text(
         try:
             spec = parse_run_command(command)
         except (CommandParseError, IncompleteCommandError) as exc:
-            if notices is not None:
-                notices.append(f"{source_name}#{index}: {exc}")
+            notices.append(f"{source_name}#{index}: {exc}")
             continue
         findings.extend(
             check_sensitive(

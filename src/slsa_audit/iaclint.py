@@ -581,7 +581,8 @@ def run_rules(
     model: TemplateModel,
     catalog: Iterable[MisconfigRule] = DEFAULT_CATALOG,
     component: ComponentRef | None = None,
-    notices: list[str] | None = None,
+    *,
+    notices: list[str],
 ) -> list[Finding]:
     """Apply every catalog rule declared for the model's framework.
 
@@ -599,10 +600,7 @@ def run_rules(
                 continue
             verdict = _eval_predicate(matcher.predicate, resource.properties)
             if verdict is None:
-                if notices is not None:
-                    notices.append(
-                        f"{model.path}: {rule.rule_id} undetermined for {resource.logical_id}"
-                    )
+                notices.append(f"{model.path}: {rule.rule_id} undetermined for {resource.logical_id}")
                 continue
             if verdict:
                 findings.append(
@@ -759,11 +757,12 @@ def lint_template(
     contents: str,
     catalog: Iterable[MisconfigRule] = DEFAULT_CATALOG,
     component: ComponentRef | None = None,
-    notices: list[str] | None = None,
+    *,
+    notices: list[str],
     cors_substrings: tuple[str, ...] = CORS_KEY_SUBSTRINGS,
 ) -> tuple[IaCFramework, list[Finding]]:
     """Classify, parse, and run all checks over one template."""
     model = load_template(path, contents)
-    findings = run_rules(model, catalog, component, notices)
+    findings = run_rules(model, catalog, component, notices=notices)
     findings.extend(check_cors_wildcard(model, component, cors_substrings))
     return model.framework, sorted(findings, key=Finding.sort_key)

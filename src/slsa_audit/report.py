@@ -270,7 +270,7 @@ def scan_vuln(
     file_notices: list[str] = []
     inventory = vulnscan.extract_inventory(entry.tree_path, files, file_notices)
     vulnscan.mark_source_references(
-        inventory, entry.tree_path, files, config.source_extensions, file_notices
+        inventory, entry.tree_path, files, config.source_extensions, notices=file_notices
     )
     match_notices: list[str] = []
     matches = vulnscan.match_advisories(inventory, db, match_notices)
@@ -303,7 +303,10 @@ def scan_vuln(
 def scan_archives(
     entry: CorpusEntry, config: AuditConfig, notices: list[str]
 ) -> list[Finding]:
-    """V2 for one component: extract and signature-scan archives/."""
+    """V2 for one component: extract and signature-scan archives/.
+
+    Notices begin ``<slug>/archives/<file>: ``.
+    """
     findings: list[Finding] = []
     archives_dir = entry.archives_path
     if not archives_dir.is_dir():
@@ -312,14 +315,8 @@ def scan_archives(
         if not path.is_file():
             continue
         rel = f"archives/{path.name}"
-        data = path.read_bytes()
         try:
-            fmt = archive.detect_format(path.name, data[:512])
-        except archive.UnsupportedFormatError as exc:
-            notices.append(f"{entry.ref.slug}/{rel}: {exc}")
-            continue
-        try:
-            entries = archive.extract_bytes(data, fmt, config.extraction_limits)
+            entries = archive.extract(path, limits=config.extraction_limits)
         except archive.EncryptedArchiveError:
             findings.append(
                 Finding(
@@ -346,11 +343,13 @@ def scan_archives(
                 )
             )
             continue
-        except archive.ExtractionError as exc:
+        except (archive.UnsupportedFormatError, archive.ExtractionError) as exc:
             notices.append(f"{entry.ref.slug}/{rel}: {exc}")
             continue
+        nested_notices: list[str] = []
         for match in archive.scan_entries(
-            entries, config.signatures, config.recursion_depth, config.extraction_limits, notices
+            entries, config.signatures, config.recursion_depth, config.extraction_limits,
+            notices=nested_notices,
         ):
             findings.append(
                 Finding(
@@ -363,11 +362,15 @@ def scan_archives(
                     remediation="remove the flagged file and audit the component",
                 )
             )
+        notices.extend(f"{entry.ref.slug}/{rel}: {notice}" for notice in nested_notices)
     return findings
 
 
 def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> list[Finding]:
-    """V3 for one component: lint run_commands.txt."""
+    """V3 for one component: lint run_commands.txt.
+
+    Notices begin ``<slug>/run_commands.txt``.
+    """
     commands_file = entry.run_commands_path
     if not commands_file.is_file():
         return []
@@ -376,21 +379,28 @@ def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> 
     except UnicodeDecodeError as exc:
         notices.append(f"{entry.ref.slug}/{commands_file.name}: {exc}")
         return []
-    return dockerlint.lint_commands_text(
+    command_notices: list[str] = []
+    findings = dockerlint.lint_commands_text(
         text,
         component=entry.ref,
-        source_name="run_commands.txt",
+        source_name=commands_file.name,
         rules=config.docker_rules,
         key_config=config.sensitive_keys,
-        notices=notices,
+        notices=command_notices,
     )
+    notices.extend(f"{entry.ref.slug}/{notice}" for notice in command_notices)
+    return findings
 
 
 def scan_iac(
     entry: CorpusEntry, config: AuditConfig, notices: list[str]
 ) -> list[tuple[iaclint.IaCFramework, Finding]]:
-    """V4 for one component: lint every template under iac/."""
+    """V4 for one component: lint every template under iac/.
+
+    Notices begin ``<slug>/iac/<file>: ``.
+    """
     tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
+    template_notices: list[str] = []  # each begins with its iac/ path
     for name in tree_files(entry.iac_path):
         rel = f"iac/{name}"
         try:
@@ -399,15 +409,19 @@ def scan_iac(
                 (entry.iac_path / name).read_text(encoding="utf-8"),
                 catalog=config.iac_catalog,
                 component=entry.ref,
-                notices=notices,
+                notices=template_notices,
                 cors_substrings=config.cors_substrings,
             )
         except iaclint.UnsupportedExtensionError:
             continue
-        except (iaclint.TemplateParseError, UnicodeDecodeError) as exc:
-            notices.append(f"{entry.ref.slug}/{rel}: {exc}")
+        except iaclint.TemplateParseError as exc:
+            template_notices.append(str(exc))
+            continue
+        except UnicodeDecodeError as exc:
+            template_notices.append(f"{rel}: {exc}")
             continue
         tagged.extend((framework, f) for f in findings)
+    notices.extend(f"{entry.ref.slug}/{notice}" for notice in template_notices)
     return tagged
 
 

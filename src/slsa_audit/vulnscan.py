@@ -94,11 +94,11 @@ def _identifier_key(ident: str) -> tuple[int, int | str]:
     return (1, ident)
 
 
-def parse_version(text: str, notices: list[str] | None = None) -> Version:
+def parse_version(text: str) -> Version:
     """Parse a version string into a comparable key.
 
     Raises ValueError for empty strings; never fails otherwise (the
-    fallback path handles arbitrary tokens and appends a notice).
+    fallback path handles arbitrary tokens and sets ``fallback``).
     """
     raw = text.strip()
     if not raw:
@@ -111,8 +111,6 @@ def parse_version(text: str, notices: list[str] | None = None) -> Version:
         if pre is not None:
             prerelease = tuple(_identifier_key(ident) for ident in pre.split("."))
         return Version(raw=raw, segments=segments, prerelease=prerelease, fallback=False)
-    if notices is not None:
-        notices.append(f"version {raw!r} is not semver; using segment fallback")
     segments = tuple(_identifier_key(seg) for seg in raw.split("."))
     return Version(raw=raw, segments=segments, prerelease=None, fallback=True)
 
@@ -350,7 +348,7 @@ def _min_satisfying_npm(spec: str) -> str | None:
 def parse_manifest(
     path: str,
     contents: str,
-    notices: list[str] | None = None,
+    notices: list[str],
 ) -> PackageInventory:
     """Parse one manifest file into a partial inventory.
 
@@ -370,8 +368,7 @@ def parse_manifest(
     elif filename == "os-packages.txt":
         _parse_os_packages(path, contents, inventory)
     else:
-        if notices is not None:
-            notices.append(f"{path}: skipped unsupported manifest kind")
+        notices.append(f"{path}: skipped unsupported manifest kind")
     return inventory
 
 
@@ -404,10 +401,11 @@ def _parse_package_json(path: str, contents: str, inv: PackageInventory, notices
     doc = _npm_document(path, contents)
     for section in ("dependencies", "devDependencies", "optionalDependencies"):
         for name, spec in _json_object(path, doc.get(section) or {}, "section", section).items():
+            if not name:
+                raise ManifestError(f"{path}: empty package name in section {section!r}")
             version = _min_satisfying_npm(str(spec))
             if version is None:
-                if notices is not None:
-                    notices.append(f"{path}: cannot resolve npm range {spec!r} for {name}")
+                notices.append(f"{path}: cannot resolve npm range {spec!r} for {name}")
                 continue
             inv.add(name, version, Ecosystem.NPM, path)
 
@@ -425,6 +423,8 @@ def _parse_package_lock(path: str, contents: str, inv: PackageInventory) -> None
     # Lockfile v1 layout (possibly alongside v2 keys).
     def walk(deps: dict) -> None:
         for name, meta in deps.items():
+            if not name:
+                raise ManifestError(f"{path}: empty package name in dependencies")
             version = _npm_version(path, meta, "dependencies entry", name)
             if version:
                 inv.add(name, version, Ecosystem.NPM, path)
@@ -444,8 +444,7 @@ def _parse_requirements(path: str, contents: str, inv: PackageInventory, notices
         if not line or line.startswith(("-", "--")):
             continue
         if "://" in line or line.startswith(("git+", "hg+", "svn+")):
-            if notices is not None:
-                notices.append(f"{path}:{lineno}: skipped URL requirement")
+            notices.append(f"{path}:{lineno}: skipped URL requirement")
             continue
         m = _REQUIREMENT_RE.match(line)
         if not m or not m.group(1):
@@ -455,12 +454,10 @@ def _parse_requirements(path: str, contents: str, inv: PackageInventory, notices
             resolved = version
         elif op in (">",) and version:
             resolved = version  # minimum open bound; exact successor is undefined for PEP 440
-            if notices is not None:
-                notices.append(f"{path}:{lineno}: open bound {op}{version}; using {version}")
+            notices.append(f"{path}:{lineno}: open bound {op}{version}; using {version}")
         else:
             resolved = "0.0.0"
-            if notices is not None:
-                notices.append(f"{path}:{lineno}: unpinned requirement {name}; using 0.0.0")
+            notices.append(f"{path}:{lineno}: unpinned requirement {name}; using 0.0.0")
         inv.add(name.lower(), resolved, Ecosystem.PYPI, path)
 
 
@@ -498,7 +495,10 @@ def _parse_os_packages(path: str, contents: str, inv: PackageInventory) -> None:
         if "=" not in line:
             raise ManifestError(f"{path}: expected name=version at line {lineno}")
         name, _, version = line.partition("=")
-        inv.add(name.strip(), version.strip(), Ecosystem.OS_PACKAGES, path)
+        name = name.strip()
+        if not name:
+            raise ManifestError(f"{path}: empty package name at line {lineno}")
+        inv.add(name, version.strip(), Ecosystem.OS_PACKAGES, path)
 
 
 def _suffix(rel: str) -> str:
@@ -509,7 +509,7 @@ def _suffix(rel: str) -> str:
 
 
 def extract_inventory(
-    tree_root: str | Path, files: Iterable[str], notices: list[str] | None = None
+    tree_root: str | Path, files: Iterable[str], notices: list[str]
 ) -> PackageInventory:
     """Merge every supported manifest among a tree's files (see ingest.tree_files).
 
@@ -524,8 +524,7 @@ def extract_inventory(
             try:
                 inventory.merge(parse_manifest(rel, contents, notices))
             except ManifestError as exc:
-                if notices is not None:
-                    notices.append(str(exc))
+                notices.append(str(exc))
     return inventory
 
 
@@ -553,7 +552,8 @@ def mark_source_references(
     tree_root: str | Path,
     files: Iterable[str],
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
-    notices: list[str] | None = None,
+    *,
+    notices: list[str],
 ) -> PackageInventory:
     """Populate referenced_in_source with the tree's files (see ingest.tree_files)
     importing each package.
@@ -576,8 +576,7 @@ def mark_source_references(
             with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
                 text = handle.read()
         except OSError as exc:
-            if notices is not None:
-                notices.append(f"{rel}: skipped unreadable source file: {exc.strerror or exc}")
+            notices.append(f"{rel}: skipped unreadable source file: {exc.strerror or exc}")
             continue
         for key, record in inventory.packages.items():
             # Every import pattern contains the name literally and is
@@ -630,13 +629,14 @@ def index_advisories(advisories: Iterable[Advisory]) -> AdvisoryIndex:
 def match_advisories(
     inventory: PackageInventory,
     index: AdvisoryIndex,
-    notices: list[str] | None = None,
+    notices: list[str],
 ) -> list[VulnMatch]:
     """Match every declared package version against the indexed advisories.
 
     ``index`` comes from :func:`index_advisories`. Matches deduplicate on
     (advisory, package, version); packages whose version string is empty
-    are excluded with a notice.
+    are excluded with a notice, and a version compared by segment fallback
+    is named in one.
     """
     matches: dict[tuple[str, str, str, Ecosystem], VulnMatch] = {}
     for record in inventory.records():
@@ -648,13 +648,12 @@ def match_advisories(
         )
         for version_str in sorted(record.versions):
             try:
-                version = parse_version(version_str, notices)
+                version = parse_version(version_str)
             except ValueError:
-                if notices is not None:
-                    notices.append(
-                        f"excluded {record.name}: unparseable version {version_str!r}"
-                    )
+                notices.append(f"excluded {record.name}: unparseable version {version_str!r}")
                 continue
+            if version.fallback:
+                notices.append(f"version {version.raw!r} is not semver; using segment fallback")
             for advisory in candidates:
                 if not any(interval.contains(version) for interval in advisory.affected):
                     continue

@@ -125,7 +125,9 @@ def test_criterion_02_matching_oracle():
             inventory, advisories = _random_matching_instance(rng)
             got = {
                 (m.advisory_id, m.package_name, m.package_version, m.ecosystem)
-                for m in vulnscan.match_advisories(inventory, vulnscan.index_advisories(advisories))
+                for m in vulnscan.match_advisories(
+                    inventory, vulnscan.index_advisories(advisories), []
+                )
             }
             expected = set()
             for record in inventory.packages.values():
@@ -231,7 +233,7 @@ def test_criterion_05_archive_roundtrip_evasion(tmp_path):
             injected = inject_and_pack(tree, payload, fmt)
             entries = extract_bytes(injected, fmt)
             assert len(entries) == 4
-            matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0)
+            matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0, notices=[])
             assert any(m.signature_id == "eicar" for m in matches), fmt
         # Hostile fixtures are rejected regardless of format.
         import io
@@ -393,7 +395,7 @@ def test_criterion_09_iac_rules():
             if rule_id == "R-CORS":
                 found = iaclint.check_cors_wildcard(model)
             else:
-                found = iaclint.run_rules(model)
+                found = iaclint.run_rules(model, notices=[])
             return [f for f in found if f.rule_id == rule_id]
 
         cfn = iaclint.IaCFramework.CLOUDFORMATION

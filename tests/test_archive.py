@@ -38,7 +38,6 @@ from slsa_audit.archive import (
     _safe_entry_path,
     consensus_flag,
     detect_format,
-    dump_signatures,
     extract,
     extract_bytes,
     inject_and_pack,
@@ -108,7 +107,7 @@ def test_inject_adds_payload(benign_tree, tmp_path):
         benign_tree, payload, ArchiveFormat.ZIP, payload_dest="node_modules/.cache/x.py"
     )
     entries = extract_bytes(nested, ArchiveFormat.ZIP)
-    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0)
+    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0, notices=[])
     assert [m.entry_path for m in matches] == ["node_modules/.cache/x.py"]
 
 
@@ -479,24 +478,24 @@ def test_eicar_detected_in_every_format(fmt, benign_tree, tmp_path):
     payload.write_bytes(EICAR_TEST_STRING)
     blob = inject_and_pack(benign_tree, payload, fmt)
     entries = extract_bytes(blob, fmt)
-    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0)
+    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0, notices=[])
     assert any(m.signature_id == "eicar" for m in matches)
 
 
 def test_benign_entries_clean(benign_tree):
     blob = inject_and_pack(benign_tree, None, ArchiveFormat.ZIP)
     entries = extract_bytes(blob, ArchiveFormat.ZIP)
-    assert scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=3) == []
+    assert scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=3, notices=[]) == []
 
 
 def test_nested_scan_reports_bang_paths():
     inner = pack_entries([("payload.py", EICAR_TEST_STRING)], ArchiveFormat.ZIP)
     middle = pack_entries([("inner.zip", inner), ("ok.txt", b"fine")], ArchiveFormat.TAR)
     entries = extract_bytes(middle, ArchiveFormat.TAR)
-    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=2)
+    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=2, notices=[])
     nested = [m.entry_path for m in matches if "!" in m.entry_path]
     assert nested == ["inner.zip!payload.py"]
-    shallow = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0)
+    shallow = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0, notices=[])
     assert all("!" not in m.entry_path for m in shallow)
 
 
@@ -505,11 +504,11 @@ def test_nested_depth_two_levels():
     level1 = pack_entries([("two.zip", level2)], ArchiveFormat.ZIP)
     outer = pack_entries([("one.zip", level1)], ArchiveFormat.TAR_XZ)
     entries = extract_bytes(outer, ArchiveFormat.TAR_XZ)
-    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=2)
+    matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=2, notices=[])
     assert "one.zip!two.zip!p.py" in {m.entry_path for m in matches}
     depth1 = {
         m.entry_path
-        for m in scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=1)
+        for m in scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=1, notices=[])
     }
     assert "one.zip!two.zip!p.py" not in depth1
 
@@ -522,9 +521,9 @@ def test_signature_kinds():
     exact = Signature("e", SignatureKind.EXACT_BYTES, data)
     sub = Signature("s", SignatureKind.SUBSTRING, b"lo wo")
     entry = ArchiveEntry("f.txt", data)
-    matches = scan_entries([entry], [sha, exact, sub], recursion_depth=0)
+    matches = scan_entries([entry], [sha, exact, sub], recursion_depth=0, notices=[])
     assert {m.signature_id for m in matches} == {"h", "e", "s"}
-    assert scan_entries([ArchiveEntry("g", b"other")], [sha, exact, sub], 0) == []
+    assert scan_entries([ArchiveEntry("g", b"other")], [sha, exact, sub], 0, notices=[]) == []
 
 
 def _old_matches(sig: Signature, data: bytes) -> bool:
@@ -559,7 +558,7 @@ def test_compiled_signatures_equal_per_signature_loop(data):
             continue
         kind = data.draw(st.sampled_from(list(SignatureKind)))
         sigs.append(Signature(f"s{i}", kind, data.draw(patterns[kind])))
-    got = [(m.entry_path, m.signature_id) for m in scan_entries(entries, sigs, 0)]
+    got = [(m.entry_path, m.signature_id) for m in scan_entries(entries, sigs, 0, notices=[])]
     assert got == [(e.path, s.id) for e in entries for s in sigs if _old_matches(s, e.data)]
 
 
@@ -570,9 +569,16 @@ def test_signature_pattern_nonempty():
 
 def test_signature_db_round_trip(tmp_path):
     path = tmp_path / "sigs.jsonl"
-    path.write_text(dump_signatures(BUILTIN_SIGNATURES))
-    loaded = load_signatures(path)
-    assert loaded == list(BUILTIN_SIGNATURES)
+    path.write_text(
+        "# a comment line, then a blank line\n"
+        "\n"
+        '{"id": "text", "kind": "substring", "pattern": "X5O!P%@AP", "description": "a test"}\n'
+        '{"id": "binary", "kind": "exact-bytes", "pattern_base64": "AAH/"}\n'
+    )
+    assert load_signatures(path) == [
+        Signature("text", SignatureKind.SUBSTRING, b"X5O!P%@AP", "a test"),
+        Signature("binary", SignatureKind.EXACT_BYTES, b"\x00\x01\xff"),
+    ]
 
 
 def test_engine_verdict_consistency():

@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour over the demo corpus."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +262,62 @@ def test_iac_over_corpus(demo, capsys):
     rule_ids = {f["rule_id"] for c in doc["components"] for f in c["findings"]}
     assert {"R-ARN", "R-KMS", "R-CORS"} <= rule_ids
     assert "Terraform" in captured.err
+
+
+_IAC_PATHS_TABLE = """\
+corpus: paths
+components: 1    findings: 6
+severity: Critical 0  High 4  Medium 1  Low 1  Unknown 0
+
+component                                    vulns  findings
+------------------------------------------------------------
+localcorpus/adhoc/template                       0         6
+[Low     ] IAC-API-LOGGING-DISABLED adhoc__template:bluefin__etl-serverless/iac/template.yaml:EtlApi@7-12
+[High    ] IAC-S3-PUBLIC-ACL        adhoc__template:acme__iac-library-serverless/iac/main.tf:aws_s3_bucket.assets@1-4
+[High    ] R-ARN                    adhoc__template:acme__iac-library-serverless/iac/main.tf:aws_lambda_permission.invoke@6-11
+[High    ] R-ARN                    adhoc__template:cloudkite__thumbnail-service/iac/template.yaml:InvokePermission@8-13
+[High    ] R-CORS                   adhoc__template:bluefin__etl-serverless/iac/template.yaml:parameter CorsOrigin
+[Medium  ] R-KMS                    adhoc__template:acme__iac-library-serverless/iac/stack.json:LogBucket@3-15
+"""
+_IAC_PATHS_ERR = """\
+CloudFormation: Medium 1
+SAM: High 2  Low 1
+Terraform: High 2
+notice: unsupported template extension '.txt' for notes.txt (expected .tf/.json/.yaml/.yml)
+notice: broken.yaml: YAML/JSON syntax error at line 2: while parsing a flow node
+"""  # then the composer's own lines, worded by libyaml or by PyYAML's pure-Python parser
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_iac_paths_over_the_demo_templates(demo, tmp_path, capsys, monkeypatch, output):
+    corpus, _ = demo
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    for template in sorted(corpus.glob("*/iac/*")):
+        rel = template.relative_to(corpus)
+        rel.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(template, rel)
+        paths.append(rel.as_posix())
+    Path("notes.txt").write_text("hello\n")
+    Path("broken.yaml").write_text("Resources: [\n")
+    argv = ["--output", output, "iac", "--histogram", "--paths", *paths, "notes.txt", "broken.yaml"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(_IAC_PATHS_ERR) and captured.err.count("notice: ") == 2
+    if output == "table":
+        assert captured.out == _IAC_PATHS_TABLE
+    else:
+        # The digest pins every byte; the findings must be the table's rows.
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == "64eccea1345ea59bc6033fba0e07c5f7ba0f3ed702a7fb9b0f0054ee0406674a"
+        (component,) = json.loads(captured.out)["components"]
+        rows = [line.split(maxsplit=3) for line in _IAC_PATHS_TABLE.splitlines()[7:]]
+        assert [
+            ("[" + f["severity"], f["rule_id"], f"adhoc__template:{f['location']}")
+            for f in component["findings"]
+        ] == [(sev, rule, location) for sev, _, rule, location in rows]
+    assert main(["--fail-on", "High", *argv]) == 1
+    assert capsys.readouterr().err.startswith(_IAC_PATHS_ERR)
 
 
 def test_typosquat_over_corpus(demo, capsys):

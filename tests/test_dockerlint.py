@@ -209,7 +209,7 @@ def test_env_passthrough_never_hardcoded():
 
 def test_lint_commands_text_locations():
     text = "docker run --privileged one\ndocker run --pid=host two\n"
-    findings = lint_commands_text(text, source_name="run_commands.txt")
+    findings = lint_commands_text(text, source_name="run_commands.txt", notices=[])
     assert [f.location for f in findings] == ["run_commands.txt#1", "run_commands.txt#2"]
 
 

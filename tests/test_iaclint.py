@@ -208,7 +208,7 @@ def test_intrinsics_kept_opaque():
       SourceArn: !GetAtt [Bucket, Arn]
 """
     model = load_template("t.yaml", doc)
-    findings = run_rules(model)
+    findings = run_rules(model, notices=[])
     assert findings == []  # SourceArn present (as a reference), rule must not fire
 
 
@@ -252,7 +252,7 @@ Resources:
 
 def test_rule_arn_fires_once():
     model = load_template("t.yaml", ARN_MISSING)
-    findings = run_rules(model)
+    findings = run_rules(model, notices=[])
     assert [f.rule_id for f in findings] == ["R-ARN"]
     assert findings[0].severity is Severity.HIGH
 
@@ -260,12 +260,12 @@ def test_rule_arn_fires_once():
 def test_rule_arn_negated():
     fixed = ARN_MISSING + "      SourceArn: arn:aws:s3:::bucket\n"
     model = load_template("t.yaml", fixed)
-    assert run_rules(model) == []
+    assert run_rules(model, notices=[]) == []
 
 
 def test_rule_kms_fires_once():
     model = load_template("t.yaml", KMS_DEFAULT)
-    findings = run_rules(model)
+    findings = run_rules(model, notices=[])
     assert [f.rule_id for f in findings] == ["R-KMS"]
     assert findings[0].severity is Severity.MEDIUM
 
@@ -273,7 +273,7 @@ def test_rule_kms_fires_once():
 def test_rule_kms_negated():
     fixed = KMS_DEFAULT + "              KMSMasterKeyID: arn:aws:kms:::key/1\n"
     model = load_template("t.yaml", fixed)
-    assert run_rules(model) == []
+    assert run_rules(model, notices=[]) == []
 
 
 def _sam_api(resource_type: str, log_property: str | None) -> str:
@@ -290,7 +290,7 @@ Resources:
 
 
 def _logging_findings(doc: str) -> list:
-    _, findings = lint_template("t.yaml", doc)
+    _, findings = lint_template("t.yaml", doc, notices=[])
     return [f for f in findings if f.rule_id == "IAC-API-LOGGING-DISABLED"]
 
 
@@ -351,16 +351,16 @@ def test_rules_order_independent():
     model = load_template("t.yaml", ARN_MISSING + KMS_DEFAULT[10:])
     rng = random.Random(5)
     catalog = list(DEFAULT_CATALOG)
-    baseline = run_rules(model, catalog)
+    baseline = run_rules(model, catalog, notices=[])
     for _ in range(5):
         rng.shuffle(catalog)
-        assert run_rules(model, catalog) == baseline
+        assert run_rules(model, catalog, notices=[]) == baseline
 
 
 def test_rules_only_fire_for_declared_framework():
     # A Terraform model must not trigger CloudFormation-typed rules.
     model = load_template("m.tf", TF_MINIMAL)
-    assert run_rules(model) == []
+    assert run_rules(model, notices=[]) == []
 
 
 def test_spans_inside_file():
@@ -372,8 +372,10 @@ def test_spans_inside_file():
 
 
 def test_histogram_sums():
-    _, findings_a = lint_template("a.yaml", ARN_MISSING)
-    _, findings_b = lint_template("b.tf", 'resource "aws_s3_bucket" "x" {\n  acl = "public-read"\n}\n')
+    _, findings_a = lint_template("a.yaml", ARN_MISSING, notices=[])
+    _, findings_b = lint_template(
+        "b.tf", 'resource "aws_s3_bucket" "x" {\n  acl = "public-read"\n}\n', notices=[]
+    )
     tagged = [(IaCFramework.CLOUDFORMATION, f) for f in findings_a]
     tagged += [(IaCFramework.TERRAFORM, f) for f in findings_b]
     histogram = severity_histogram(tagged)
@@ -390,8 +392,8 @@ def test_histogram_empty():
 
 
 def test_histogram_direct_counts():
-    _, arn = lint_template("a.yaml", ARN_MISSING)
-    _, kms = lint_template("k.yaml", KMS_DEFAULT)
+    _, arn = lint_template("a.yaml", ARN_MISSING, notices=[])
+    _, kms = lint_template("k.yaml", KMS_DEFAULT, notices=[])
     tagged = [(IaCFramework.CLOUDFORMATION, f) for f in arn + arn + kms]
     histogram = severity_histogram(tagged)
     assert histogram.total == {Severity.HIGH: 2, Severity.MEDIUM: 1}
@@ -415,7 +417,7 @@ def test_catalog_file_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     catalog = load_catalog(path)
     model = load_template("t.yaml", ARN_MISSING)
-    findings = run_rules(model, catalog)
+    findings = run_rules(model, catalog, notices=[])
     assert [f.rule_id for f in findings] == ["X-TEST"]
     doc.append(dict(doc[0]))
     path.write_text(json.dumps(doc))
@@ -530,7 +532,7 @@ def test_alias_expansion_bomb_refused():
         lines.append(f"      {name}: &{name} [" + ", ".join([f"*{prev}"] * 10) + "]")
     bomb = "\n".join(lines) + "\n"  # *f names 10**6 values
     with pytest.raises(TemplateParseError, match="aliases expand"):
-        lint_template("t.yaml", bomb)
+        lint_template("t.yaml", bomb, notices=[])
     benign = "\n".join(lines[:6]) + "\n"  # *b names 100 values
     props = load_template("t.yaml", benign).resources[0].properties
     assert props["b"] == [["x"] * 10] * 10
@@ -652,6 +654,6 @@ def test_mutated_templates_raise_only_audit_errors(demo_templates, data):
     # surrogateescape keeps undecodable bytes as lone surrogates.
     mutated = raw.decode("utf-8", errors="surrogateescape")
     try:
-        lint_template(path, mutated)
+        lint_template(path, mutated, notices=[])
     except AuditError:
         pass

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from slsa_audit import vulnscan
+from slsa_audit.archive import ArchiveFormat, pack_entries
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus, build_demo_db
 from slsa_audit.ingest import serialize_manifest
@@ -198,3 +199,49 @@ def test_v1_notices_name_the_component(tmp_path):
         "acme__serverless-resizer/tree/package.json: the document is not a JSON object",
         "quayteam__event-gateway: version '1.0.1f' is not semver; using segment fallback",
     ]
+
+
+def test_v2_to_v4_notices_name_the_component_and_the_file_once(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    slug = "cloudkite__thumbnail-service"
+    component = corpus / slug
+    (component / "archives").mkdir()
+    cut_zip = pack_entries([("a.txt", b"hello")], ArchiveFormat.ZIP)[:30]
+    (component / "archives" / "outer.zip").write_bytes(
+        pack_entries([("inner.zip", cut_zip)], ArchiveFormat.ZIP)
+    )
+    (component / "run_commands.txt").write_text(
+        "docker run --privileged img\ndocker run -e X='broken\n"
+    )
+    (component / "iac" / "bad.yaml").write_text("Resources: [\n")
+    (component / "iac" / "undet.yaml").write_text(
+        "Parameters:\n  Acl: {Type: String}\nResources:\n  B:\n    Type: AWS::S3::Bucket\n"
+        "    Properties:\n      AccessControl: !Ref Acl\n"
+    )
+    vectors = frozenset({AttackVector.V2, AttackVector.V3, AttackVector.V4})
+    run = scan_corpus(corpus, AuditConfig(enabled_vectors=vectors))
+    # The YAML error goes on over more lines; its first line is enough here.
+    assert [notice.splitlines()[0] for notice in run.notices] == [
+        f"{slug}/archives/outer.zip: nested archive 'inner.zip' not expanded: "
+        "corrupt zip archive: File is not a zip file",
+        f"{slug}/run_commands.txt#2: cannot tokenize command: No closing quotation (column 17)",
+        f"{slug}/iac/bad.yaml: YAML/JSON syntax error at line 2: while parsing a flow node",
+        f"{slug}/iac/undet.yaml: IAC-S3-PUBLIC-ACL undetermined for B",
+    ]
+
+
+def test_unreadable_archives_are_notices_and_the_others_still_scan(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    slug = "testbed__zip-bundle-serverless"
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V2}))
+    before = scan_corpus(corpus, config).report.all_findings()
+    archives = corpus / slug / "archives"
+    (archives / "cut.zip").write_bytes((archives / "bundle.zip").read_bytes()[:40])
+    (archives / "notes.txt").write_text("not an archive\n")
+    run = scan_corpus(corpus, config)
+    assert run.notices == [
+        f"{slug}/archives/cut.zip: corrupt zip archive: File is not a zip file",
+        f"{slug}/archives/notes.txt: unrecognized archive format for 'notes.txt'; "
+        "supported kinds: 7z, tar, tar.bz2, tar.gz, tar.lzma, tar.xz, tar.zst, zip",
+    ]
+    assert before and run.report.all_findings() == before

@@ -85,9 +85,11 @@ def test_version_precedence(lower, higher):
 def test_version_v_prefix_and_fallback_notice():
     assert not parse_version("v1.2.3") < parse_version("1.2.3")
     assert not parse_version("1.2.3") < parse_version("v1.2.3")
-    notices: list[str] = []
-    parsed = parse_version("1.0.1f", notices)
+    parsed = parse_version("1.0.1f")
     assert parsed.fallback
+    notices: list[str] = []
+    index = index_advisories(advisory_from_osv(LODASH_OSV))
+    match_advisories(_lodash_inventory("1.0.1f"), index, notices)
     assert notices and "fallback" in notices[0]
 
 
@@ -156,7 +158,7 @@ def test_load_advisory_db(tmp_path):
 
 
 def test_requirements_pin():
-    inventory = parse_manifest("requirements.txt", "urllib3==1.25.8\n")
+    inventory = parse_manifest("requirements.txt", "urllib3==1.25.8\n", [])
     records = inventory.records()
     assert len(records) == 1
     assert records[0].name == "urllib3"
@@ -165,8 +167,8 @@ def test_requirements_pin():
 
 
 def test_requirements_empty_and_comments():
-    assert parse_manifest("requirements.txt", "").records() == []
-    assert parse_manifest("requirements.txt", "# just a comment\n\n").records() == []
+    assert parse_manifest("requirements.txt", "", []).records() == []
+    assert parse_manifest("requirements.txt", "# just a comment\n\n", []).records() == []
 
 
 def test_requirements_unpinned_resolves_to_minimum():
@@ -188,7 +190,7 @@ def test_package_lock_v2():
             },
         }
     )
-    records = parse_manifest("package-lock.json", lock).records()
+    records = parse_manifest("package-lock.json", lock, []).records()
     assert [(r.name, sorted(r.versions)) for r in records] == [("lodash", ["4.17.11"])]
 
 
@@ -200,7 +202,7 @@ def test_package_lock_v1_nested():
             }
         }
     )
-    names = {r.name for r in parse_manifest("package-lock.json", lock).records()}
+    names = {r.name for r in parse_manifest("package-lock.json", lock, []).records()}
     assert names == {"a", "b"}
 
 
@@ -219,7 +221,7 @@ def test_package_lock_v1_nested():
 )
 def test_npm_range_minimum(spec, expected):
     manifest = json.dumps({"dependencies": {"pkg": spec}})
-    records = parse_manifest("package.json", manifest).records()
+    records = parse_manifest("package.json", manifest, []).records()
     assert records[0].versions == {expected}
 
 
@@ -229,7 +231,7 @@ def test_go_mod():
         "require (\n\tgithub.com/gin-gonic/gin v1.4.0\n\tgolang.org/x/text v0.3.0 // indirect\n)\n"
         "require github.com/pkg/errors v0.9.1\n"
     )
-    records = parse_manifest("go.mod", text).records()
+    records = parse_manifest("go.mod", text, []).records()
     assert {(r.name, next(iter(r.versions))) for r in records} == {
         ("github.com/gin-gonic/gin", "1.4.0"),
         ("golang.org/x/text", "0.3.0"),
@@ -238,7 +240,7 @@ def test_go_mod():
 
 
 def test_os_packages():
-    records = parse_manifest("os-packages.txt", "openssl=1.0.1f\ncurl=7.61.0\n").records()
+    records = parse_manifest("os-packages.txt", "openssl=1.0.1f\ncurl=7.61.0\n", []).records()
     assert {(r.name, next(iter(r.versions))) for r in records} == {
         ("openssl", "1.0.1f"),
         ("curl", "7.61.0"),
@@ -247,9 +249,21 @@ def test_os_packages():
 
 def test_manifest_syntax_error_names_line():
     with pytest.raises(ManifestError, match="line 2"):
-        parse_manifest("os-packages.txt", "good=1.0\nbroken-line\n")
+        parse_manifest("os-packages.txt", "good=1.0\nbroken-line\n", [])
     with pytest.raises(ManifestError, match="line"):
-        parse_manifest("package.json", "{not json")
+        parse_manifest("package.json", "{not json", [])
+
+
+@pytest.mark.parametrize("filename, text, where", [
+    ("os-packages.txt", "openssl=1.1\n=1.0\n", "line 2"),
+    ("package.json", '{"dependencies": {"": "1.0.0"}}', "dependencies"),
+    ("package-lock.json", '{"dependencies": {"": {"version": "1.0.0"}}}', "dependencies"),
+])
+def test_empty_package_name_is_a_manifest_error(filename, text, where):
+    with pytest.raises(ManifestError) as raised:
+        parse_manifest(filename, text, [])
+    assert str(raised.value).startswith(f"{filename}: ")
+    assert where in str(raised.value)
 
 
 _NPM_SEEDS = {
@@ -301,11 +315,12 @@ def test_mutated_npm_manifests_raise_only_manifest_errors(filename):
         for _ in range(rng.choice((0, 0, 1, 2))):
             chars[rng.randrange(len(chars))] = rng.choice(_JSON_BYTES)
         try:
-            inventory = parse_manifest(filename, "".join(chars))
+            inventory = parse_manifest(filename, "".join(chars), [])
         except ManifestError:
             continue
         # A version that is not a string would fail later, in advisory matching.
         assert all(isinstance(v, str) for r in inventory.records() for v in r.versions)
+        assert all(r.name for r in inventory.records())
 
 
 _TEXT_SEEDS = {
@@ -342,6 +357,7 @@ def test_mutated_text_manifests_raise_only_manifest_errors(filename):
         except ManifestError:
             continue
         assert all(isinstance(v, str) for r in inventory.records() for v in r.versions)
+        assert all(r.name for r in inventory.records())
 
 
 def test_unsupported_kind_notice():
@@ -356,7 +372,7 @@ def test_extract_inventory_merges(tmp_path):
     sub = tmp_path / "svc"
     sub.mkdir()
     (sub / "package.json").write_text(json.dumps({"dependencies": {"lodash": "4.17.20"}}))
-    inventory = extract_inventory(tmp_path, tree_files(tmp_path))
+    inventory = extract_inventory(tmp_path, tree_files(tmp_path), [])
     records = inventory.records()
     assert len(records) == 1
     assert records[0].versions == {"4.17.11", "4.17.20"}
@@ -398,11 +414,11 @@ def test_tree_files_equal_sorted_rglob(tmp_path):
 def test_single_walk_feeds_both_tree_stages(tmp_path, extensions):
     root = _tree_with_links(tmp_path)
     files = tree_files(root)
-    inventory = extract_inventory(root, files)
+    inventory = extract_inventory(root, files, [])
     inventory.add("requests", "1.0.0", Ecosystem.PYPI, "requirements.txt")
     assert [r.declared_in for r in inventory.records() if r.name == "lodash"] == [{"PACKAGE.JSON"}]
     expected = _marked_by_full_search(inventory, root, extensions)
-    mark_source_references(inventory, root, files, extensions)
+    mark_source_references(inventory, root, files, extensions, notices=[])
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     # Path.suffix semantics: ".py", ".env" and "file." have no suffix; "Z.PY" counts.
     referenced = inventory.packages[("requests", Ecosystem.PYPI)].referenced_in_source
@@ -424,7 +440,7 @@ def _inventory_with(name: str, ecosystem: Ecosystem = Ecosystem.PYPI) -> Package
 def test_source_reference_import(tmp_path):
     (tmp_path / "handler.py").write_text("import requests\n\nprint(requests)\n")
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
     record = inventory.records()[0]
     assert record.referenced_in_source == {"handler.py"}
 
@@ -433,18 +449,19 @@ def test_metadata_only_package(tmp_path):
     (tmp_path / "README.md").write_text("uses requests heavily\nimport requests\n")
     (tmp_path / "package.json").write_text(json.dumps({"dependencies": {"requests": "1.0.0"}}))
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
     assert inventory.records()[0].referenced_in_source == set()
 
 
 def test_empty_tree_all_metadata_only(tmp_path):
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
     matches = match_advisories(
         inventory,
         index_advisories(
             [Advisory("X-1", Ecosystem.PYPI, "requests", (VersionInterval(high="2.0.0"),), 5.0)]
         ),
+        [],
     )
     assert matches[0].fp_class is FpClass.METADATA_ONLY
 
@@ -456,7 +473,7 @@ def test_require_and_from_contexts(tmp_path):
     inventory.add("lodash", "4.17.11", Ecosystem.NPM, "package.json")
     inventory.add("left-pad", "1.3.0", Ecosystem.NPM, "package.json")
     inventory.add("minimist", "1.2.5", Ecosystem.NPM, "package.json")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
     by_name = {r.name: r for r in inventory.records()}
     assert by_name["lodash"].referenced_in_source == {"app.js"}
     assert by_name["left-pad"].referenced_in_source == {"mod.ts"}
@@ -467,7 +484,7 @@ def test_gomod_bare_path_context(tmp_path):
     (tmp_path / "main.go").write_text('import "github.com/gin-gonic/gin"\n')
     inventory = PackageInventory()
     inventory.add("github.com/gin-gonic/gin", "1.4.0", Ecosystem.GOMOD, "go.mod")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path))
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
     assert inventory.records()[0].referenced_in_source == {"main.go"}
 
 
@@ -534,7 +551,7 @@ def test_source_marking_equals_full_search(tmp_path, seed):
         inventory.add(name, "1.0.0", ecosystem, "manifest")
     extensions = (".py", ".js", ".go") if seed % 2 else SOURCE_EXTENSIONS
     expected = _marked_by_full_search(inventory, tmp_path, extensions)
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), extensions)
+    mark_source_references(inventory, tmp_path, tree_files(tmp_path), extensions, notices=[])
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     assert any(expected.values())
 
@@ -552,7 +569,7 @@ def _lodash_inventory(version: str) -> PackageInventory:
 
 def test_match_lodash_critical():
     advisories = index_advisories(advisory_from_osv(LODASH_OSV))
-    matches = match_advisories(_lodash_inventory("4.17.11"), advisories)
+    matches = match_advisories(_lodash_inventory("4.17.11"), advisories, [])
     assert len(matches) == 1
     assert matches[0].severity is Severity.CRITICAL
     assert matches[0].severity is severity_band(9.1)
@@ -560,14 +577,14 @@ def test_match_lodash_critical():
 
 def test_match_version_above_range():
     advisories = index_advisories(advisory_from_osv(LODASH_OSV))
-    assert match_advisories(_lodash_inventory("4.17.21"), advisories) == []
+    assert match_advisories(_lodash_inventory("4.17.21"), advisories, []) == []
 
 
 def test_match_minimist():
     advisories = index_advisories(advisory_from_osv(MINIMIST_OSV))
     inventory = PackageInventory()
     inventory.add("minimist", "1.2.5", Ecosystem.NPM, "package.json")
-    matches = match_advisories(inventory, advisories)
+    matches = match_advisories(inventory, advisories, [])
     assert len(matches) == 1 and matches[0].severity is Severity.CRITICAL
 
 
@@ -584,8 +601,8 @@ def test_match_mixed_case_pypi_advisory():
         ],
     }
     advisories = index_advisories(advisory_from_osv(doc))
-    inventory = parse_manifest("requirements.txt", "PyYAML==5.3\n")
-    matches = match_advisories(inventory, advisories)
+    inventory = parse_manifest("requirements.txt", "PyYAML==5.3\n", [])
+    matches = match_advisories(inventory, advisories, [])
     assert [m.advisory_id for m in matches] == ["CVE-2020-1747"]
 
 
@@ -649,7 +666,7 @@ def test_match_equals_brute_force_sample():
     rng = random.Random(42)
     for _ in range(40):
         inventory, advisories = _random_instance(rng)
-        matches = match_advisories(inventory, index_advisories(advisories))
+        matches = match_advisories(inventory, index_advisories(advisories), [])
         got = {(m.advisory_id, m.package_name, m.package_version, m.ecosystem) for m in matches}
         assert got == _brute_force_matches(inventory, advisories)
 
@@ -659,12 +676,12 @@ def test_match_monotone_under_db_growth():
     inventory, advisories = _random_instance(rng)
     base = {
         (m.advisory_id, m.package_name, m.package_version)
-        for m in match_advisories(inventory, index_advisories(advisories))
+        for m in match_advisories(inventory, index_advisories(advisories), [])
     }
     extra = Advisory("ADV-NEW", Ecosystem.NPM, "pkg0", (VersionInterval(),), 5.0)
     grown = {
         (m.advisory_id, m.package_name, m.package_version)
-        for m in match_advisories(inventory, index_advisories(advisories + [extra]))
+        for m in match_advisories(inventory, index_advisories(advisories + [extra]), [])
     }
     assert base <= grown
 
