@@ -11,6 +11,7 @@ A corpus is a directory with one subdirectory per component:
 """
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,12 +42,18 @@ _CORE_KEYS = ("repository", "publisher", "name", "version")
 
 @dataclass
 class CorpusEntry:
-    """One component on disk plus its manifest metadata."""
+    """One component on disk plus its manifest metadata.
+
+    ``parts`` names which of ``tree``, ``archives``, ``iac`` and ``image``
+    (directories) and ``run_commands.txt`` (a file) the component has, as
+    `load_corpus` found them; the scanners skip an absent part.
+    """
 
     ref: ComponentRef
     root_path: Path
-    metadata: dict[str, str] = field(default_factory=dict)
-    artifact_kind: ArtifactKind = ArtifactKind.SOURCE_TREE
+    metadata: dict[str, str]
+    artifact_kind: ArtifactKind
+    parts: frozenset[str]
 
     @property
     def tree_path(self) -> Path:
@@ -122,49 +129,83 @@ def serialize_manifest(ref: ComponentRef, metadata: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _detect_artifact_kind(root: Path) -> ArtifactKind:
-    tree = root / "tree"
-    if tree.is_dir() and any(tree.iterdir()):
-        return ArtifactKind.SOURCE_TREE
-    archives = root / "archives"
-    if archives.is_dir() and any(archives.iterdir()):
-        return ArtifactKind.ARCHIVE
-    if (root / "image").is_dir():
-        return ArtifactKind.IMAGE_LAYOUT
-    return ArtifactKind.SOURCE_TREE
+# The errors that pathlib's is_dir and is_file read as "no": a missing
+# target, a file on the way, a bad descriptor, a symlink loop.
+_NOT_THERE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _is(entry: os.DirEntry, test) -> bool:
+    """``test(entry)``, symlinks followed, with pathlib's reading of errors."""
+    try:
+        return test(entry)
+    except OSError as exc:
+        if exc.errno in _NOT_THERE:
+            return False
+        raise
+
+
+# A component's optional parts, and the kind of file each must be.
+_PARTS = (
+    ("tree", os.DirEntry.is_dir),
+    ("archives", os.DirEntry.is_dir),
+    ("iac", os.DirEntry.is_dir),
+    ("image", os.DirEntry.is_dir),
+    ("run_commands.txt", os.DirEntry.is_file),
+)
+
+
+def _has_children(path: str) -> bool:
+    with os.scandir(path) as it:
+        return any(it)
 
 
 def load_corpus(root: str | Path) -> CorpusLoadResult:
     """Load every component under a corpus root.
 
     Invalid manifests become error records in the result instead of being
-    silently dropped; a missing root raises.
+    silently dropped; a missing root raises. The root is listed once and
+    each component directory once; ``tree/`` and ``archives/`` are listed
+    only to tell the artifact kind. Symlinks are followed.
     """
     root_path = Path(root)
     if not root_path.is_dir():
         raise CorpusNotFoundError(f"corpus root not found: {root_path}")
+    with os.scandir(root_path) as it:
+        children = sorted(
+            (child for child in it if _is(child, os.DirEntry.is_dir)), key=lambda c: c.name
+        )
     result = CorpusLoadResult()
-    for child in sorted(root_path.iterdir()):
-        manifest = child / _MANIFEST_NAME
-        if not child.is_dir() or not manifest.is_file():
+    for child in children:
+        with os.scandir(child.path) as it:
+            listing = {item.name: item for item in it}
+        manifest = listing.get(_MANIFEST_NAME)
+        if manifest is None or not _is(manifest, os.DirEntry.is_file):
             continue
-        rel = str(manifest.relative_to(root_path))
+        rel = f"{child.name}/{_MANIFEST_NAME}"
         try:
-            ref, metadata = parse_manifest(rel, manifest.read_text(encoding="utf-8"))
+            with open(manifest.path, encoding="utf-8") as handle:
+                text = handle.read()
+            ref, metadata = parse_manifest(rel, text)
         except UnicodeDecodeError as exc:
             result.errors.append(ManifestParseError(rel, f"not UTF-8: {exc}"))
             continue
         except ManifestParseError as exc:
             result.errors.append(exc)
             continue
-        result.entries.append(
-            CorpusEntry(
-                ref=ref,
-                root_path=child,
-                metadata=metadata,
-                artifact_kind=_detect_artifact_kind(child),
-            )
+        parts = frozenset(
+            name for name, test in _PARTS if name in listing and _is(listing[name], test)
         )
+        if "tree" in parts and _has_children(listing["tree"].path):
+            kind = ArtifactKind.SOURCE_TREE
+        elif "archives" in parts and _has_children(listing["archives"].path):
+            kind = ArtifactKind.ARCHIVE
+        elif "image" in parts:
+            kind = ArtifactKind.IMAGE_LAYOUT
+        else:
+            kind = ArtifactKind.SOURCE_TREE
+        result.entries.append(CorpusEntry(
+            ref=ref, root_path=root_path / child.name, metadata=metadata, artifact_kind=kind, parts=parts
+        ))
     return result
 
 

@@ -225,12 +225,14 @@ class ComponentRef:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Finding:
     """One detected issue, carrying its attack-vector tag and evidence.
 
     Evidence must never contain an unredacted credential value; redaction
-    happens at detection time (see dockerlint).
+    happens at detection time (see dockerlint). A finding is built once per
+    report row, so it is a plain slotted record: cheap to build, compared
+    by value, and neither hashed nor changed once built.
     """
 
     rule_id: str
@@ -243,9 +245,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (*self.component.sort_key(), self.rule_id, self.location)
-
-    def dedup_key(self) -> tuple:
-        return (self.rule_id, self.component, self.location)
 
     def to_dict(self) -> dict:
         return {

@@ -44,26 +44,29 @@ def aggregate(
     without findings; vuln stats and the CDF are derived from
     ``vuln_counts`` alone.
     """
-    # Findings are grouped by their component's sort key, computed once per
-    # component object. Sorting the keys, then each group by rule and
-    # location, orders findings as Finding.sort_key does, ties in input order.
-    keys: dict[int, tuple] = {}
-    groups: dict[tuple, list[Finding]] = {}
+    # Findings are grouped by component, looked up by equality once per
+    # component object, so equal components share a group and dedup within
+    # a group needs only (rule_id, location). Sorting the components, then
+    # each group by rule and location, orders findings as Finding.sort_key
+    # does, ties in input order.
+    by_component: dict[ComponentRef, list[Finding]] = {}
+    by_object: dict[int, list[Finding]] = {}
     for finding in findings:
-        component = finding.component
-        key = keys.get(id(component))
-        if key is None:
-            key = keys[id(component)] = component.sort_key()
-        groups.setdefault(key, []).append(finding)
-    seen: set[tuple] = set()
+        group = by_object.get(id(finding.component))
+        if group is None:
+            group = by_object[id(finding.component)] = by_component.setdefault(
+                finding.component, []
+            )
+        group.append(finding)
     per_component: dict[ComponentRef, list[Finding]] = {}
-    for key in sorted(groups):
-        for finding in sorted(groups[key], key=attrgetter("rule_id", "location")):
-            dedup = finding.dedup_key()
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            per_component.setdefault(finding.component, []).append(finding)
+    for component in sorted(by_component, key=ComponentRef.sort_key):
+        kept = per_component[component] = []
+        seen: set[tuple[str, str]] = set()
+        for finding in sorted(by_component[component], key=attrgetter("rule_id", "location")):
+            dedup = (finding.rule_id, finding.location)
+            if dedup not in seen:
+                seen.add(dedup)
+                kept.append(finding)
     counts = dict(vuln_counts or {})
     for component in (*components, *counts):
         per_component.setdefault(component, [])
@@ -264,8 +267,10 @@ def scan_vuln(
     """V1 for one component: inventory, advisory matching, optional FP filter.
 
     Notices about a file read ``<slug>/tree/<file>: ...``; the others
-    ``<slug>: ...``.
+    ``<slug>: ...``. A component without ``tree/`` has no packages.
     """
+    if "tree" not in entry.parts:
+        return [], 0
     files = tree_files(entry.tree_path)
     file_notices: list[str] = []
     inventory = vulnscan.extract_inventory(entry.tree_path, files, file_notices)
@@ -283,20 +288,12 @@ def scan_vuln(
     for match in selected:
         location = f"tree/{match.declared_in[0]}" if match.declared_in else "tree"
         suffix = " [metadata-only]" if match.fp_class is vulnscan.FpClass.METADATA_ONLY else ""
-        findings.append(
-            Finding(
-                rule_id=f"V1-{match.advisory_id}",
-                vector=AttackVector.V1,
-                severity=match.severity,
-                component=entry.ref,
-                location=location,
-                evidence=(
-                    f"{match.package_name}@{match.package_version} ({match.ecosystem.value}) "
-                    f"affected by {match.advisory_id}{suffix}"
-                ),
-                remediation=f"upgrade {match.package_name} past the affected range",
-            )
-        )
+        findings.append(Finding(
+            f"V1-{match.advisory_id}", AttackVector.V1, match.severity, entry.ref, location,
+            f"{match.package_name}@{match.package_version} ({match.ecosystem.value}) "
+            f"affected by {match.advisory_id}{suffix}",
+            f"upgrade {match.package_name} past the affected range",
+        ))
     return findings, len(matches)
 
 
@@ -308,10 +305,9 @@ def scan_archives(
     Notices begin ``<slug>/archives/<file>: ``.
     """
     findings: list[Finding] = []
-    archives_dir = entry.archives_path
-    if not archives_dir.is_dir():
+    if "archives" not in entry.parts:
         return findings
-    for path in sorted(archives_dir.iterdir()):
+    for path in sorted(entry.archives_path.iterdir()):
         if not path.is_file():
             continue
         rel = f"archives/{path.name}"
@@ -371,9 +367,9 @@ def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> 
 
     Notices begin ``<slug>/run_commands.txt``.
     """
-    commands_file = entry.run_commands_path
-    if not commands_file.is_file():
+    if "run_commands.txt" not in entry.parts:
         return []
+    commands_file = entry.run_commands_path
     try:
         text = commands_file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -400,6 +396,8 @@ def scan_iac(
     Notices begin ``<slug>/iac/<file>: ``.
     """
     tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
+    if "iac" not in entry.parts:
+        return tagged
     template_notices: list[str] = []  # each begins with its iac/ path
     for name in tree_files(entry.iac_path):
         rel = f"iac/{name}"

@@ -132,8 +132,11 @@ def build_name_records(
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NearPair:
+    """Two same-kind records within the edit bound; a slotted record, built
+    once per output row and neither hashed nor changed once built."""
+
     a: NameRecord
     b: NameRecord
     distance: int
@@ -305,45 +308,41 @@ def distance_cdf(
     return cdf
 
 
+_NEAR_REMEDIATION = "review whether the similar name is a squatting attempt"
+_COLLISION_REMEDIATION = "confirm both publishers are legitimate owners of the name"
+
+
 def findings_from_pairs(scan: NearPairScan) -> list[Finding]:
     """Render near pairs and collisions as findings (anchored on the first
     record of each pair)."""
-    # Each record's part of the evidence, formatted once however many pairs
-    # it is in: (kind and name, name and owner slug).
+    # Each record's part of the evidence, formatted the first time a pair
+    # holds it: (kind and name, name and owner slug).
     texts: dict[int, tuple[str, str]] = {}
-    for pair in (*scan.pairs, *scan.collisions):
-        for record in (pair.a, pair.b):
-            if id(record) not in texts:
-                texts[id(record)] = (
-                    f"{record.kind.value} {record.name!r}",
-                    f"{record.name!r} ({record.owner.slug})",
-                )
+
+    def text(record: NameRecord) -> tuple[str, str]:
+        texts[id(record)] = parts = (
+            f"{record.kind.value} {record.name!r}", f"{record.name!r} ({record.owner.slug})"
+        )
+        return parts
+
+    v5, medium, location = AttackVector.V5, Severity.MEDIUM, "component.meta"
     findings: list[Finding] = []
+    append = findings.append
     for pair in scan.pairs:
-        findings.append(
-            Finding(
-                rule_id="V5-NEAR-NAME",
-                vector=AttackVector.V5,
-                severity=Severity.MEDIUM,
-                component=pair.a.owner,
-                location="component.meta",
-                evidence=(
-                    f"{texts[id(pair.a)][0]} is within edit distance "
-                    f"{pair.distance} of {texts[id(pair.b)][1]}"
-                ),
-                remediation="review whether the similar name is a squatting attempt",
-            )
-        )
+        a, b = pair.a, pair.b
+        text_a = texts.get(id(a)) or text(a)
+        text_b = texts.get(id(b)) or text(b)
+        append(Finding(
+            "V5-NEAR-NAME", v5, medium, a.owner, location,
+            f"{text_a[0]} is within edit distance {pair.distance} of {text_b[1]}",
+            _NEAR_REMEDIATION,
+        ))
     for pair in scan.collisions:
-        findings.append(
-            Finding(
-                rule_id="V5-NAME-COLLISION",
-                vector=AttackVector.V5,
-                severity=Severity.MEDIUM,
-                component=pair.a.owner,
-                location="component.meta",
-                evidence=f"{texts[id(pair.a)][0]} is also published by {pair.b.owner.slug}",
-                remediation="confirm both publishers are legitimate owners of the name",
-            )
-        )
+        a = pair.a
+        text_a = texts.get(id(a)) or text(a)
+        append(Finding(
+            "V5-NAME-COLLISION", v5, medium, a.owner, location,
+            f"{text_a[0]} is also published by {pair.b.owner.slug}",
+            _COLLISION_REMEDIATION,
+        ))
     return findings

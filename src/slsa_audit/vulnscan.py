@@ -417,8 +417,10 @@ def _parse_package_lock(path: str, contents: str, inv: PackageInventory) -> None
         if not pkg_path:
             continue
         name = pkg_path.rsplit("node_modules/", 1)[-1]
+        if not name:
+            raise ManifestError(f"{path}: empty package name in packages entry {pkg_path!r}")
         version = _npm_version(path, meta, "packages entry", pkg_path)
-        if name and version:
+        if version:
             inv.add(name, version, Ecosystem.NPM, path)
     # Lockfile v1 layout (possibly alongside v2 keys).
     def walk(deps: dict) -> None:
@@ -601,7 +603,7 @@ class FpClass(Enum):
     METADATA_ONLY = "MetadataOnly"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VulnMatch:
     """One advisory matched to one declared package version."""
 
@@ -661,14 +663,9 @@ def match_advisories(
                 if key in matches:
                     continue
                 matches[key] = VulnMatch(
-                    advisory_id=advisory.id,
-                    package_name=record.name,
-                    package_version=version_str,
-                    ecosystem=record.ecosystem,
-                    severity=severity_band(advisory.cvss_score),
-                    fp_class=fp_class,
-                    declared_in=tuple(sorted(record.declared_in)),
-                    summary=advisory.summary,
+                    advisory.id, record.name, version_str, record.ecosystem,
+                    severity_band(advisory.cvss_score), fp_class,
+                    tuple(sorted(record.declared_in)), advisory.summary,
                 )
     return [matches[k] for k in sorted(matches, key=lambda k: (k[1], k[0], k[2]))]
 

@@ -1,8 +1,14 @@
 """Corpus loading and serverless filtering."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from slsa_audit import report
+from slsa_audit.cli import main
+from slsa_audit.config import AuditConfig
+from slsa_audit.demo import build_demo_db
 from slsa_audit.ingest import (
     ArtifactKind,
     CorpusNotFoundError,
@@ -132,3 +138,155 @@ def test_filter_flips_when_yml_removed(tmp_path):
     assert is_serverless(entry)
     (directory / "tree" / "serverless.yml").unlink()
     assert not is_serverless(load_corpus(tmp_path).entries[0])
+
+
+# ---------------------------------------------------------------------------
+# Awkward corpora
+# ---------------------------------------------------------------------------
+
+
+def _awkward_corpus(tmp_path):
+    """A corpus of the shapes a real crawl leaves behind, one per child."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    target = _write_component(tmp_path / "outside", "alias", "linked", files={
+        "tree/package-lock.json": '{"packages": {"node_modules/lodash": {"version": "4.17.11"}}}\n',
+        "run_commands.txt": "docker run -v /var/run/docker.sock:/var/run/docker.sock img\n",
+    })
+    (root / "alias__linked").symlink_to(target, target_is_directory=True)
+    (root / "dangling__link").symlink_to(tmp_path / "outside" / "missing")
+    (root / "loop__link").symlink_to(root / "loop__link")
+    _write_component(root, "p", "tree-file", files={"tree": "not a directory\n"})
+    (_write_component(root, "p", "empty-archives") / "archives").mkdir()
+    _write_component(root, "p", "image-only", files={"image/layer.tar": "layer\n"})
+    (_write_component(root, "p", "commands-dir") / "run_commands.txt").mkdir()
+    (root / "stray.txt").write_text("not a component\n")
+    (root / "p__no-meta" / "tree").mkdir(parents=True)
+    (root / "p__no-meta" / "tree" / "app.py").write_text("print('hi')\n")
+    (root / "p__bad-utf8").mkdir()
+    (root / "p__bad-utf8" / "component.meta").write_bytes(
+        b"repository=dockerhub\npublisher=p\nname=caf\xe9\n"
+    )
+    (root / "p__malformed").mkdir()
+    (root / "p__malformed" / "component.meta").write_text("repository=dockerhub\nname=malformed\n")
+    return root
+
+
+_AWKWARD_ERRORS = [
+    "p__bad-utf8/component.meta: not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+    "in position 41: invalid continuation byte",
+    "p__malformed/component.meta: missing required key 'publisher'",
+]
+
+
+def test_awkward_corpus_entries_kinds_and_errors(tmp_path):
+    root = _awkward_corpus(tmp_path)
+    result = load_corpus(root)
+    assert [
+        (e.root_path.name, e.ref.slug, e.metadata, e.artifact_kind, e.parts)
+        for e in result.entries
+    ] == [
+        ("alias__linked", "alias__linked", {}, ArtifactKind.SOURCE_TREE,
+         frozenset({"tree", "run_commands.txt"})),
+        ("p__commands-dir", "p__commands-dir", {}, ArtifactKind.SOURCE_TREE, frozenset()),
+        ("p__empty-archives", "p__empty-archives", {}, ArtifactKind.SOURCE_TREE,
+         frozenset({"archives"})),
+        ("p__image-only", "p__image-only", {}, ArtifactKind.IMAGE_LAYOUT, frozenset({"image"})),
+        ("p__tree-file", "p__tree-file", {}, ArtifactKind.SOURCE_TREE, frozenset()),
+    ]
+    assert all(e.root_path.parent == root for e in result.entries)
+    assert [str(error) for error in result.errors] == _AWKWARD_ERRORS
+    assert [error.path for error in result.errors] == [
+        "p__bad-utf8/component.meta", "p__malformed/component.meta",
+    ]
+
+
+def test_awkward_corpus_ingest_and_scan_all_output(tmp_path, capsys):
+    root = _awkward_corpus(tmp_path)
+    db = build_demo_db(tmp_path / "db")
+    errors = "".join(f"error: {error}\n" for error in _AWKWARD_ERRORS)
+    notices = "".join(f"notice: {error}\n" for error in _AWKWARD_ERRORS)
+
+    assert main(["ingest", "--root", str(root)]) == 0
+    assert capsys.readouterr() == (
+        "dockerhub/alias/linked  [SourceTree]\n"
+        "dockerhub/p/commands-dir  [SourceTree]\n"
+        "dockerhub/p/empty-archives  [SourceTree]\n"
+        "dockerhub/p/image-only  [ImageLayout]\n"
+        "dockerhub/p/tree-file  [SourceTree]\n",
+        errors + "5 component(s), 2 manifest error(s)\n",
+    )
+
+    assert main(["scan-all", "--corpus", str(root), "--db", str(db)]) == 0
+    assert capsys.readouterr() == (
+        "corpus: corpus\n"
+        "components: 5    findings: 2\n"
+        "vulns/component: mean 0.2  median 0.0  max 1  min 0  stddev 0.4\n"
+        "severity: Critical 2  High 0  Medium 0  Low 0  Unknown 0\n"
+        "cdf: <=0: 0.80  <=1: 1.00  <=10: 1.00  <=100: 1.00  <=1000: 1.00  <=10000: 1.00\n"
+        "\n"
+        "component                                    vulns  findings\n"
+        "------------------------------------------------------------\n"
+        "dockerhub/alias/linked                           1         2\n"
+        "dockerhub/p/commands-dir                         0         0\n"
+        "dockerhub/p/empty-archives                       0         0\n"
+        "dockerhub/p/image-only                           0         0\n"
+        "dockerhub/p/tree-file                            0         0\n"
+        "[Critical] V1-CVE-2019-10744        alias__linked:tree/package-lock.json\n"
+        "[Critical] V3-DOCKER-SOCK           alias__linked:run_commands.txt#1\n",
+        notices,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Filesystem calls (a structural guard: counts, no timing)
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name: str) -> list[str]:
+    """Record the path of every os.<name> call from here on."""
+    calls: list[str] = []
+    real = getattr(os, name)
+
+    def counted(path, *args, **kwargs):
+        calls.append(os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, name, counted)
+    return calls
+
+
+def test_load_corpus_lists_each_component_directory_once(tmp_path, monkeypatch):
+    root = _awkward_corpus(tmp_path)
+    listed = _count_calls(monkeypatch, "scandir")
+    load_corpus(root)
+    # The root, every child directory (symlinked ones too), and tree/ or
+    # archives/ where the artifact kind needs to know they are non-empty.
+    assert sorted(os.path.relpath(path, root) for path in listed) == [
+        ".",
+        "alias__linked",
+        "alias__linked/tree",
+        "p__bad-utf8",
+        "p__commands-dir",
+        "p__empty-archives",
+        "p__empty-archives/archives",
+        "p__image-only",
+        "p__malformed",
+        "p__no-meta",
+        "p__tree-file",
+    ]
+
+
+def test_meta_only_component_scans_touch_no_file(tmp_path, monkeypatch):
+    _write_component(tmp_path, "pub", "bare")
+    (entry,) = load_corpus(tmp_path).entries
+    assert entry.parts == frozenset()
+    config = AuditConfig()
+    listed = _count_calls(monkeypatch, "scandir")
+    stats = _count_calls(monkeypatch, "stat")
+    notices: list[str] = []
+    assert report.scan_vuln(entry, {}, config, notices) == ([], 0)
+    assert report.scan_archives(entry, config, notices) == []
+    assert report.scan_docker(entry, config, notices) == []
+    assert report.scan_iac(entry, config, notices) == []
+    assert (listed, stats, notices) == ([], [], [])

@@ -62,6 +62,15 @@ def test_aggregate_dedups_on_rule_component_location():
     assert sum(report.severity_histogram.values()) == 2
 
 
+def test_aggregate_dedups_equal_components_that_are_distinct_objects():
+    twin = ComponentRef(REF_A.repository, REF_A.publisher, REF_A.name, REF_A.version)
+    assert twin == REF_A and twin is not REF_A
+    first, second = _finding("R-1"), _finding("R-1", component=twin)
+    report = aggregate([first, second], "c")
+    assert report.per_component == {REF_A: [first]}
+    assert report.severity_histogram == {Severity.HIGH: 1}
+
+
 def test_histogram_conservation():
     findings = [
         _finding("R-1", severity=Severity.CRITICAL),

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from near_pair_oracle import all_pairs_oracle, osa_table
 
 from slsa_audit import typosquat
-from slsa_audit.model import ComponentRef, EmptyInputError, Repository
+from slsa_audit.model import (
+    AttackVector,
+    ComponentRef,
+    EmptyInputError,
+    Finding,
+    Repository,
+    Severity,
+)
 from slsa_audit.typosquat import (
     NameKind,
     NameRecord,
@@ -438,3 +445,46 @@ def test_findings_from_pairs():
     rule_ids = sorted(f.rule_id for f in findings)
     assert rule_ids.count("V5-NEAR-NAME") == 2  # tool~tools twice (two owners of "tool")
     assert rule_ids.count("V5-NAME-COLLISION") == 1
+
+
+def _reference_findings(scan: typosquat.NearPairScan) -> list[Finding]:
+    """One keyword-built finding per pair, formatting every text afresh."""
+    findings = []
+    for pair in scan.pairs:
+        findings.append(Finding(
+            rule_id="V5-NEAR-NAME",
+            vector=AttackVector.V5,
+            severity=Severity.MEDIUM,
+            component=pair.a.owner,
+            location="component.meta",
+            evidence=(
+                f"{pair.a.kind.value} {pair.a.name!r} is within edit distance {pair.distance} "
+                f"of {pair.b.name!r} ({pair.b.owner.slug})"
+            ),
+            remediation="review whether the similar name is a squatting attempt",
+        ))
+    for pair in scan.collisions:
+        findings.append(Finding(
+            rule_id="V5-NAME-COLLISION",
+            vector=AttackVector.V5,
+            severity=Severity.MEDIUM,
+            component=pair.a.owner,
+            location="component.meta",
+            evidence=(
+                f"{pair.a.kind.value} {pair.a.name!r} is also published by {pair.b.owner.slug}"
+            ),
+            remediation="confirm both publishers are legitimate owners of the name",
+        ))
+    return findings
+
+
+@pytest.mark.parametrize("max_distance", [1, 2, 3])
+def test_findings_from_pairs_equal_the_per_pair_reference(max_distance):
+    records = _random_records(random.Random(f"findings-{max_distance}"), 90)
+    scan = find_near_pairs(records, max_distance)
+    assert scan.pairs and scan.collisions
+    findings = findings_from_pairs(scan)
+    reference = _reference_findings(scan)
+    assert len(findings) == len(reference)
+    for finding, expected in zip(findings, reference):
+        assert finding == expected

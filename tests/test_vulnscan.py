@@ -258,6 +258,8 @@ def test_manifest_syntax_error_names_line():
     ("os-packages.txt", "openssl=1.1\n=1.0\n", "line 2"),
     ("package.json", '{"dependencies": {"": "1.0.0"}}', "dependencies"),
     ("package-lock.json", '{"dependencies": {"": {"version": "1.0.0"}}}', "dependencies"),
+    ("package-lock.json", '{"packages": {"node_modules/": {"version": "1.0.0"}}}',
+     "empty package name in packages entry 'node_modules/'"),
 ])
 def test_empty_package_name_is_a_manifest_error(filename, text, where):
     with pytest.raises(ManifestError) as raised:
