@@ -163,13 +163,13 @@ _SEVERITY_RANK = {
 def severity_band(cvss_score: float | None) -> Severity:
     """Band a CVSS 3.1 base score into a severity level.
 
-    None or 0.0 map to Unknown; scores outside [0.0, 10.0] raise
+    None or 0.0 map to Unknown; NaN and scores outside [0.0, 10.0] raise
     :class:`ScoreRangeError`. Comparison happens on tenths so that scores
     produced by 0.1-step arithmetic band exactly.
     """
     if cvss_score is None:
         return Severity.UNKNOWN
-    if cvss_score < 0.0 or cvss_score > 10.0:
+    if not 0.0 <= cvss_score <= 10.0:  # also NaN
         raise ScoreRangeError(f"CVSS score {cvss_score} outside [0.0, 10.0]")
     tenths = round(cvss_score * 10)
     if tenths == 0:

@@ -60,7 +60,7 @@ _SEMVER_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Version:
     """A comparable package version.
 
@@ -75,17 +75,19 @@ class Version:
     segments: tuple[tuple[int, int | str], ...]
     prerelease: tuple[tuple[int, int | str], ...] | None
     fallback: bool
+    key: tuple = field(init=False, compare=False, repr=False)
 
-    def _cmp_key(self) -> tuple:
-        # A release sorts after any prerelease of the same segments.
+    def __post_init__(self) -> None:
+        # The comparison key, built once. A release sorts after any
+        # prerelease of the same segments.
         pre = ((1,),) if self.prerelease is None else ((0,), *self.prerelease)
-        return (self.segments, pre)
+        self.key = (self.segments, pre)
 
     def __lt__(self, other: "Version") -> bool:
-        return self._cmp_key() < other._cmp_key()
+        return self.key < other.key
 
     def __le__(self, other: "Version") -> bool:
-        return self._cmp_key() <= other._cmp_key()
+        return self.key <= other.key
 
 
 def _identifier_key(ident: str) -> tuple[int, int | str]:
@@ -115,7 +117,7 @@ def parse_version(text: str) -> Version:
     return Version(raw=raw, segments=segments, prerelease=None, fallback=True)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VersionInterval:
     """One affected range with inclusive/exclusive bounds (None = unbounded)."""
 
@@ -123,39 +125,39 @@ class VersionInterval:
     low_inclusive: bool = True
     high: str | None = None
     high_inclusive: bool = False
-    _low: Version | None = field(init=False, compare=False, repr=False)
-    _high: Version | None = field(init=False, compare=False, repr=False)
+    # The comparison keys (Version.key) of the bounds.
+    _low: tuple | None = field(init=False, compare=False, repr=False)
+    _high: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Bounds are parsed once here, so a malformed one fails at load time.
-        low, high = _parse_bound(self.low), _parse_bound(self.high)
+        low, high = _bound_key(self.low), _bound_key(self.high)
         if low is not None and high is not None and high < low:
             raise ValueError(f"interval has high {self.high!r} below low {self.low!r}")
-        object.__setattr__(self, "_low", low)
-        object.__setattr__(self, "_high", high)
+        self._low, self._high = low, high
 
     def contains(self, version: Version) -> bool:
-        low, high = self._low, self._high
+        key, low, high = version.key, self._low, self._high
         if low is not None:
-            if version < low or (not self.low_inclusive and not low < version):
+            if key < low or (not self.low_inclusive and not low < key):
                 return False
         if high is not None:
-            if high < version or (not self.high_inclusive and not version < high):
+            if high < key or (not self.high_inclusive and not key < high):
                 return False
         return True
 
 
 # Advisory databases repeat a few version strings across many ranges, so
-# intervals share one parsed Version per string instead of each holding a copy.
+# intervals share one comparison key per string instead of each holding a copy.
 _parse_bound_text = functools.lru_cache(maxsize=4096)(parse_version)
 
 
-def _parse_bound(bound: object) -> Version | None:
+def _bound_key(bound: object) -> tuple | None:
     if bound is None:
         return None
     if not isinstance(bound, str):
         raise ValueError(f"version bound {bound!r} is not a string")
-    return _parse_bound_text(bound)
+    return _parse_bound_text(bound).key
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def _parse_bound(bound: object) -> Version | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Advisory:
     """One vulnerability record for one package.
 
@@ -217,9 +219,11 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
             continue
         try:
             score = float(raw)
-            break
         except (TypeError, ValueError):
             continue
+        if not 0.0 <= score <= 10.0:  # also NaN
+            raise ValueError(f"CVSS score {raw!r} is not a number in [0.0, 10.0]")
+        break
     out: list[Advisory] = []
     for affected in doc.get("affected", []):
         package = affected.get("package", {})
@@ -246,20 +250,37 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
     return out
 
 
+_READ_CHUNK = 1 << 16  # bytes per os.read; advisory files are usually far smaller
+
+
+def _read_file(path: str) -> bytes:
+    """A file's bytes, read without the objects a text-mode ``open`` builds."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> list[Advisory]:
     """Load every ``*.json`` advisory under db_dir (sorted for determinism)."""
     root = Path(db_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"advisory database directory not found: {root}")
+    prefix = os.path.join(root, "")
     advisories: list[Advisory] = []
     for rel in tree_files(root):
         if not rel.endswith(".json"):
             continue
         try:
-            with open(os.path.join(root, rel), encoding="utf-8") as handle:
-                doc = json.load(handle)
+            # Decoded before json.loads, which would otherwise accept UTF-16 and UTF-32.
+            doc = json.loads(_read_file(prefix + rel).decode("utf-8"))
             advisories.extend(advisory_from_osv(doc))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not OSV-shaped
+        # Not UTF-8 JSON, nested too deep to decode, or not OSV-shaped.
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             if notices is not None:
                 notices.append(f"skipped advisory {rel.rpartition('/')[2]}: {exc}")
     return advisories

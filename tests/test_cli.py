@@ -188,6 +188,38 @@ def test_scan_all_skips_advisories_with_bad_version_bounds(demo, tmp_path, capsy
     assert sorted(line.split()[3] for line in skipped) == ["empty.json:", "int.json:"]
 
 
+@pytest.mark.parametrize("score", ["nan", "11", "inf", "-1"])
+def test_scan_all_skips_an_advisory_whose_score_is_not_in_0_to_10(demo, tmp_path, capsys, score):
+    corpus, db = demo
+    command = ["--output", "json", "scan-all", "--corpus", str(corpus)]
+    without = shutil.copytree(db, tmp_path / "without")
+    (without / "CVE-2019-10744.json").unlink()
+    assert main([*command, "--db", str(without)]) == 0
+    clean = capsys.readouterr().out
+    bad_db = shutil.copytree(db, tmp_path / "db")
+    doc = json.loads((bad_db / "CVE-2019-10744.json").read_text())
+    doc["severity"][0]["score"] = score
+    (bad_db / "CVE-2019-10744.json").write_text(json.dumps(doc))
+    assert main([*command, "--db", str(bad_db)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert (f"notice: skipped advisory CVE-2019-10744.json: CVSS score {score!r} is not a number"
+            " in [0.0, 10.0]") in captured.err
+
+
+def test_scan_all_skips_an_advisory_nested_too_deep(demo, tmp_path, capsys):
+    corpus, db = demo
+    command = ["--output", "json", "scan-all", "--corpus", str(corpus)]
+    assert main([*command, "--db", str(db)]) == 0
+    clean = capsys.readouterr().out
+    bad_db = shutil.copytree(db, tmp_path / "db")
+    (bad_db / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    assert main([*command, "--db", str(bad_db)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert "notice: skipped advisory deep.json: maximum recursion depth exceeded" in captured.err
+
+
 @pytest.mark.parametrize("config, command", [
     ({"typosquat": {"max_distance": 0}}, ["scan-all"]),
     ({"typosquat": {"max_distance": 0}}, ["typosquat"]),

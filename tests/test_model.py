@@ -69,7 +69,7 @@ def test_band_total_on_tenth_steps():
         severity_band(min(accumulated, 10.0))  # must not raise
 
 
-@pytest.mark.parametrize("bad", [-0.1, 10.1, 11.0, -5.0])
+@pytest.mark.parametrize("bad", [-0.1, 10.1, 11.0, -5.0, float("nan"), float("inf")])
 def test_band_range_errors(bad):
     with pytest.raises(ScoreRangeError):
         severity_band(bad)

@@ -1,14 +1,18 @@
 """Inventory extraction, advisory matching, FP heuristic, Jaccard, imports."""
 from __future__ import annotations
 
+import builtins
 import copy
 import json
+import os
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slsa_audit import vulnscan
+from slsa_audit.demo import build_demo_db
 from slsa_audit.ingest import tree_files
 from slsa_audit.model import Severity, severity_band
 from slsa_audit.vulnscan import (
@@ -110,6 +114,77 @@ def test_interval_bounds():
         VersionInterval(low="2.0.0", high="1.0.0")
 
 
+def _reference_key(version) -> tuple:
+    """Version._cmp_key as it was computed on every comparison."""
+    pre = ((1,),) if version.prerelease is None else ((0,), *version.prerelease)
+    return (version.segments, pre)
+
+
+def _reference_contains(interval: VersionInterval, text: str) -> bool:
+    """VersionInterval.contains as it was, comparing reference keys."""
+    key = _reference_key(parse_version(text))
+    if interval.low is not None:
+        low = _reference_key(parse_version(interval.low))
+        if key < low or (not interval.low_inclusive and not low < key):
+            return False
+    if interval.high is not None:
+        high = _reference_key(parse_version(interval.high))
+        if high < key or (not interval.high_inclusive and not key < high):
+            return False
+    return True
+
+
+_IDENT = st.text(alphabet="0123456789abz-", min_size=1, max_size=4)
+_SEMVER = st.builds(
+    lambda v, nums, pre, build: v + ".".join(map(str, nums)) + pre + build,
+    st.sampled_from(("", "v")),
+    st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    st.one_of(st.just(""), st.lists(_IDENT, min_size=1, max_size=3).map(lambda p: "-" + ".".join(p))),
+    st.sampled_from(("", "+build.5")),
+)
+# Mostly not semver, so parse_version takes the segment fallback.
+_FALLBACK = st.text(alphabet="0123456789abz.-+v", min_size=1, max_size=10).filter(str.strip)
+_VERSION_TEXT = st.one_of(_SEMVER, _FALLBACK)
+
+
+@given(_VERSION_TEXT, _VERSION_TEXT)
+def test_version_order_matches_the_reference_key(a, b):
+    va, vb = parse_version(a), parse_version(b)
+    ka, kb = _reference_key(va), _reference_key(vb)
+    assert va.key == ka
+    assert (va < vb, vb < va, va <= vb, vb <= va) == (ka < kb, kb < ka, ka <= kb, kb <= ka)
+
+
+@given(_VERSION_TEXT, _VERSION_TEXT, st.booleans(), st.booleans(), st.lists(_VERSION_TEXT, max_size=6))
+def test_interval_checks_match_the_reference(a, b, low_inclusive, high_inclusive, probes):
+    if _reference_key(parse_version(b)) < _reference_key(parse_version(a)):
+        with pytest.raises(ValueError):
+            VersionInterval(low=a, low_inclusive=low_inclusive, high=b, high_inclusive=high_inclusive)
+        a, b = b, a
+    intervals = [
+        VersionInterval(low=a, low_inclusive=low_inclusive, high=b, high_inclusive=high_inclusive),
+        VersionInterval(low=a, low_inclusive=low_inclusive),
+        VersionInterval(high=b, high_inclusive=high_inclusive),
+        VersionInterval(),
+    ]
+    for interval in intervals:
+        for text in (a, b, *probes):
+            assert interval.contains(parse_version(text)) == _reference_contains(interval, text)
+
+
+def test_interval_bounds_match_the_reference():
+    cases = [
+        VersionInterval(low="1.0.0", high="2.0.0"),
+        VersionInterval(low="1.0.0", low_inclusive=False, high="2.0.0", high_inclusive=True),
+        VersionInterval(high="4.17.12"),
+        VersionInterval(low="1.0.0", high="1.5.0", high_inclusive=True),
+    ]
+    probes = ("0.9.9", "1.0.0", "1.0.1f", "1.2.3-alpha", "1.5.0", "1.5.1", "1.9.9", "2.0.0", "4.17.11")
+    for interval in cases:
+        for text in probes:
+            assert interval.contains(parse_version(text)) == _reference_contains(interval, text)
+
+
 def test_osv_loader():
     advisories = advisory_from_osv(LODASH_OSV)
     assert len(advisories) == 1
@@ -150,6 +225,116 @@ def test_load_advisory_db(tmp_path):
     assert len(notices) == 1
     with pytest.raises(FileNotFoundError):
         load_advisory_db(tmp_path / "missing")
+
+
+def _reference_load_advisory_db(db_dir, notices: list[str]) -> list[Advisory]:
+    """load_advisory_db as it read files with a text-mode open and json.load."""
+    advisories: list[Advisory] = []
+    for rel in tree_files(db_dir):
+        if not rel.endswith(".json"):
+            continue
+        try:
+            with open(os.path.join(db_dir, rel), encoding="utf-8") as handle:
+                doc = json.load(handle)
+            advisories.extend(advisory_from_osv(doc))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not OSV-shaped
+            notices.append(f"skipped advisory {rel.rpartition('/')[2]}: {exc}")
+    return advisories
+
+
+def _big_advisory(summary_bytes: int) -> bytes:
+    return json.dumps({**LODASH_OSV, "summary": "x" * summary_bytes}).encode()
+
+
+_LODASH_BYTES = json.dumps(LODASH_OSV).encode()
+_LOADER_FILES = {
+    "bom": {"a.json": b"\xef\xbb\xbf" + _LODASH_BYTES, "b.json": json.dumps(MINIMIST_OSV).encode()},
+    "utf-16": {"a.json": json.dumps(LODASH_OSV).encode("utf-16")},
+    "invalid-utf-8": {"a.json": b'{"id": "\xff\xfe"}', "b.json": _LODASH_BYTES},
+    "empty": {"a.json": b"", "b.json": _LODASH_BYTES},
+    "crlf": {"a.json": json.dumps(LODASH_OSV, indent=2).replace("\n", "\r\n").encode()},
+    # The summary spans two chunks of the reader, and a bad byte sits past the first.
+    "large": {
+        "a.json": _big_advisory(vulnscan._READ_CHUNK * 2),
+        "b.json": _big_advisory(vulnscan._READ_CHUNK + 100)[:-3] + b"\xff" + b"}",
+    },
+}
+
+
+@pytest.mark.parametrize("case", [*_LOADER_FILES, "demo", "directory", "dangling-symlink"])
+def test_load_advisory_db_matches_the_text_mode_reference(tmp_path, case):
+    db = tmp_path / "db"
+    if case == "demo":
+        build_demo_db(db)
+    else:
+        db.mkdir()
+        (db / "z.json").write_bytes(json.dumps(MINIMIST_OSV).encode())
+    for name, data in _LOADER_FILES.get(case, {}).items():
+        (db / name).write_bytes(data)
+    if case == "directory":
+        (db / "x.json").mkdir()
+        (db / "x.json" / "inner.json").write_bytes(_LODASH_BYTES)
+    elif case == "dangling-symlink":
+        (db / "x.json").symlink_to(db / "missing.json")
+    notices: list[str] = []
+    reference_notices: list[str] = []
+    advisories = load_advisory_db(db, notices)
+    assert advisories == _reference_load_advisory_db(db, reference_notices)
+    assert notices == reference_notices
+    assert advisories
+
+
+def test_load_advisory_db_quotes_the_char_offset_of_the_raw_text(tmp_path):
+    # Text mode turned CRLF into LF, so its notices counted one char less per line break.
+    (tmp_path / "a.json").write_bytes(b'{\r\n  "id": "X",\r\n  oops\r\n}\r\n')
+    notices: list[str] = []
+    reference_notices: list[str] = []
+    assert load_advisory_db(tmp_path, notices) == _reference_load_advisory_db(tmp_path, reference_notices)
+    assert notices == [reference_notices[0].replace("(char 17)", "(char 19)")]
+
+
+def test_load_advisory_db_opens_each_file_once_without_text_mode(tmp_path, monkeypatch):
+    build_demo_db(tmp_path)
+    names = [name for name in os.listdir(tmp_path) if name.endswith(".json")]
+    opened: list[str] = []
+    real_open = os.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("text-mode open used")
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", no_open)
+    advisories = load_advisory_db(tmp_path)
+    monkeypatch.undo()
+    assert sorted(opened) == sorted(names)
+    assert len(advisories) == len(names)
+
+
+@pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "11", "10.05", "-1", 12])
+def test_cvss_score_outside_0_to_10_skips_its_file(tmp_path, score):
+    (tmp_path / "a.json").write_text(json.dumps({**LODASH_OSV, "severity": [{"score": score}]}))
+    (tmp_path / "b.json").write_text(json.dumps(MINIMIST_OSV))
+    notices: list[str] = []
+    assert [a.id for a in load_advisory_db(tmp_path, notices)] == ["CVE-2021-44906"]
+    assert notices == [f"skipped advisory a.json: CVSS score {score!r} is not a number in [0.0, 10.0]"]
+
+
+@pytest.mark.parametrize("score", ["0", "0.0", "10", "10.0", "9.95"])
+def test_cvss_score_bounds_load(score):
+    doc = {**LODASH_OSV, "severity": [{"score": "high"}, {"score": score}]}
+    assert advisory_from_osv(doc)[0].cvss_score == float(score)
+
+
+def test_deeply_nested_advisory_file_is_skipped(tmp_path):
+    (tmp_path / "a.json").write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "b.json").write_text(json.dumps(MINIMIST_OSV))
+    notices: list[str] = []
+    assert [a.id for a in load_advisory_db(tmp_path, notices)] == ["CVE-2021-44906"]
+    assert len(notices) == 1 and notices[0].startswith("skipped advisory a.json: ")
 
 
 # ---------------------------------------------------------------------------
