@@ -246,7 +246,7 @@ def _cmd_typosquat(args, config, fail_on: Severity | None) -> int:
     for pair in scan.collisions:
         print(f"d=0 [collision] {pair.a.name!r}: {pair.a.owner.slug} vs {pair.b.owner.slug}")
     try:
-        cdf = typosquat.distance_cdf(records, config.typosquat_max_distance)
+        cdf = typosquat.distance_cdf(records, scan, config.typosquat_max_distance)
     except EmptyInputError:
         cdf = []
     if cdf:

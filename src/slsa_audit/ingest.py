@@ -186,6 +186,9 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
             with open(manifest.path, encoding="utf-8") as handle:
                 text = handle.read()
             ref, metadata = parse_manifest(rel, text)
+        except OSError as exc:
+            result.errors.append(ManifestParseError(rel, f"cannot read: {exc.strerror or exc}"))
+            continue
         except UnicodeDecodeError as exc:
             result.errors.append(ManifestParseError(rel, f"not UTF-8: {exc}"))
             continue

@@ -342,6 +342,10 @@ class ScanReport:
 
     Unknown-severity records keep their own histogram bucket rather than
     being dropped, so the exclusion from statistics stays auditable.
+
+    ``per_component`` is in output order, as `report.aggregate` builds it and
+    `report.parse_report` reads it back: every component of ``vuln_counts``,
+    by ``ComponentRef.sort_key``, each with its findings by ``Finding.sort_key``.
     """
 
     corpus_id: str
@@ -352,10 +356,7 @@ class ScanReport:
     cdf_points: list[tuple[int, float]] = field(default_factory=list)
 
     def all_findings(self) -> list[Finding]:
-        out: list[Finding] = []
-        for findings in self.per_component.values():
-            out.extend(findings)
-        return sorted(out, key=Finding.sort_key)
+        return [f for findings in self.per_component.values() for f in findings]
 
     def recompute(self, cdf_thresholds: Iterable[int] = DEFAULT_CDF_THRESHOLDS) -> None:
         """Derive histogram, stats, and CDF points from findings and counts."""

@@ -7,7 +7,9 @@ AuditRun record.
 """
 from __future__ import annotations
 
+import functools
 import json
+import os
 import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -41,8 +43,8 @@ def aggregate(
 
     Findings deduplicate on (rule_id, component, location). Every
     component in ``components`` or ``vuln_counts`` is listed, with or
-    without findings; vuln stats and the CDF are derived from
-    ``vuln_counts`` alone.
+    without findings, in output order (see ScanReport); vuln stats and the
+    CDF are derived from ``vuln_counts`` alone.
     """
     # Findings are grouped by component, looked up by equality once per
     # component object, so equal components share a group and dedup within
@@ -58,18 +60,17 @@ def aggregate(
                 finding.component, []
             )
         group.append(finding)
+    counts = dict(vuln_counts or {})
     per_component: dict[ComponentRef, list[Finding]] = {}
-    for component in sorted(by_component, key=ComponentRef.sort_key):
+    groups = dict.fromkeys([*components, *counts], ()) | by_component
+    for component in sorted(groups, key=ComponentRef.sort_key):
         kept = per_component[component] = []
         seen: set[tuple[str, str]] = set()
-        for finding in sorted(by_component[component], key=attrgetter("rule_id", "location")):
+        for finding in sorted(groups[component], key=attrgetter("rule_id", "location")):
             dedup = (finding.rule_id, finding.location)
             if dedup not in seen:
                 seen.add(dedup)
                 kept.append(finding)
-    counts = dict(vuln_counts or {})
-    for component in (*components, *counts):
-        per_component.setdefault(component, [])
     report = ScanReport(corpus_id=corpus_id, per_component=per_component, vuln_counts=counts)
     report.recompute(cdf_thresholds)
     return report
@@ -83,21 +84,15 @@ _SEVERITY_ORDER = (Severity.CRITICAL, Severity.HIGH, Severity.MEDIUM, Severity.L
 
 
 def report_to_dict(report: ScanReport) -> dict:
-    components = sorted(
-        set(report.per_component) | set(report.vuln_counts), key=ComponentRef.sort_key
-    )
     body: dict = {
         "corpus_id": report.corpus_id,
         "components": [
             {
                 "component": component.to_dict(),
                 "vuln_count": report.vuln_counts.get(component, 0),
-                "findings": [
-                    f.to_dict()
-                    for f in sorted(report.per_component.get(component, []), key=Finding.sort_key)
-                ],
+                "findings": [f.to_dict() for f in findings],
             }
-            for component in components
+            for component, findings in report.per_component.items()
         ],
         "severity_histogram": {
             sev.value: report.severity_histogram.get(sev, 0) for sev in _SEVERITY_ORDER
@@ -145,12 +140,9 @@ def emit(report: ScanReport, format: str = "json") -> bytes:
 
 def _emit_table(report: ScanReport) -> str:
     lines: list[str] = []
-    components = sorted(
-        set(report.per_component) | set(report.vuln_counts), key=ComponentRef.sort_key
-    )
     findings_total = sum(len(v) for v in report.per_component.values())
     lines.append(f"corpus: {report.corpus_id or '(unnamed)'}")
-    lines.append(f"components: {len(components)}    findings: {findings_total}")
+    lines.append(f"components: {len(report.per_component)}    findings: {findings_total}")
     if report.stats:
         s = report.stats
         lines.append(
@@ -168,14 +160,13 @@ def _emit_table(report: ScanReport) -> str:
     lines.append("")
     lines.append(header)
     lines.append("-" * len(header))
-    for component in components:
+    for component, findings in report.per_component.items():
         slug = f"{component.repository.value}/{component.publisher}/{component.name}"
         lines.append(
-            f"{slug:<44} {report.vuln_counts.get(component, 0):>5}  "
-            f"{len(report.per_component.get(component, [])):>8}"
+            f"{slug:<44} {report.vuln_counts.get(component, 0):>5}  {len(findings):>8}"
         )
-    for component in components:
-        for finding in report.per_component.get(component, []):
+    for component, findings in report.per_component.items():
+        for finding in findings:
             lines.append(
                 f"[{finding.severity.value:<8}] {finding.rule_id:<24} "
                 f"{component.slug}:{finding.location}"
@@ -258,6 +249,23 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _read_text(root: str, rel: str, notices: list[str], errors: str = "strict") -> str | None:
+    """The UTF-8 text, with universal newlines, of the file ``rel`` under
+    ``root``; or None, with a notice that begins with ``rel``.
+
+    A file that cannot be read gives ``<rel>: cannot read: <reason>``; one
+    that does not decode under ``errors`` gives ``<rel>: <exc>``.
+    """
+    try:
+        with open(os.path.join(root, rel), encoding="utf-8", errors=errors) as handle:
+            return handle.read()
+    except OSError as exc:
+        notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        notices.append(f"{rel}: {exc}")
+    return None
+
+
 def scan_vuln(
     entry: CorpusEntry,
     db: vulnscan.AdvisoryIndex,
@@ -271,12 +279,12 @@ def scan_vuln(
     """
     if "tree" not in entry.parts:
         return [], 0
-    files = tree_files(entry.tree_path)
+    root = str(entry.tree_path)
+    files = tree_files(root)
     file_notices: list[str] = []
-    inventory = vulnscan.extract_inventory(entry.tree_path, files, file_notices)
-    vulnscan.mark_source_references(
-        inventory, entry.tree_path, files, config.source_extensions, notices=file_notices
-    )
+    read = functools.partial(_read_text, root, notices=file_notices, errors="replace")
+    inventory = vulnscan.extract_inventory(files, read, file_notices)
+    vulnscan.mark_source_references(inventory, files, read, config.source_extensions)
     match_notices: list[str] = []
     matches = vulnscan.match_advisories(inventory, db, match_notices)
     notices.extend(f"{entry.ref.slug}/tree/{notice}" for notice in file_notices)
@@ -342,6 +350,9 @@ def scan_archives(
         except (archive.UnsupportedFormatError, archive.ExtractionError) as exc:
             notices.append(f"{entry.ref.slug}/{rel}: {exc}")
             continue
+        except OSError as exc:  # the only disk access is reading the archive
+            notices.append(f"{entry.ref.slug}/{rel}: cannot read: {exc.strerror or exc}")
+            continue
         nested_notices: list[str] = []
         for match in archive.scan_entries(
             entries, config.signatures, config.recursion_depth, config.extraction_limits,
@@ -369,17 +380,13 @@ def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> 
     """
     if "run_commands.txt" not in entry.parts:
         return []
-    commands_file = entry.run_commands_path
-    try:
-        text = commands_file.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        notices.append(f"{entry.ref.slug}/{commands_file.name}: {exc}")
-        return []
+    name = entry.run_commands_path.name
     command_notices: list[str] = []
-    findings = dockerlint.lint_commands_text(
+    text = _read_text(str(entry.root_path), name, command_notices)
+    findings = [] if text is None else dockerlint.lint_commands_text(
         text,
         component=entry.ref,
-        source_name=commands_file.name,
+        source_name=name,
         rules=config.docker_rules,
         key_config=config.sensitive_keys,
         notices=command_notices,
@@ -399,12 +406,16 @@ def scan_iac(
     if "iac" not in entry.parts:
         return tagged
     template_notices: list[str] = []  # each begins with its iac/ path
+    root = str(entry.root_path)
     for name in tree_files(entry.iac_path):
         rel = f"iac/{name}"
+        text = _read_text(root, rel, template_notices)
+        if text is None:
+            continue
         try:
             framework, findings = iaclint.lint_template(
                 rel,
-                (entry.iac_path / name).read_text(encoding="utf-8"),
+                text,
                 catalog=config.iac_catalog,
                 component=entry.ref,
                 notices=template_notices,
@@ -414,9 +425,6 @@ def scan_iac(
             continue
         except iaclint.TemplateParseError as exc:
             template_notices.append(str(exc))
-            continue
-        except UnicodeDecodeError as exc:
-            template_notices.append(f"{rel}: {exc}")
             continue
         tagged.extend((framework, f) for f in findings)
     notices.extend(f"{entry.ref.slug}/{notice}" for notice in template_notices)

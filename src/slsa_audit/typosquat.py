@@ -273,33 +273,25 @@ def _near_name_pairs(names: list[str], max_distance: int) -> list[tuple[str, str
 
 
 def distance_cdf(
-    records: Iterable[NameRecord], max_distance: int
+    records: Iterable[NameRecord], scan: NearPairScan, max_distance: int
 ) -> list[tuple[int, float]]:
     """CDF of pairwise OSA distances for d = 0..max_distance.
 
+    ``scan`` is `find_near_pairs` over the same records and max_distance.
     Pairs are formed within each kind; fractions are over all such pairs.
-    Counts come from name multiplicities: m records sharing a name give
-    C(m, 2) pairs at distance 0, and two distinct names with m_a and m_b
-    records give m_a * m_b pairs at their distance, so each distinct name
-    pair is compared once.
+    m records sharing a name give C(m, 2) pairs at distance 0; the pairs
+    at d >= 1 are the scan's, which holds every record pair of each near
+    name pair.
     """
-    by_kind: dict[NameKind, Counter[str]] = {}
-    total = 0
-    for record in records:
-        by_kind.setdefault(record.kind, Counter())[record.name] += 1
-        total += 1
-    if total < 2:
+    names = Counter((record.kind, record.name) for record in records)
+    if names.total() < 2:
         raise EmptyInputError("distance_cdf requires at least two records")
-    counts: Counter[int] = Counter()
-    num_pairs = 0
-    for multiplicity in by_kind.values():
-        n = sum(multiplicity.values())
-        num_pairs += n * (n - 1) // 2
-        counts[0] += sum(m * (m - 1) // 2 for m in multiplicity.values())
-        for name_a, name_b, d in _near_name_pairs(sorted(multiplicity), max_distance):
-            counts[d] += multiplicity[name_a] * multiplicity[name_b]
+    kinds = Counter(kind for kind, _ in names.elements())
+    num_pairs = sum(math.comb(n, 2) for n in kinds.values())
     if num_pairs == 0:
         raise EmptyInputError("distance_cdf requires at least one same-kind pair")
+    counts = Counter(pair.distance for pair in scan.pairs)
+    counts[0] = sum(math.comb(m, 2) for m in names.values())
     cdf: list[tuple[int, float]] = []
     cumulative = 0
     for d in range(max_distance + 1):

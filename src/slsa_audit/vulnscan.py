@@ -14,10 +14,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from slsa_audit.ingest import tree_files
-from slsa_audit.model import AuditError, Severity, severity_band
+from slsa_audit.model import AuditError, Severity, read_settings_file, severity_band
 
 
 class ManifestError(AuditError, ValueError):
@@ -56,7 +56,7 @@ _ECOSYSTEM_ALIASES = {
 # ---------------------------------------------------------------------------
 
 _SEMVER_RE = re.compile(
-    r"^v?(\d+)(?:\.(\d+))?(?:\.(\d+))?(?:-([0-9A-Za-z.-]+))?(?:\+[0-9A-Za-z.-]+)?$"
+    r"^v?([0-9]+)(?:\.([0-9]+))?(?:\.([0-9]+))?(?:-([0-9A-Za-z.-]+))?(?:\+[0-9A-Za-z.-]+)?$"
 )
 
 
@@ -91,7 +91,8 @@ class Version:
 
 
 def _identifier_key(ident: str) -> tuple[int, int | str]:
-    if ident.isdigit():
+    # Only ASCII digits are a number: int() rejects "²" and reads "٣" as 3.
+    if ident.isascii() and ident.isdigit():
         return (0, int(ident))
     return (1, ident)
 
@@ -532,18 +533,19 @@ def _suffix(rel: str) -> str:
 
 
 def extract_inventory(
-    tree_root: str | Path, files: Iterable[str], notices: list[str]
+    files: Iterable[str], read: Callable[[str], str | None], notices: list[str]
 ) -> PackageInventory:
     """Merge every supported manifest among a tree's files (see ingest.tree_files).
 
+    ``read(rel)`` gives a file's text, or None for a file it could not read.
     Each notice begins with the tree-relative path of the file it is about.
     """
-    root = str(Path(tree_root))
     inventory = PackageInventory()
     for rel in files:
         if rel.rpartition("/")[2].lower() in MANIFEST_KINDS:
-            with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
-                contents = handle.read()
+            contents = read(rel)
+            if contents is None:
+                continue
             try:
                 inventory.merge(parse_manifest(rel, contents, notices))
             except ManifestError as exc:
@@ -572,21 +574,18 @@ def _import_pattern(record: PackageRecord) -> re.Pattern[str]:
 
 def mark_source_references(
     inventory: PackageInventory,
-    tree_root: str | Path,
     files: Iterable[str],
+    read: Callable[[str], str | None],
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
-    *,
-    notices: list[str],
 ) -> PackageInventory:
     """Populate referenced_in_source with the tree's files (see ingest.tree_files)
     importing each package.
 
     Only files whose extension is in the source set count; metadata files
-    never do. Matching requires the package name as a whole token in an
-    import-like context, which is stricter than bare substring search.
-    Each notice begins with the tree-relative path of the file it is about.
+    never do. ``read(rel)`` gives a file's text, or None for a file it
+    could not read. Matching requires the package name as a whole token in
+    an import-like context, which is stricter than bare substring search.
     """
-    root = str(Path(tree_root))
     source_exts = tuple(source_extensions)
     if not inventory.packages:
         return inventory
@@ -595,11 +594,8 @@ def mark_source_references(
     for rel in files:
         if _suffix(rel).lower() not in source_exts:
             continue
-        try:
-            with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
-                text = handle.read()
-        except OSError as exc:
-            notices.append(f"{rel}: skipped unreadable source file: {exc.strerror or exc}")
+        text = read(rel)
+        if text is None:
             continue
         for key, record in inventory.packages.items():
             # Every import pattern contains the name literally and is
@@ -733,50 +729,64 @@ def import_external_scan(path: str | Path, format: str) -> dict[str, set[str]]:
                    "Vulnerabilities": [{"VulnerabilityID": str}]}]}
       grype-json: {"source": {"target": str|{"userInput": str}},
                    "matches": [{"vulnerability": {"id": str}}]}
+
+    A report that cannot be read, is not UTF-8 JSON or strays from its
+    subset raises an AuditError naming the file.
     """
+    importer = {"trivy-json": _import_trivy, "grype-json": _import_grype}.get(format)
+    if importer is None:
+        raise ValueError(f"unknown scan format {format!r}; expected trivy-json or grype-json")
+    doc = read_settings_file(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ExternalScanFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if format == "trivy-json":
-        return _import_trivy(doc)
-    if format == "grype-json":
-        return _import_grype(doc)
-    raise ValueError(f"unknown scan format {format!r}; expected trivy-json or grype-json")
+        return importer(doc)
+    except ExternalScanFormatError as exc:
+        raise ExternalScanFormatError(f"{path}: {exc}") from exc
 
 
-def _import_trivy(doc: dict) -> dict[str, set[str]]:
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _shaped(value, kind: type, what: str):
+    """value, if it is a ``kind``; else ExternalScanFormatError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ExternalScanFormatError(f"{what} must be {_SHAPES[kind]}")
+    return value
+
+
+def _import_trivy(doc: object) -> dict[str, set[str]]:
     if not isinstance(doc, dict) or "Results" not in doc:
         raise ExternalScanFormatError("trivy-json: missing field 'Results'")
-    default_component = doc.get("ArtifactName", "")
+    default_component = _shaped(doc.get("ArtifactName") or "", str, "trivy-json: 'ArtifactName'")
     out: dict[str, set[str]] = {}
     if default_component:
         out.setdefault(default_component, set())
-    for result in doc["Results"]:
-        if not isinstance(result, dict):
-            raise ExternalScanFormatError("trivy-json: 'Results' entries must be objects")
-        component = result.get("Target") or default_component
+    for result in _shaped(doc["Results"], list, "trivy-json: 'Results'"):
+        result = _shaped(result, dict, "trivy-json: each 'Results' entry")
+        component = _shaped(result.get("Target") or default_component, str, "trivy-json: 'Target'")
         if not component:
             raise ExternalScanFormatError("trivy-json: result missing field 'Target'")
         ids = out.setdefault(component, set())
-        for vuln in result.get("Vulnerabilities") or []:
-            vuln_id = vuln.get("VulnerabilityID")
+        vulns = _shaped(result.get("Vulnerabilities") or [], list, "trivy-json: 'Vulnerabilities'")
+        for vuln in vulns:
+            vuln_id = _shaped(vuln, dict, "trivy-json: each vulnerability").get("VulnerabilityID")
             if not vuln_id:
                 raise ExternalScanFormatError("trivy-json: missing field 'VulnerabilityID'")
-            ids.add(vuln_id)
+            ids.add(_shaped(vuln_id, str, "trivy-json: 'VulnerabilityID'"))
     return out
 
 
-def _import_grype(doc: dict) -> dict[str, set[str]]:
+def _import_grype(doc: object) -> dict[str, set[str]]:
     if not isinstance(doc, dict) or "matches" not in doc:
         raise ExternalScanFormatError("grype-json: missing field 'matches'")
-    target = (doc.get("source") or {}).get("target", "unknown")
+    target = _shaped(doc.get("source") or {}, dict, "grype-json: 'source'").get("target", "unknown")
     if isinstance(target, Mapping):
         target = target.get("userInput") or target.get("name") or "unknown"
     ids: set[str] = set()
-    for match in doc["matches"]:
-        vuln_id = (match.get("vulnerability") or {}).get("id")
+    for match in _shaped(doc["matches"], list, "grype-json: 'matches'"):
+        match = _shaped(match, dict, "grype-json: each match")
+        vulnerability = match.get("vulnerability") or {}
+        vuln_id = _shaped(vulnerability, dict, "grype-json: 'vulnerability'").get("id")
         if not vuln_id:
             raise ExternalScanFormatError("grype-json: missing field 'vulnerability.id'")
-        ids.add(vuln_id)
-    return {str(target): ids}
+        ids.add(_shaped(vuln_id, str, "grype-json: 'vulnerability.id'"))
+    return {_shaped(target, str, "grype-json: 'source.target'"): ids}

@@ -126,6 +126,45 @@ def test_vulnscan_compare(tmp_path, capsys):
     assert "jaccard 0.333" in out
 
 
+_TRIVY = {"Results": [{"Target": "img", "Vulnerabilities": [{"VulnerabilityID": "CVE-1"}]}]}
+_GRYPE = {"source": {"target": "img"}, "matches": [{"vulnerability": {"id": "CVE-1"}}]}
+
+
+@pytest.mark.parametrize("fmt, content", [
+    ("trivy-json", b"\xff\xfe{}"),
+    ("trivy-json", b"[" * 100_000 + b"]" * 100_000),
+    ("trivy-json", {"Results": 5}),
+    ("trivy-json", {"Results": [5]}),
+    ("trivy-json", {"ArtifactName": ["img"], "Results": []}),
+    ("trivy-json", {"Results": [{"Target": 5}]}),
+    ("trivy-json", {"Results": [{"Target": "img", "Vulnerabilities": 5}]}),
+    ("trivy-json", {"Results": [{"Target": "img", "Vulnerabilities": [5]}]}),
+    ("trivy-json", {"Results": [{"Target": "img", "Vulnerabilities": [{"VulnerabilityID": [1]}]}]}),
+    ("grype-json", {"source": 5, "matches": []}),
+    ("grype-json", {"source": {"target": {"userInput": ["img"]}}, "matches": []}),
+    ("grype-json", {"matches": {"vulnerability": {"id": "CVE-1"}}}),
+    ("grype-json", {"matches": [5]}),
+    ("grype-json", {"matches": [{"vulnerability": 5}]}),
+    ("grype-json", {"matches": [{"vulnerability": {"id": {"CVE": 1}}}]}),
+], ids=["not-utf8", "too-deep", "results", "result", "artifact-name", "target", "vulns", "vuln",
+        "vuln-id", "source", "target-input", "matches", "match", "vulnerability", "id"])
+def test_vulnscan_compare_malformed_report_exits_2(tmp_path, capsys, monkeypatch, fmt, content):
+    monkeypatch.chdir(tmp_path)
+    good = {"trivy-json": _TRIVY, "grype-json": _GRYPE}
+    for name, doc in good.items():
+        Path(f"{name}.json").write_text(json.dumps(doc))
+    if not isinstance(content, bytes):
+        content = json.dumps(content).encode()
+    Path("bad.json").write_bytes(content)
+    reports = {name: f"{name}.json" for name in good} | {fmt: "bad.json"}
+    assert main(["vulnscan", "--corpus", "unused", "--db", "unused",
+                 "--compare", reports["trivy-json"], reports["grype-json"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad.json: "), captured.err
+    assert captured.err.count("\n") == 1
+
+
 def _corpus_with_bad_component(corpus, tmp_path, manifest=b"repository=dockerhub\nname=c\n"):
     broken_corpus = shutil.copytree(corpus, tmp_path / corpus.name)
     bad = broken_corpus / "bad__c"

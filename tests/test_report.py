@@ -1,7 +1,11 @@
 """Aggregation, dedup, serialization round-trips, and output formats."""
 from __future__ import annotations
 
+import builtins
+import errno
+import io
 import json
+import os
 
 import pytest
 
@@ -254,3 +258,40 @@ def test_unreadable_archives_are_notices_and_the_others_still_scan(tmp_path):
         "supported kinds: 7z, tar, tar.bz2, tar.gz, tar.lzma, tar.xz, tar.zst, zip",
     ]
     assert before and run.report.all_findings() == before
+
+
+@pytest.mark.parametrize("rel", [
+    "acme__serverless-resizer/tree/package.json",
+    "acme__serverless-resizer/tree/handler.js",
+    "bluefin__etl-serverless/iac/template.yaml",
+    "weaver__socket-bridge/run_commands.txt",
+    "testbed__zip-bundle-serverless/archives/bundle.zip",
+    "cloudkite__thumbnail-service/component.meta",
+])
+def test_an_unreadable_component_file_is_a_notice(tmp_path, monkeypatch, rel):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    before = scan_corpus(corpus, AuditConfig(), db)
+    slug = rel.partition("/")[0]
+    target = str(corpus / rel)
+    # Patched rather than chmod 000, which does not stop a read by root.
+    for module in (builtins, io):
+        def failing_open(file, *args, _open=module.open, **kwargs):
+            if os.fspath(file) == target:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+            return _open(file, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", failing_open)
+    run = scan_corpus(corpus, AuditConfig(), db)
+    assert run.notices.count(f"{rel}: cannot read: {os.strerror(errno.EACCES)}") == 1
+
+    def others(per_component):
+        return {ref: found for ref, found in per_component.items() if ref.slug != slug}
+
+    assert others(run.report.per_component) == others(before.report.per_component)
+    assert [n for n in run.notices if not n.startswith((f"{slug}/", f"{slug}:"))] == [
+        n for n in before.notices if not n.startswith((f"{slug}/", f"{slug}:"))
+    ]
+    # Without its manifest the component is an ingest error; otherwise it is still listed.
+    listed = {ref.slug for ref in run.report.per_component}
+    assert (slug in listed) is not rel.endswith("component.meta")

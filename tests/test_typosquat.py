@@ -24,6 +24,7 @@ from slsa_audit.typosquat import (
     NameKind,
     NameRecord,
     NearPair,
+    NearPairScan,
     build_name_records,
     distance_cdf,
     dl_distance,
@@ -354,12 +355,18 @@ def test_length_prefilter_soundness():
             assert abs(len(a) - len(b)) <= 2
 
 
+def _cdf(records: list[NameRecord], max_distance: int) -> list[tuple[int, float]]:
+    """distance_cdf given the scan it reads (no pair is at d >= 1 when k = 0)."""
+    scan = find_near_pairs(records, max_distance) if max_distance else NearPairScan()
+    return distance_cdf(records, scan, max_distance)
+
+
 def test_distance_cdf_examples():
     records = [
         NameRecord(n, NameKind.IMAGE_NAME, _ref(Repository.GITHUB, f"p{i}", n))
         for i, n in enumerate(["ab", "ba", "zz"])
     ]
-    cdf = distance_cdf(records, 2)
+    cdf = _cdf(records, 2)
     assert cdf[0] == (0, 0.0)
     assert cdf[1][1] == pytest.approx(1 / 3)
     assert cdf[2] == (2, 1.0)
@@ -370,18 +377,18 @@ def test_distance_cdf_all_far():
         NameRecord(n, NameKind.IMAGE_NAME, _ref(Repository.GITHUB, f"p{i}", n))
         for i, n in enumerate(["aaaaaa", "bbbbbb", "cccccc"])
     ]
-    assert distance_cdf(records, 1) == [(0, 0.0), (1, 0.0)]
+    assert _cdf(records, 1) == [(0, 0.0), (1, 0.0)]
 
 
 def test_distance_cdf_needs_two():
     with pytest.raises(EmptyInputError):
-        distance_cdf([], 1)
+        _cdf([], 1)
     solo = [NameRecord("x", NameKind.IMAGE_NAME, _ref(Repository.GITHUB, "p", "x"))]
     with pytest.raises(EmptyInputError):
-        distance_cdf(solo, 1)
+        _cdf(solo, 1)
     username = NameRecord("x", NameKind.USERNAME, _ref(Repository.GITHUB, "x", "y"))
     with pytest.raises(EmptyInputError):
-        distance_cdf(solo + [username], 1)  # two records, but no same-kind pair
+        _cdf(solo + [username], 1)  # two records, but no same-kind pair
 
 
 def _distance_cdf_oracle(records: list[NameRecord], max_distance: int) -> list[tuple[int, float]]:
@@ -413,7 +420,7 @@ def test_distance_cdf_equals_all_pairs_oracle(max_distance):
             )
             for i in range(rng.randint(3, 30))
         ]
-        assert distance_cdf(records, max_distance) == _distance_cdf_oracle(records, max_distance)
+        assert _cdf(records, max_distance) == _distance_cdf_oracle(records, max_distance)
 
 
 def test_build_name_records_skips_aws_sar():

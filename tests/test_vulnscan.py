@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import builtins
 import copy
+import io
 import json
 import os
 import random
@@ -95,6 +96,15 @@ def test_version_v_prefix_and_fallback_notice():
     index = index_advisories(advisory_from_osv(LODASH_OSV))
     match_advisories(_lodash_inventory("1.0.1f"), index, notices)
     assert notices and "fallback" in notices[0]
+
+
+def test_version_digits_are_ascii():
+    # "٣" is an Arabic-Indic three, "²" a superscript two: str.isdigit accepts both.
+    arabic = parse_version("1.٣")
+    assert arabic.fallback
+    assert arabic.key != parse_version("1.3").key
+    assert parse_version("1.3") < arabic
+    assert parse_version("1.²").segments == ((0, 1), (1, "²"))
 
 
 def test_version_empty():
@@ -554,12 +564,17 @@ def test_unsupported_kind_notice():
     assert notices and "unsupported" in notices[0]
 
 
+def _reader(root):
+    """A tree's reader: each file's UTF-8 text, undecodable bytes replaced."""
+    return lambda rel: (root / rel).read_text(encoding="utf-8", errors="replace")
+
+
 def test_extract_inventory_merges(tmp_path):
     (tmp_path / "package.json").write_text(json.dumps({"dependencies": {"lodash": "^4.17.11"}}))
     sub = tmp_path / "svc"
     sub.mkdir()
     (sub / "package.json").write_text(json.dumps({"dependencies": {"lodash": "4.17.20"}}))
-    inventory = extract_inventory(tmp_path, tree_files(tmp_path), [])
+    inventory = extract_inventory(tree_files(tmp_path), _reader(tmp_path), [])
     records = inventory.records()
     assert len(records) == 1
     assert records[0].versions == {"4.17.11", "4.17.20"}
@@ -601,16 +616,38 @@ def test_tree_files_equal_sorted_rglob(tmp_path):
 def test_single_walk_feeds_both_tree_stages(tmp_path, extensions):
     root = _tree_with_links(tmp_path)
     files = tree_files(root)
-    inventory = extract_inventory(root, files, [])
+    inventory = extract_inventory(files, _reader(root), [])
     inventory.add("requests", "1.0.0", Ecosystem.PYPI, "requirements.txt")
     assert [r.declared_in for r in inventory.records() if r.name == "lodash"] == [{"PACKAGE.JSON"}]
     expected = _marked_by_full_search(inventory, root, extensions)
-    mark_source_references(inventory, root, files, extensions, notices=[])
+    mark_source_references(inventory, files, _reader(root), extensions)
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     # Path.suffix semantics: ".py", ".env" and "file." have no suffix; "Z.PY" counts.
     referenced = inventory.packages[("requests", Ecosystem.PYPI)].referenced_in_source
     assert {"Z.PY", "linkfile.py"} <= referenced
     assert ({".py", ".env", "file."} <= referenced) is ("" in extensions)
+
+
+def test_tree_stages_read_only_through_the_reader(tmp_path, monkeypatch):
+    root = _tree_with_links(tmp_path)
+    (root / "a" / "requirements.txt").write_text("requests==2.0.0\n")
+    files = tree_files(root)
+    on_disk = extract_inventory(files, _reader(root), [])
+    mark_source_references(on_disk, files, _reader(root))
+    texts = {rel: _reader(root)(rel) for rel in files}
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("a V1 tree stage opened a file")
+
+    with monkeypatch.context() as patched:
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            patched.setattr(module, name, no_open)
+        in_memory = extract_inventory(files, texts.get, [])
+        mark_source_references(in_memory, files, texts.get)
+        unread = extract_inventory(files, lambda rel: None, [])
+    assert in_memory == on_disk
+    assert on_disk.packages[("requests", Ecosystem.PYPI)].referenced_in_source
+    assert unread.packages == {}
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +664,7 @@ def _inventory_with(name: str, ecosystem: Ecosystem = Ecosystem.PYPI) -> Package
 def test_source_reference_import(tmp_path):
     (tmp_path / "handler.py").write_text("import requests\n\nprint(requests)\n")
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
     record = inventory.records()[0]
     assert record.referenced_in_source == {"handler.py"}
 
@@ -636,13 +673,13 @@ def test_metadata_only_package(tmp_path):
     (tmp_path / "README.md").write_text("uses requests heavily\nimport requests\n")
     (tmp_path / "package.json").write_text(json.dumps({"dependencies": {"requests": "1.0.0"}}))
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
     assert inventory.records()[0].referenced_in_source == set()
 
 
 def test_empty_tree_all_metadata_only(tmp_path):
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
     matches = match_advisories(
         inventory,
         index_advisories(
@@ -660,7 +697,7 @@ def test_require_and_from_contexts(tmp_path):
     inventory.add("lodash", "4.17.11", Ecosystem.NPM, "package.json")
     inventory.add("left-pad", "1.3.0", Ecosystem.NPM, "package.json")
     inventory.add("minimist", "1.2.5", Ecosystem.NPM, "package.json")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
     by_name = {r.name: r for r in inventory.records()}
     assert by_name["lodash"].referenced_in_source == {"app.js"}
     assert by_name["left-pad"].referenced_in_source == {"mod.ts"}
@@ -671,7 +708,7 @@ def test_gomod_bare_path_context(tmp_path):
     (tmp_path / "main.go").write_text('import "github.com/gin-gonic/gin"\n')
     inventory = PackageInventory()
     inventory.add("github.com/gin-gonic/gin", "1.4.0", Ecosystem.GOMOD, "go.mod")
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
     assert inventory.records()[0].referenced_in_source == {"main.go"}
 
 
@@ -738,7 +775,7 @@ def test_source_marking_equals_full_search(tmp_path, seed):
         inventory.add(name, "1.0.0", ecosystem, "manifest")
     extensions = (".py", ".js", ".go") if seed % 2 else SOURCE_EXTENSIONS
     expected = _marked_by_full_search(inventory, tmp_path, extensions)
-    mark_source_references(inventory, tmp_path, tree_files(tmp_path), extensions, notices=[])
+    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path), extensions)
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     assert any(expected.values())
 
