@@ -8,9 +8,13 @@ AuditRun record.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
+import pickle
 import platform
+import signal
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -233,6 +237,7 @@ class AuditRun:
     started: str = ""
     finished: str = ""
     notices: list[str] = field(default_factory=list)
+    archive_worker: dict | None = None  # ArchiveWorker.meta, None when none ran
 
     def meta_dict(self) -> dict:
         return {
@@ -242,6 +247,7 @@ class AuditRun:
             "started": self.started,
             "finished": self.finished,
             "notices": list(self.notices),
+            "archive_worker": self.archive_worker,
         }
 
 
@@ -431,6 +437,94 @@ def scan_iac(
     return tagged
 
 
+def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, started: float) -> bytes:
+    """What an archive worker sends: the pickle of ``(True, (results,
+    seconds))``, with one ``(findings, notices)`` per entry, or of
+    ``(False, exception)``."""
+    try:
+        results = []
+        for entry in entries:
+            notices: list[str] = []
+            results.append((scan_archives(entry, config, notices), notices))
+        return pickle.dumps((True, (results, time.perf_counter() - started)), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        try:
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(payload)  # an exception whose args do not fit its __init__ fails here
+            return payload
+        except Exception:
+            import traceback  # only on this path, so set-up does not pay for it
+
+            detail = "".join(traceback.format_exception(exc))
+            return pickle.dumps((False, RuntimeError(f"archive scan worker failed:\n{detail}")))
+
+
+class ArchiveWorker:
+    """V2 over ``entries`` in one forked child, while the caller goes on.
+
+    The child runs `scan_archives` on each entry in order, writes one pickle
+    (`_archive_scan_payload`) to a pipe and leaves through ``os._exit``, so
+    it never returns into its caller's frames or flushes stdio buffers it
+    inherited. `result` reads the pickle and reaps the child; `close`, in
+    the caller's ``finally``, kills and reaps a child that `result` did not.
+    """
+
+    def __init__(self, entries: list[CorpusEntry], config: AuditConfig) -> None:
+        self.meta: dict | None = None  # components, seconds, max_rss_mib; set by result
+        self._components = len(entries)
+        started = time.perf_counter()
+        read_fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                payload = memoryview(_archive_scan_payload(entries, config, started))
+                while payload:
+                    payload = payload[os.write(write_fd, payload):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pipe = io.FileIO(read_fd, "r")
+
+    def result(self) -> list[tuple[list[Finding], list[str]]]:
+        """Each entry's V2 findings and notices. Raises what the child
+        raised, or ArchiveError when it ended without sending its result."""
+        data = self._pipe.readall()
+        self._pipe.close()
+        _, status, usage = os.wait4(self._pid, 0)
+        self._pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            ended = f"signal {-code}" if code < 0 else f"status {code}"
+            raise archive.ArchiveError(
+                f"archive scan worker ended with {ended} before sending its result"
+            )
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results, seconds = value
+        self.meta = {
+            "components": self._components,
+            "seconds": seconds,
+            "max_rss_mib": usage.ru_maxrss / 1024,  # Linux reports KiB
+        }
+        return results
+
+    def close(self) -> None:
+        self._pipe.close()
+        if self._pid:
+            os.kill(self._pid, signal.SIGKILL)
+            os.wait4(self._pid, 0)
+            self._pid = 0
+
+
 def scan_corpus(
     corpus_root: str | Path,
     config: AuditConfig | None = None,
@@ -438,9 +532,12 @@ def scan_corpus(
     corpus_id: str | None = None,
     filter_serverless: bool = False,
 ) -> AuditRun:
-    """Run every enabled vector over a corpus and aggregate one report."""
+    """Run every enabled vector over a corpus and aggregate one report.
+
+    V2 runs in an ArchiveWorker when some component has ``archives/``. Each
+    component's notices come in vector order: V1, V2, V3, V4.
+    """
     config = config or AuditConfig()
-    index = vulnscan.index_advisories(db or [])
     started = _now()
     notices: list[str] = []
     load_result: CorpusLoadResult = load_corpus(corpus_root)
@@ -451,23 +548,44 @@ def scan_corpus(
         entries = [e for e in entries if is_serverless(e)]
     corpus_id = corpus_id if corpus_id is not None else Path(corpus_root).name
     vectors = config.enabled_vectors
+    archived = [e for e in entries if "archives" in e.parts] if AttackVector.V2 in vectors else []
+    worker = ArchiveWorker(archived, config) if archived else None
 
     findings: list[Finding] = []
     vuln_counts: dict[ComponentRef, int] = {}
     iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
-    for entry in entries:
-        if AttackVector.V1 in vectors:
-            vuln_findings, count = scan_vuln(entry, index, config, notices)
-            vuln_counts[entry.ref] = count
-            findings.extend(vuln_findings)
-        if AttackVector.V2 in vectors:
-            findings.extend(scan_archives(entry, config, notices))
-        if AttackVector.V3 in vectors:
-            findings.extend(scan_docker(entry, config, notices))
-        if AttackVector.V4 in vectors:
-            tagged = scan_iac(entry, config, notices)
-            iac_tagged.extend(tagged)
-            findings.extend(f for _, f in tagged)
+    index: vulnscan.AdvisoryIndex | None = None  # built for the first tree/
+    # Per entry: the notices of V1, and of V3 and V4. V2's go in between.
+    split_notices: list[tuple[list[str], list[str]]] = []
+    try:
+        for entry in entries:
+            before: list[str] = []
+            after: list[str] = []
+            if AttackVector.V1 in vectors:
+                if index is None and "tree" in entry.parts:
+                    index = vulnscan.index_advisories(db or [])
+                # Without tree/, scan_vuln returns before it reads the index.
+                vuln_findings, count = scan_vuln(entry, index, config, before)
+                vuln_counts[entry.ref] = count
+                findings.extend(vuln_findings)
+            if AttackVector.V3 in vectors:
+                findings.extend(scan_docker(entry, config, after))
+            if AttackVector.V4 in vectors:
+                tagged = scan_iac(entry, config, after)
+                iac_tagged.extend(tagged)
+                findings.extend(f for _, f in tagged)
+            split_notices.append((before, after))
+        archive_results = iter(worker.result() if worker else ())
+    finally:
+        if worker is not None:
+            worker.close()
+    for entry, (before, after) in zip(entries, split_notices):
+        notices.extend(before)
+        if worker is not None and "archives" in entry.parts:
+            archive_findings, archive_notices = next(archive_results)
+            findings.extend(archive_findings)
+            notices.extend(archive_notices)
+        notices.extend(after)
     if AttackVector.V5 in vectors:
         records = typosquat.build_name_records(
             (e.ref for e in entries), include_aws_sar=config.include_aws_sar
@@ -490,6 +608,7 @@ def scan_corpus(
         started=started,
         finished=_now(),
         notices=notices,
+        archive_worker=worker.meta if worker else None,
     )
 
 

@@ -336,7 +336,12 @@ class PackageInventory:
 
 MANIFEST_KINDS = ("package.json", "package-lock.json", "requirements.txt", "go.mod", "os-packages.txt")
 
-_NPM_RANGE_RE = re.compile(r"^[\^~>]=?\s*v?(\d+)(?:\.(\d+|[xX*]))?(?:\.(\d+|[xX*]))?(.*)$")
+# ASCII digits only: int() also reads other Unicode digits. A part that does not
+# parse must not end the match early, so the rest cannot begin with "." or a word
+# character ("^4.١٧.11" is unresolvable, not "4.0.0").
+_NPM_RANGE_RE = re.compile(
+    r"^[\^~>]=?\s*v?([0-9]+)(?:\.([0-9]+|[xX*]))?(?:\.([0-9]+|[xX*]))?(?![.\w])(.*)$"
+)
 
 
 def _min_satisfying_npm(spec: str) -> str | None:
@@ -344,9 +349,9 @@ def _min_satisfying_npm(spec: str) -> str | None:
     spec = spec.strip()
     if not spec or spec in ("*", "latest"):
         return "0.0.0"
-    if re.fullmatch(r"v?\d+\.\d+\.\d+([-+][0-9A-Za-z.-]+)?", spec):
+    if re.fullmatch(r"v?[0-9]+\.[0-9]+\.[0-9]+([-+][0-9A-Za-z.-]+)?", spec):
         return spec.lstrip("v")
-    wildcard = re.fullmatch(r"v?(\d+)(?:\.(\d+|[xX*]))?(?:\.(\d+|[xX*]))?", spec)
+    wildcard = re.fullmatch(r"v?([0-9]+)(?:\.([0-9]+|[xX*]))?(?:\.([0-9]+|[xX*]))?", spec)
     if wildcard:
         major, minor, patch = wildcard.groups()
         minor = "0" if minor in (None, "x", "X", "*") else minor
@@ -485,7 +490,7 @@ def _parse_requirements(path: str, contents: str, inv: PackageInventory, notices
         inv.add(name.lower(), resolved, Ecosystem.PYPI, path)
 
 
-_GO_REQUIRE_RE = re.compile(r"^\s*([^\s]+)\s+v(\d[^\s/]*)(?:\s*//.*)?$")
+_GO_REQUIRE_RE = re.compile(r"^\s*([^\s]+)\s+v([0-9][^\s/]*)(?:\s*//.*)?$")
 
 
 def _parse_go_mod(path: str, contents: str, inv: PackageInventory) -> None:

@@ -76,6 +76,18 @@ def test_scan_all_run_meta(demo, tmp_path, capsys):
     meta = json.loads(meta_path.read_text())
     assert meta["enabled_vectors"] == ["V1", "V2", "V3", "V4", "V5"]
     assert meta["started"] and meta["finished"]
+    worker = meta["archive_worker"]  # one demo component has archives/
+    assert set(worker) == {"components", "seconds", "max_rss_mib"}
+    assert worker["components"] == 1
+    assert worker["seconds"] > 0 and worker["max_rss_mib"] > 0
+
+    bare = tmp_path / "bare"
+    shutil.copytree(corpus, bare)
+    shutil.rmtree(bare / "testbed__zip-bundle-serverless" / "archives")
+    main(["--output", "json", "scan-all", "--corpus", str(bare),
+          "--db", str(db), "--run-meta", str(meta_path)])
+    capsys.readouterr()
+    assert json.loads(meta_path.read_text())["archive_worker"] is None
 
 
 def test_docker_cmd(demo, capsys):

@@ -6,14 +6,16 @@ import errno
 import io
 import json
 import os
+import signal
 
 import pytest
 
-from slsa_audit import vulnscan
-from slsa_audit.archive import ArchiveFormat, pack_entries
+from slsa_audit import archive, report, vulnscan
+from slsa_audit.archive import ArchiveError, ArchiveFormat, pack_entries
+from slsa_audit.cli import main
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus, build_demo_db
-from slsa_audit.ingest import serialize_manifest
+from slsa_audit.ingest import load_corpus, serialize_manifest
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
@@ -27,7 +29,11 @@ from slsa_audit.report import (
     exit_code_for,
     parse_report,
     report_to_dict,
+    scan_archives,
     scan_corpus,
+    scan_docker,
+    scan_iac,
+    scan_vuln,
 )
 
 REF_A = ComponentRef(Repository.DOCKER_HUB, "alice", "app")
@@ -168,8 +174,17 @@ def test_report_dict_shape():
     assert doc["components"][0]["vuln_count"] == 1
 
 
+def _meta_only_corpus(root):
+    for publisher in ("alice", "bob"):
+        ref = ComponentRef(Repository.DOCKER_HUB, publisher, "app")
+        (root / ref.slug).mkdir(parents=True)
+        (root / ref.slug / "component.meta").write_text(serialize_manifest(ref, {}))
+    return root
+
+
 def test_scan_corpus_indexes_advisories_once(tmp_path, monkeypatch):
-    corpus = build_demo_corpus(tmp_path / "corpus")
+    demo = build_demo_corpus(tmp_path / "corpus")
+    meta_only = _meta_only_corpus(tmp_path / "meta-only")
     db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
     calls = []
     original = vulnscan.index_advisories
@@ -180,10 +195,15 @@ def test_scan_corpus_indexes_advisories_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(vulnscan, "index_advisories", counting)
     config = AuditConfig(enabled_vectors=frozenset({AttackVector.V1}))
-    run = scan_corpus(corpus, config, db)
+    run = scan_corpus(demo, config, db)
     assert len(run.report.vuln_counts) == 12
     assert sum(run.report.vuln_counts.values()) > 0
     assert len(calls) == 1
+    # Only V1 reads the index, and only for a component with tree/.
+    calls.clear()
+    scan_corpus(demo, AuditConfig(enabled_vectors=frozenset(AttackVector) - {AttackVector.V1}), db)
+    scan_corpus(meta_only, AuditConfig(), db)
+    assert calls == []
 
 
 def test_scan_corpus_reports_undecodable_run_commands(tmp_path):
@@ -214,7 +234,8 @@ def test_v1_notices_name_the_component(tmp_path):
     ]
 
 
-def test_v2_to_v4_notices_name_the_component_and_the_file_once(tmp_path):
+def _component_with_v2_to_v4_notices(tmp_path):
+    """The demo corpus, where one component has a V2, V3 and V4 notice."""
     corpus = build_demo_corpus(tmp_path / "corpus")
     slug = "cloudkite__thumbnail-service"
     component = corpus / slug
@@ -231,6 +252,11 @@ def test_v2_to_v4_notices_name_the_component_and_the_file_once(tmp_path):
         "Parameters:\n  Acl: {Type: String}\nResources:\n  B:\n    Type: AWS::S3::Bucket\n"
         "    Properties:\n      AccessControl: !Ref Acl\n"
     )
+    return corpus, slug
+
+
+def test_v2_to_v4_notices_name_the_component_and_the_file_once(tmp_path):
+    corpus, slug = _component_with_v2_to_v4_notices(tmp_path)
     vectors = frozenset({AttackVector.V2, AttackVector.V3, AttackVector.V4})
     run = scan_corpus(corpus, AuditConfig(enabled_vectors=vectors))
     # The YAML error goes on over more lines; its first line is enough here.
@@ -295,3 +321,109 @@ def test_an_unreadable_component_file_is_a_notice(tmp_path, monkeypatch, rel):
     # Without its manifest the component is an ingest error; otherwise it is still listed.
     listed = {ref.slug for ref in run.report.per_component}
     assert (slug in listed) is not rel.endswith("component.meta")
+
+
+def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
+    corpus, slug = _component_with_v2_to_v4_notices(tmp_path)
+    (corpus / slug / "tree").mkdir(exist_ok=True)
+    (corpus / slug / "tree" / "package.json").write_text("[]")
+    archives = corpus / "testbed__zip-bundle-serverless" / "archives"
+    (archives / "notes.txt").write_text("not an archive\n")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    config = AuditConfig(enabled_vectors=frozenset(AttackVector) - {AttackVector.V5})
+    run = scan_corpus(corpus, config, db)
+    assert run.archive_worker["components"] == 2
+
+    # The same vectors in one process, one component after another.
+    loaded = load_corpus(corpus)
+    index = vulnscan.index_advisories(db)
+    notices = [str(error) for error in loaded.errors]
+    findings = []
+    vuln_counts = {}
+    for entry in loaded.entries:
+        vuln_findings, vuln_counts[entry.ref] = scan_vuln(entry, index, config, notices)
+        findings += vuln_findings
+        findings += scan_archives(entry, config, notices)
+        findings += scan_docker(entry, config, notices)
+        findings += [finding for _, finding in scan_iac(entry, config, notices)]
+    assert run.notices == notices
+    assert [n.split(":")[0].split("/")[1] for n in notices if n.startswith(f"{slug}/")] == [
+        "tree", "archives", "run_commands.txt#2", "iac", "iac",
+    ]
+    expected = aggregate(
+        findings, run.corpus_id, vuln_counts, config.cdf_thresholds,
+        [entry.ref for entry in loaded.entries],
+    )
+    assert emit(run.report) == emit(expected)
+
+
+def test_an_exception_in_the_archive_worker_is_raised_by_scan_corpus(tmp_path, monkeypatch):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+
+    def failing_extract(*args, **kwargs):  # the forked worker inherits the patch
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(archive, "extract", failing_extract)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        scan_corpus(corpus)
+
+
+def test_an_exception_the_worker_cannot_pickle_is_a_runtime_error(tmp_path, monkeypatch):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+
+    class LocalError(Exception):  # pickle cannot find a class defined in a function
+        pass
+
+    def failing_extract(*args, **kwargs):
+        raise LocalError("boom")
+
+    monkeypatch.setattr(archive, "extract", failing_extract)
+    with pytest.raises(RuntimeError, match="^archive scan worker failed:") as info:
+        scan_corpus(corpus)
+    assert "LocalError: boom" in str(info.value)
+
+
+@pytest.mark.parametrize("end,ended", [
+    (lambda: os._exit(3), "status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
+])
+def test_an_archive_worker_that_dies_is_an_archive_error(tmp_path, monkeypatch, capsys, end, ended):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(archive, "extract", lambda *args, **kwargs: end())
+    message = f"archive scan worker ended with {ended} before sending its result"
+    with pytest.raises(ArchiveError, match=f"^{message}$"):
+        scan_corpus(corpus)
+    assert main(["scan-all", "--corpus", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("error", [ValueError("parent"), KeyboardInterrupt()])
+def test_an_exception_in_the_parent_still_reaps_the_archive_worker(
+    tmp_path, monkeypatch, forked_pids, error
+):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+
+    def failing_scan_iac(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(report, "scan_iac", failing_scan_iac)
+    with pytest.raises(type(error)):
+        scan_corpus(corpus)
+    assert len(forked_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked_pids[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("corpus_kind,vectors", [
+    ("meta-only", set(AttackVector)),
+    ("demo", set(AttackVector) - {AttackVector.V2}),
+])
+def test_no_archive_worker_without_archives_to_scan(tmp_path, forked_pids, corpus_kind, vectors):
+    if corpus_kind == "demo":
+        corpus = build_demo_corpus(tmp_path / "corpus")
+    else:
+        corpus = _meta_only_corpus(tmp_path / "corpus")
+    run = scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset(vectors)))
+    assert forked_pids == []
+    assert run.archive_worker is None

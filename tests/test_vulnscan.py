@@ -420,6 +420,19 @@ def test_npm_range_minimum(spec, expected):
     assert records[0].versions == {expected}
 
 
+def test_npm_range_digits_are_ascii():
+    # "١٧" is seventeen in Arabic-Indic digits, which int() reads as 17.
+    notices: list[str] = []
+    manifest = json.dumps({"dependencies": {"lodash": "^4.١٧.11"}})
+    assert parse_manifest("package.json", manifest, notices).records() == []
+    assert notices == ["package.json: cannot resolve npm range '^4.١٧.11' for lodash"]
+
+
+def test_go_mod_version_digits_are_ascii():
+    with pytest.raises(ManifestError, match="cannot parse require directive at line 1"):
+        parse_manifest("go.mod", "require x v١.2.3\n", [])
+
+
 def test_go_mod():
     text = (
         "module example.com/app\n\ngo 1.21\n\n"
