@@ -183,9 +183,7 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
             continue
         rel = f"{child.name}/{_MANIFEST_NAME}"
         try:
-            with open(manifest.path, encoding="utf-8") as handle:
-                text = handle.read()
-            ref, metadata = parse_manifest(rel, text)
+            ref, metadata = parse_manifest(rel, read_text(manifest.path))
         except OSError as exc:
             result.errors.append(ManifestParseError(rel, f"cannot read: {exc.strerror or exc}"))
             continue
@@ -210,6 +208,36 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
             ref=ref, root_path=root_path / child.name, metadata=metadata, artifact_kind=kind, parts=parts
         ))
     return result
+
+
+_READ_CHUNK = 1 << 16  # bytes per os.read; most component and advisory files are far smaller
+
+
+def read_file(path: str) -> bytes:
+    """A file's bytes, read without the objects a text-mode ``open`` builds.
+
+    Every component file but an archive, and every advisory file, is read here.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def read_text(path: str, errors: str = "strict") -> str:
+    """A file's UTF-8 text with universal newlines, as a text-mode ``open``
+    and ``read`` give it: the bytes decode in one step, so replacement
+    characters and UnicodeDecodeError offsets are the same, then ``\\r\\n``
+    and a lone ``\\r`` become ``\\n``.
+    """
+    text = read_file(path).decode("utf-8", errors)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def is_serverless(entry: CorpusEntry) -> bool:

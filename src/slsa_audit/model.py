@@ -44,9 +44,12 @@ def read_settings_file(path: str | Path) -> object:
         raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
 
 
-def dump_json(value: object) -> str:
+def dump_json(value: object, newline: str = "\n") -> str:
     """JSON text indented by two spaces with sorted keys, as json.dumps gives
     it with ``indent`` 2 and ``sort_keys``.
+
+    ``newline`` begins every line after the first: a newline and the indent
+    of the depth at which the text goes into a larger document.
 
     json.dumps encodes in pure Python whenever an indent is asked for. This
     walks the containers itself and hands each string to the C string
@@ -55,7 +58,7 @@ def dump_json(value: object) -> str:
     raises TypeError.
     """
     parts: list[str] = []
-    _dump_json(value, parts, "\n")
+    _dump_json(value, parts, newline)
     return "".join(parts)
 
 
@@ -245,17 +248,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (*self.component.sort_key(), self.rule_id, self.location)
-
-    def to_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "vector": self.vector.value,
-            "severity": self.severity.value,
-            "component": self.component.to_dict(),
-            "location": self.location,
-            "evidence": self.evidence,
-            "remediation": self.remediation,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Finding":

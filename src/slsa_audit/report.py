@@ -17,13 +17,21 @@ import signal
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import AuditConfig
-from slsa_audit.ingest import CorpusEntry, CorpusLoadResult, is_serverless, load_corpus, tree_files
+from slsa_audit.ingest import (
+    CorpusEntry,
+    CorpusLoadResult,
+    is_serverless,
+    load_corpus,
+    read_text,
+    tree_files,
+)
 from slsa_audit.model import (
     DEFAULT_CDF_THRESHOLDS,
     AttackVector,
@@ -87,24 +95,66 @@ def aggregate(
 _SEVERITY_ORDER = (Severity.CRITICAL, Severity.HIGH, Severity.MEDIUM, Severity.LOW, Severity.UNKNOWN)
 
 
-def report_to_dict(report: ScanReport) -> dict:
-    body: dict = {
-        "corpus_id": report.corpus_id,
-        "components": [
-            {
-                "component": component.to_dict(),
-                "vuln_count": report.vuln_counts.get(component, 0),
-                "findings": [f.to_dict() for f in findings],
-            }
-            for component, findings in report.per_component.items()
-        ],
-        "severity_histogram": {
-            sev.value: report.severity_histogram.get(sev, 0) for sev in _SEVERITY_ORDER
-        },
-        "stats": report.stats.to_dict() if report.stats else None,
-        "cdf": [[threshold, fraction] for threshold, fraction in report.cdf_points],
-    }
-    return body
+# One finding of the json format, after the separator that precedes it, as
+# dump_json writes it at the depth of components[].findings[]: keys sorted,
+# strings through the C encoder.
+_FINDING_JSON = (
+    '%s{\n          "component": %s,\n          "evidence": %s,\n          "location": %s,'
+    '\n          "remediation": %s,\n          "rule_id": %s,\n          "severity": %s,'
+    '\n          "vector": %s\n        }'
+)
+
+
+def _emit_json(report: ScanReport) -> bytes:
+    """The report in the json format (see README): what ``dump_json``
+    writes for its dict form, from one list of parts joined once.
+
+    Each component's dict is rendered once per depth and each finding from
+    `_FINDING_JSON`; the corpus-level values go through ``dump_json``.
+    """
+    parts = [
+        '{\n  "cdf": ',
+        dump_json([[t, fraction] for t, fraction in report.cdf_points], "\n  "),
+        ',\n  "components": ',
+    ]
+    separator = "[\n    "
+    for component, findings in report.per_component.items():
+        parts += (separator, '{\n      "component": ', dump_json(component.to_dict(), "\n      "))
+        separator = ",\n    "
+        if findings:
+            nested = dump_json(component.to_dict(), "\n          ")
+            row_separator = ',\n      "findings": [\n        '
+            for finding in findings:
+                owner = finding.component
+                parts.append(_FINDING_JSON % (
+                    row_separator,
+                    nested if owner is component or owner == component
+                    else dump_json(owner.to_dict(), "\n          "),
+                    encode_basestring_ascii(finding.evidence),
+                    encode_basestring_ascii(finding.location),
+                    encode_basestring_ascii(finding.remediation),
+                    encode_basestring_ascii(finding.rule_id),
+                    encode_basestring_ascii(finding.severity.value),
+                    encode_basestring_ascii(finding.vector.value),
+                ))
+                row_separator = ",\n        "
+            parts.append("\n      ]")
+        else:
+            parts.append(',\n      "findings": []')
+        count = report.vuln_counts.get(component, 0)
+        parts += (',\n      "vuln_count": ', json.dumps(count), "\n    }")
+    histogram = {sev.value: report.severity_histogram.get(sev, 0) for sev in _SEVERITY_ORDER}
+    parts += (
+        "\n  ]" if report.per_component else "[]",
+        ',\n  "corpus_id": ',
+        encode_basestring_ascii(report.corpus_id),
+        ',\n  "severity_histogram": ',
+        dump_json(histogram, "\n  "),
+        ',\n  "stats": ',
+        dump_json(report.stats.to_dict() if report.stats else None, "\n  "),
+        "\n}\n",
+    )
+    return "".join(parts).encode()
 
 
 def parse_report(data: bytes | str) -> ScanReport:
@@ -134,9 +184,11 @@ _SARIF_LEVELS = {
 def emit(report: ScanReport, format: str = "json") -> bytes:
     """Render a report as json, table, or sarif-like bytes."""
     if format == "json":
-        return (dump_json(report_to_dict(report)) + "\n").encode()
+        return _emit_json(report)
     if format == "table":
-        return _emit_table(report).encode()
+        # A file name that is not UTF-8 is read with surrogate escapes;
+        # written back this way it shows as its bytes on disk.
+        return _emit_table(report).encode(errors="surrogateescape")
     if format == "sarif-like":
         return (dump_json(_emit_sarif(report)) + "\n").encode()
     raise ValueError(f"unknown output format {format!r} (expected json, table, or sarif-like)")
@@ -263,8 +315,7 @@ def _read_text(root: str, rel: str, notices: list[str], errors: str = "strict") 
     that does not decode under ``errors`` gives ``<rel>: <exc>``.
     """
     try:
-        with open(os.path.join(root, rel), encoding="utf-8", errors=errors) as handle:
-            return handle.read()
+        return read_text(os.path.join(root, rel), errors)
     except OSError as exc:
         notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:

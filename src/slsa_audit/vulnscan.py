@@ -13,10 +13,11 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from slsa_audit.ingest import tree_files
+from slsa_audit.ingest import read_file, tree_files
 from slsa_audit.model import AuditError, Severity, read_settings_file, severity_band
 
 
@@ -251,21 +252,6 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
     return out
 
 
-_READ_CHUNK = 1 << 16  # bytes per os.read; advisory files are usually far smaller
-
-
-def _read_file(path: str) -> bytes:
-    """A file's bytes, read without the objects a text-mode ``open`` builds."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
 def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> list[Advisory]:
     """Load every ``*.json`` advisory under db_dir (sorted for determinism)."""
     root = Path(db_dir)
@@ -278,7 +264,7 @@ def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> li
             continue
         try:
             # Decoded before json.loads, which would otherwise accept UTF-16 and UTF-32.
-            doc = json.loads(_read_file(prefix + rel).decode("utf-8"))
+            doc = json.loads(read_file(prefix + rel).decode("utf-8"))
             advisories.extend(advisory_from_osv(doc))
         # Not UTF-8 JSON, nested too deep to decode, or not OSV-shaped.
         except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
@@ -639,14 +625,16 @@ class VulnMatch:
     summary: str = ""
 
 
-AdvisoryIndex = dict[tuple[Ecosystem, str], list[Advisory]]
+# Keyed by package name alone: a str hashes in C, an Ecosystem member in
+# Python. A name's advisories of other ecosystems are dropped per record.
+AdvisoryIndex = dict[str, list[Advisory]]
 
 
 def index_advisories(advisories: Iterable[Advisory]) -> AdvisoryIndex:
-    """Group advisories by (ecosystem, package name), keeping their order."""
+    """Group advisories by package name, keeping their order."""
     index: AdvisoryIndex = {}
     for advisory in advisories:
-        index.setdefault((advisory.ecosystem, advisory.package_name), []).append(advisory)
+        index.setdefault(advisory.package_name, []).append(advisory)
     return index
 
 
@@ -660,16 +648,18 @@ def match_advisories(
     ``index`` comes from :func:`index_advisories`. Matches deduplicate on
     (advisory, package, version); packages whose version string is empty
     are excluded with a notice, and a version compared by segment fallback
-    is named in one.
+    is named in one. Matches are ordered by (package, advisory, version).
     """
-    matches: dict[tuple[str, str, str, Ecosystem], VulnMatch] = {}
+    matches: list[VulnMatch] = []
     for record in inventory.records():
-        candidates = index.get((record.ecosystem, record.name))
+        ecosystem = record.ecosystem
+        candidates = [a for a in index.get(record.name, ()) if a.ecosystem is ecosystem]
         if not candidates:
             continue
         fp_class = (
             FpClass.SOURCE_REFERENCED if record.referenced_in_source else FpClass.METADATA_ONLY
         )
+        declared_in = tuple(sorted(record.declared_in))
         for version_str in sorted(record.versions):
             try:
                 version = parse_version(version_str)
@@ -678,18 +668,24 @@ def match_advisories(
                 continue
             if version.fallback:
                 notices.append(f"version {version.raw!r} is not semver; using segment fallback")
+            # Records are unique by (name, ecosystem) and each version is
+            # visited once, so the advisory id alone dedups here.
+            matched: set[str] = set()
             for advisory in candidates:
-                if not any(interval.contains(version) for interval in advisory.affected):
+                if advisory.id in matched:
                     continue
-                key = (advisory.id, record.name, version_str, record.ecosystem)
-                if key in matches:
+                for interval in advisory.affected:
+                    if interval.contains(version):
+                        break
+                else:
                     continue
-                matches[key] = VulnMatch(
-                    advisory.id, record.name, version_str, record.ecosystem,
-                    severity_band(advisory.cvss_score), fp_class,
-                    tuple(sorted(record.declared_in)), advisory.summary,
-                )
-    return [matches[k] for k in sorted(matches, key=lambda k: (k[1], k[0], k[2]))]
+                matched.add(advisory.id)
+                matches.append(VulnMatch(
+                    advisory.id, record.name, version_str, ecosystem,
+                    severity_band(advisory.cvss_score), fp_class, declared_in, advisory.summary,
+                ))
+    matches.sort(key=attrgetter("package_name", "advisory_id", "package_version"))
+    return matches
 
 
 @dataclass

@@ -6,11 +6,15 @@ import errno
 import io
 import json
 import os
+import shutil
 import signal
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from slsa_audit import archive, report, vulnscan
+from slsa_audit import archive, ingest, report, vulnscan
 from slsa_audit.archive import ArchiveError, ArchiveFormat, pack_entries
 from slsa_audit.cli import main
 from slsa_audit.config import AuditConfig
@@ -19,8 +23,10 @@ from slsa_audit.ingest import load_corpus, serialize_manifest
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
+    CountStats,
     Finding,
     Repository,
+    ScanReport,
     Severity,
 )
 from slsa_audit.report import (
@@ -28,7 +34,6 @@ from slsa_audit.report import (
     emit,
     exit_code_for,
     parse_report,
-    report_to_dict,
     scan_archives,
     scan_corpus,
     scan_docker,
@@ -169,9 +174,110 @@ def test_exit_codes():
 
 def test_report_dict_shape():
     report = aggregate([_finding()], "c", {REF_A: 1})
-    doc = report_to_dict(report)
+    doc = json.loads(emit(report, "json"))
     assert set(doc) == {"corpus_id", "components", "severity_histogram", "stats", "cdf"}
     assert doc["components"][0]["vuln_count"] == 1
+
+
+def _reference_report_dict(report: ScanReport) -> dict:
+    """The json format's document, built as a dict: the writer's oracle."""
+
+    def finding_dict(f: Finding) -> dict:
+        return {
+            "rule_id": f.rule_id,
+            "vector": f.vector.value,
+            "severity": f.severity.value,
+            "component": f.component.to_dict(),
+            "location": f.location,
+            "evidence": f.evidence,
+            "remediation": f.remediation,
+        }
+
+    return {
+        "corpus_id": report.corpus_id,
+        "components": [
+            {
+                "component": component.to_dict(),
+                "vuln_count": report.vuln_counts.get(component, 0),
+                "findings": [finding_dict(f) for f in findings],
+            }
+            for component, findings in report.per_component.items()
+        ],
+        "severity_histogram": {
+            sev.value: report.severity_histogram.get(sev, 0) for sev in Severity
+        },
+        "stats": report.stats.to_dict() if report.stats else None,
+        "cdf": [[threshold, fraction] for threshold, fraction in report.cdf_points],
+    }
+
+
+def _reference_json(report: ScanReport) -> bytes:
+    return (json.dumps(_reference_report_dict(report), indent=2, sort_keys=True) + "\n").encode()
+
+
+# Text with what JSON must escape: quotes, backslashes, control characters,
+# non-ASCII (also beyond the BMP) and lone surrogates. The surrogates are
+# low ones, as a surrogate escape gives: an escaped high one followed by an
+# escaped low one reads back as one character.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\udc80\udcffé€\U0001d11e%'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+_NAMES = st.text(st.sampled_from("ab-_é\udcff"), min_size=1, max_size=4)
+_COMPONENTS = st.builds(
+    ComponentRef,
+    st.sampled_from(Repository),
+    _NAMES,
+    _NAMES,
+    st.one_of(st.none(), st.just(""), _JSON_TEXT),
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _reports(draw) -> ScanReport:
+    """A report as the json format may carry it; parse_report reads it back
+    equal: every component has a count, and no severity counts 0."""
+    components = draw(st.lists(_COMPONENTS, max_size=4, unique=True))
+    per_component = {}
+    for component in components:
+        # A finding's component is its key, an equal copy of it, or another one.
+        owners = st.sampled_from([
+            component,
+            ComponentRef(component.repository, component.publisher, component.name,
+                         component.version),
+        ]) | _COMPONENTS
+        per_component[component] = draw(st.lists(
+            st.builds(
+                Finding, _JSON_TEXT, st.sampled_from(AttackVector), st.sampled_from(Severity),
+                owners, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT,
+            ),
+            max_size=3,
+        ))
+    return ScanReport(
+        corpus_id=draw(_JSON_TEXT),
+        per_component=per_component,
+        vuln_counts={c: draw(st.integers(0, 10**6)) for c in components},
+        severity_histogram=draw(st.dictionaries(st.sampled_from(Severity), st.integers(1, 10**6))),
+        stats=draw(st.none() | st.builds(
+            CountStats, _FLOATS, _FLOATS, st.integers(0, 99), st.integers(0, 99), _FLOATS
+        )),
+        cdf_points=draw(st.lists(st.tuples(st.integers(0, 10**4), _FLOATS), max_size=4)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+@example(ScanReport(corpus_id=""))
+def test_json_writer_equals_the_dict_reference(report):
+    blob = emit(report, "json")
+    assert blob == _reference_json(report)
+    parsed = parse_report(blob)
+    assert parsed == report
+    assert emit(parsed, "json") == blob
 
 
 def _meta_only_corpus(root):
@@ -301,7 +407,8 @@ def test_an_unreadable_component_file_is_a_notice(tmp_path, monkeypatch, rel):
     slug = rel.partition("/")[0]
     target = str(corpus / rel)
     # Patched rather than chmod 000, which does not stop a read by root.
-    for module in (builtins, io):
+    # Component files are read through os.open, archives through io.open.
+    for module in (builtins, io, os):
         def failing_open(file, *args, _open=module.open, **kwargs):
             if os.fspath(file) == target:
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
@@ -321,6 +428,138 @@ def test_an_unreadable_component_file_is_a_notice(tmp_path, monkeypatch, rel):
     # Without its manifest the component is an ingest error; otherwise it is still listed.
     listed = {ref.slug for ref in run.report.per_component}
     assert (slug in listed) is not rel.endswith("component.meta")
+
+
+def test_component_files_are_read_through_raw_descriptors_that_are_closed(
+    tmp_path, monkeypatch
+):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    prefix = os.path.join(corpus, "")
+    text_opened = []
+    for module in (builtins, io):
+        def recording_open(file, *args, _open=module.open, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file).startswith(prefix):
+                text_opened.append(os.fspath(file))
+            return _open(file, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", recording_open)
+    raw_opened = []
+    held: set[int] = set()
+
+    def recording_os_open(path, *args, _open=os.open, **kwargs):
+        fd = _open(path, *args, **kwargs)
+        raw_opened.append(os.fspath(path))
+        held.add(fd)
+        return fd
+
+    def recording_os_close(fd, _close=os.close):
+        _close(fd)
+        held.discard(fd)
+
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(os, "close", recording_os_close)
+    config = AuditConfig(enabled_vectors=frozenset(AttackVector) - {AttackVector.V2})
+    scan_corpus(corpus, config, db)
+    assert text_opened == []
+    assert held == set()
+    read = {path[len(prefix):].partition("/")[2].partition("/")[0] for path in raw_opened}
+    assert read == {"component.meta", "tree", "iac", "run_commands.txt"}
+    assert all(path.startswith(prefix) for path in raw_opened)
+
+
+def _text_mode_read_text(root: str, rel: str, notices: list[str], errors: str = "strict"):
+    """report._read_text as it read a file through a text-mode ``open``."""
+    try:
+        with open(os.path.join(root, rel), encoding="utf-8", errors=errors) as handle:
+            return handle.read()
+    except OSError as exc:
+        notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        notices.append(f"{rel}: {exc}")
+    return None
+
+
+_READ_CHUNK = ingest._READ_CHUNK
+_TEXT_PIECES = st.sampled_from([
+    b"a", b" ", b"\x00", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", "é€𝄞".encode(),
+    b"\xff", b"\xe2\x82", b"\xed\xb3\xbf",  # invalid, truncated, an encoded surrogate
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    padding=st.sampled_from([0, 1, _READ_CHUNK - 1, _READ_CHUNK + 7]),
+    body=st.lists(_TEXT_PIECES, max_size=24).map(b"".join),
+    errors=st.sampled_from(["strict", "replace"]),
+)
+@example(padding=_READ_CHUNK - 1, body=b"\r\nx\r", errors="strict")  # "\r" ends a chunk
+@example(padding=0, body=b"", errors="strict")
+@example(padding=_READ_CHUNK + 7, body=b"\xff", errors="strict")
+def test_read_text_equals_a_text_mode_read(padding, body, errors):
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "f"), "wb") as handle:
+            handle.write(b"x" * padding + body)
+        got: list[str] = []
+        expected: list[str] = []
+        assert report._read_text(root, "f", got, errors) == _text_mode_read_text(
+            root, "f", expected, errors
+        )
+        assert got == expected
+
+
+@pytest.mark.parametrize("rel", ["missing", "directory"])
+def test_read_text_notice_equals_a_text_mode_read(tmp_path, rel):
+    (tmp_path / "directory").mkdir()
+    got: list[str] = []
+    expected: list[str] = []
+    assert report._read_text(str(tmp_path), rel, got) is None
+    assert _text_mode_read_text(str(tmp_path), rel, expected) is None
+    assert got == expected and len(got) == 1
+
+
+def _table_and_formats(corpus, db_dir, capsysbinary) -> dict[str, tuple[int, bytes]]:
+    out = {}
+    for output in ("table", "json", "sarif-like"):
+        code = main(["--output", output, "scan-all", "--corpus", str(corpus), "--db", str(db_dir)])
+        out[output] = (code, capsysbinary.readouterr().out)
+    return out
+
+
+def test_table_writes_an_undecodable_tree_path_as_its_bytes(tmp_path, capsysbinary):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db_dir = build_demo_db(tmp_path / "db")
+    tree = corpus / "acme__serverless-resizer" / "tree"
+    os.mkdir(os.path.join(os.fsencode(tree), b"\xff"))
+    for name in ("package.json", "package-lock.json"):
+        shutil.move(tree / name, os.path.join(os.fsencode(tree), b"\xff", os.fsencode(name)))
+    out = _table_and_formats(corpus, db_dir, capsysbinary)
+    assert [code for code, _ in out.values()] == [0, 0, 0]
+    assert b"acme__serverless-resizer:tree/\xff/package" in out["table"][1]
+    # json and sarif-like write the name's escape, as before.
+    run = scan_corpus(corpus, db=vulnscan.load_advisory_db(db_dir))
+    assert out["json"][1] == _reference_json(run.report)
+    assert b'"tree/\\udcff/package' in out["json"][1]
+    assert b'"acme__serverless-resizer/tree/\\udcff/package' in out["sarif-like"][1]
+
+
+def test_table_writes_an_undecodable_tar_member_as_its_bytes(tmp_path, capsysbinary):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db_dir = build_demo_db(tmp_path / "db")
+    archives = corpus / "testbed__zip-bundle-serverless" / "archives"
+    # tarfile writes and reads member names with surrogate escapes.
+    (archives / "odd.tar").write_bytes(
+        pack_entries([("\udcff/eicar.com", archive.EICAR_TEST_STRING)], ArchiveFormat.TAR)
+    )
+    out = _table_and_formats(corpus, db_dir, capsysbinary)
+    assert [code for code, _ in out.values()] == [0, 0, 0]
+    assert b"testbed__zip-bundle-serverless:archives/odd.tar!\xff/eicar.com" in out["table"][1]
+    run = scan_corpus(corpus, db=vulnscan.load_advisory_db(db_dir))
+    assert out["json"][1] == _reference_json(run.report)
+    assert b'"archives/odd.tar!\\udcff/eicar.com"' in out["json"][1]
+    assert b'"testbed__zip-bundle-serverless/archives/odd.tar!\\udcff/eicar.com"' in (
+        out["sarif-like"][1]
+    )
 
 
 def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):

@@ -9,10 +9,10 @@ import os
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slsa_audit import vulnscan
+from slsa_audit import ingest, vulnscan
 from slsa_audit.demo import build_demo_db
 from slsa_audit.ingest import tree_files
 from slsa_audit.model import Severity, severity_band
@@ -25,6 +25,7 @@ from slsa_audit.vulnscan import (
     ManifestError,
     PackageInventory,
     VersionInterval,
+    VulnMatch,
     _import_pattern,
     advisory_from_osv,
     extract_inventory,
@@ -265,8 +266,8 @@ _LOADER_FILES = {
     "crlf": {"a.json": json.dumps(LODASH_OSV, indent=2).replace("\n", "\r\n").encode()},
     # The summary spans two chunks of the reader, and a bad byte sits past the first.
     "large": {
-        "a.json": _big_advisory(vulnscan._READ_CHUNK * 2),
-        "b.json": _big_advisory(vulnscan._READ_CHUNK + 100)[:-3] + b"\xff" + b"}",
+        "a.json": _big_advisory(ingest._READ_CHUNK * 2),
+        "b.json": _big_advisory(ingest._READ_CHUNK + 100)[:-3] + b"\xff" + b"}",
     },
 }
 
@@ -921,6 +922,99 @@ def test_match_monotone_under_db_growth():
         for m in match_advisories(inventory, index_advisories(advisories + [extra]), [])
     }
     assert base <= grown
+
+
+def _reference_index(advisories):
+    """index_advisories as it was keyed by (ecosystem, name): the oracle."""
+    index = {}
+    for advisory in advisories:
+        index.setdefault((advisory.ecosystem, advisory.package_name), []).append(advisory)
+    return index
+
+
+def _reference_match(inventory, index, notices):
+    """match_advisories over a `_reference_index`, deduplicating on
+    (advisory, package, version, ecosystem) across the whole inventory."""
+    matches = {}
+    for record in inventory.records():
+        candidates = index.get((record.ecosystem, record.name))
+        if not candidates:
+            continue
+        fp_class = (
+            FpClass.SOURCE_REFERENCED if record.referenced_in_source else FpClass.METADATA_ONLY
+        )
+        for version_str in sorted(record.versions):
+            try:
+                version = parse_version(version_str)
+            except ValueError:
+                notices.append(f"excluded {record.name}: unparseable version {version_str!r}")
+                continue
+            if version.fallback:
+                notices.append(f"version {version.raw!r} is not semver; using segment fallback")
+            for advisory in candidates:
+                if not any(interval.contains(version) for interval in advisory.affected):
+                    continue
+                key = (advisory.id, record.name, version_str, record.ecosystem)
+                if key in matches:
+                    continue
+                matches[key] = VulnMatch(
+                    advisory.id, record.name, version_str, record.ecosystem,
+                    severity_band(advisory.cvss_score), fp_class,
+                    tuple(sorted(record.declared_in)), advisory.summary,
+                )
+    return [matches[k] for k in sorted(matches, key=lambda k: (k[1], k[0], k[2]))]
+
+
+_MATCH_NAMES = st.sampled_from(["lodash", "yaml", "zlib"])
+# Plain semver, semver prerelease, segment fallback, and " ", which does not parse.
+_MATCH_VERSIONS = st.sampled_from(["0.9.0", "1.0.0", "1.2.3", "1.2.3-beta", "1.0.1f", "abc", " "])
+_INTERVALS = st.sampled_from([
+    VersionInterval(),
+    VersionInterval(low="1.0.0", high="1.2.3"),
+    VersionInterval(low="1.0.0", high="1.2.3", high_inclusive=True),
+    VersionInterval(high="1.0.0"),
+    VersionInterval(low="1.0.1"),
+])
+# A few ids over several names and ecosystems, so one id repeats among the
+# candidates of one package, as when an OSV document lists it twice.
+_ADVISORIES = st.lists(st.builds(
+    Advisory,
+    st.sampled_from(["ADV-1", "ADV-2", "ADV-3"]),
+    st.sampled_from(Ecosystem),
+    _MATCH_NAMES,
+    st.lists(_INTERVALS, min_size=1, max_size=2).map(tuple),
+    st.sampled_from([None, 3.1, 9.8]),
+    st.sampled_from(["", "summary"]),
+), max_size=12)
+_DECLARATIONS = st.lists(st.tuples(
+    _MATCH_NAMES,
+    _MATCH_VERSIONS,
+    st.sampled_from(Ecosystem),
+    st.sampled_from(["package.json", "package-lock.json", "requirements.txt"]),
+    st.booleans(),  # referenced in source
+), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DECLARATIONS, _ADVISORIES)
+@example(  # one name in two ecosystems, and one id twice for the npm package
+    [("lodash", "1.2.3", Ecosystem.NPM, "package.json", False),
+     ("lodash", "1.2.3", Ecosystem.PYPI, "requirements.txt", True)],
+    [Advisory("ADV-1", Ecosystem.NPM, "lodash", (VersionInterval(high="1.0.0"),)),
+     Advisory("ADV-1", Ecosystem.NPM, "lodash", (VersionInterval(low="1.0.0"),), 9.8),
+     Advisory("ADV-1", Ecosystem.PYPI, "lodash", (VersionInterval(),), 3.1)],
+)
+def test_match_equals_the_ecosystem_keyed_reference(declarations, advisories):
+    inventory = PackageInventory()
+    for name, version, ecosystem, declared_in, referenced in declarations:
+        inventory.add(name, version, ecosystem, declared_in)
+        if referenced:
+            inventory.packages[(name, ecosystem)].referenced_in_source.add("handler.js")
+    notices: list[str] = []
+    expected_notices: list[str] = []
+    got = match_advisories(inventory, index_advisories(advisories), notices)
+    assert got == _reference_match(inventory, _reference_index(advisories), expected_notices)
+    assert notices == expected_notices
 
 
 # ---------------------------------------------------------------------------
