@@ -11,7 +11,7 @@ from pathlib import Path
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
-from slsa_audit.ingest import is_serverless, load_corpus
+from slsa_audit.ingest import is_serverless, load_corpus, read_text
 from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity, dump_json
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
@@ -209,7 +209,7 @@ def _cmd_iac(args, config, fail_on: Severity | None) -> int:
     for path in args.paths:
         try:
             framework, findings = iaclint.lint_template(
-                path, Path(path).read_text(encoding="utf-8"),
+                path, read_text(path),
                 catalog=config.iac_catalog, notices=notices,
                 cors_substrings=config.cors_substrings,
             )

@@ -55,22 +55,6 @@ class CorpusEntry:
     artifact_kind: ArtifactKind
     parts: frozenset[str]
 
-    @property
-    def tree_path(self) -> Path:
-        return self.root_path / "tree"
-
-    @property
-    def archives_path(self) -> Path:
-        return self.root_path / "archives"
-
-    @property
-    def iac_path(self) -> Path:
-        return self.root_path / "iac"
-
-    @property
-    def run_commands_path(self) -> Path:
-        return self.root_path / "run_commands.txt"
-
 
 @dataclass
 class CorpusLoadResult:
@@ -216,13 +200,18 @@ _READ_CHUNK = 1 << 16  # bytes per os.read; most component and advisory files ar
 def read_file(path: str) -> bytes:
     """A file's bytes, read without the objects a text-mode ``open`` builds.
 
-    Every component file but an archive, and every advisory file, is read here.
+    Every component file but an archive, every advisory file and every
+    `iac --paths` template is read here. An OSError names ``path``, also
+    when ``os.read`` raises it (as for a directory).
     """
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_CHUNK):
             chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = path
+        raise
     finally:
         os.close(fd)
     return b"".join(chunks)

@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
@@ -307,166 +308,155 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _read_text(root: str, rel: str, notices: list[str], errors: str = "strict") -> str | None:
-    """The UTF-8 text, with universal newlines, of the file ``rel`` under
-    ``root``; or None, with a notice that begins with ``rel``.
+class ComponentScan:
+    """One component's scan step, which each ``scan_*`` takes: the one
+    reader of its files, and the one place a notice gets its component in
+    front. V1 sets ``vuln_count``; V4 tags its findings with their
+    framework in ``iac_tagged``. Building one touches no file."""
 
-    A file that cannot be read gives ``<rel>: cannot read: <reason>``; one
-    that does not decode under ``errors`` gives ``<rel>: <exc>``.
-    """
-    try:
-        return read_text(os.path.join(root, rel), errors)
-    except OSError as exc:
-        notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        notices.append(f"{rel}: {exc}")
-    return None
+    __slots__ = ("entry", "config", "index", "vuln_count", "iac_tagged", "notices_by_vector")
+
+    def __init__(
+        self, entry: CorpusEntry, config: AuditConfig, index: vulnscan.AdvisoryIndex | None = None
+    ) -> None:
+        self.entry = entry
+        self.config = config
+        self.index = index or {}  # what V1 matches against
+        self.vuln_count = 0
+        self.iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
+        self.notices_by_vector: dict[AttackVector, list[str]] = {}
+
+    def notices_for(self, vector: AttackVector, prefix: str = "/") -> SimpleNamespace:
+        """What ``vector`` passes as an analyzer's ``notices`` list, which is
+        only appended to: ``append`` keeps each notice as
+        ``<slug><prefix><notice>``. The prefix is ``"/"`` for a notice that
+        begins with its component-relative path, ``"/<path>: "`` for one
+        about ``path`` and ``": "`` for one about the component."""
+        into, prefix = self.notices_by_vector.setdefault(vector, []), self.entry.ref.slug + prefix
+        return SimpleNamespace(append=lambda notice: into.append(prefix + notice))
+
+    @property
+    def notices(self) -> list[str]:
+        """The component's notices in vector order."""
+        return [n for vector in AttackVector for n in self.notices_by_vector.get(vector, ())]
+
+    def read(
+        self, rel: str, notices: SimpleNamespace | list[str], errors: str = "strict"
+    ) -> str | None:
+        """The UTF-8 text, with universal newlines, of the component file
+        ``rel``; or None, with the notice ``<rel>: cannot read: <reason>``
+        or, if it does not decode under ``errors``, ``<rel>: <exc>``."""
+        try:
+            return read_text(os.path.join(self.entry.root_path, rel), errors)
+        except OSError as exc:
+            notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            notices.append(f"{rel}: {exc}")
+        return None
 
 
-def scan_vuln(
-    entry: CorpusEntry,
-    db: vulnscan.AdvisoryIndex,
-    config: AuditConfig,
-    notices: list[str],
-) -> tuple[list[Finding], int]:
+def scan_vuln(scan: ComponentScan) -> list[Finding]:
     """V1 for one component: inventory, advisory matching, optional FP filter.
 
-    Notices about a file read ``<slug>/tree/<file>: ...``; the others
-    ``<slug>: ...``. A component without ``tree/`` has no packages.
+    The tree is listed as ``tree/<file>`` paths, so a match's first
+    manifest is its location.
     """
+    entry, config = scan.entry, scan.config
     if "tree" not in entry.parts:
-        return [], 0
-    root = str(entry.tree_path)
-    files = tree_files(root)
-    file_notices: list[str] = []
-    read = functools.partial(_read_text, root, notices=file_notices, errors="replace")
-    inventory = vulnscan.extract_inventory(files, read, file_notices)
+        return []
+    files = [f"tree/{rel}" for rel in tree_files(entry.root_path / "tree")]
+    notices = scan.notices_for(AttackVector.V1)
+    read = functools.partial(scan.read, notices=notices, errors="replace")
+    inventory = vulnscan.extract_inventory(files, read, notices)
     vulnscan.mark_source_references(inventory, files, read, config.source_extensions)
-    match_notices: list[str] = []
-    matches = vulnscan.match_advisories(inventory, db, match_notices)
-    notices.extend(f"{entry.ref.slug}/tree/{notice}" for notice in file_notices)
-    notices.extend(f"{entry.ref.slug}: {notice}" for notice in match_notices)
-    selected = matches
+    matches = vulnscan.match_advisories(
+        inventory, scan.index, scan.notices_for(AttackVector.V1, ": ")
+    )
+    scan.vuln_count = len(matches)
     if config.fp_filter:
-        selected = vulnscan.filter_false_positives(matches).kept
+        matches = vulnscan.filter_false_positives(matches).kept
     findings = []
-    for match in selected:
-        location = f"tree/{match.declared_in[0]}" if match.declared_in else "tree"
+    for match in matches:
         suffix = " [metadata-only]" if match.fp_class is vulnscan.FpClass.METADATA_ONLY else ""
         findings.append(Finding(
-            f"V1-{match.advisory_id}", AttackVector.V1, match.severity, entry.ref, location,
+            f"V1-{match.advisory_id}", AttackVector.V1, match.severity, entry.ref,
+            match.declared_in[0] if match.declared_in else "tree",
             f"{match.package_name}@{match.package_version} ({match.ecosystem.value}) "
             f"affected by {match.advisory_id}{suffix}",
             f"upgrade {match.package_name} past the affected range",
         ))
-    return findings, len(matches)
+    return findings
 
 
-def scan_archives(
-    entry: CorpusEntry, config: AuditConfig, notices: list[str]
-) -> list[Finding]:
-    """V2 for one component: extract and signature-scan archives/.
-
-    Notices begin ``<slug>/archives/<file>: ``.
-    """
+def scan_archives(scan: ComponentScan) -> list[Finding]:
+    """V2 for one component: extract and signature-scan archives/."""
+    entry, config = scan.entry, scan.config
     findings: list[Finding] = []
     if "archives" not in entry.parts:
         return findings
-    for path in sorted(entry.archives_path.iterdir()):
+    notices = scan.notices_for(AttackVector.V2)
+    for path in sorted((entry.root_path / "archives").iterdir()):
         if not path.is_file():
             continue
         rel = f"archives/{path.name}"
         try:
             entries = archive.extract(path, limits=config.extraction_limits)
         except archive.EncryptedArchiveError:
-            findings.append(
-                Finding(
-                    rule_id="V2-ENCRYPTED-ARCHIVE",
-                    vector=AttackVector.V2,
-                    severity=Severity.MEDIUM,
-                    component=entry.ref,
-                    location=rel,
-                    evidence="archive content is encrypted and cannot be inspected",
-                    remediation="reject components whose archives cannot be scanned",
-                )
-            )
+            findings.append(Finding(
+                "V2-ENCRYPTED-ARCHIVE", AttackVector.V2, Severity.MEDIUM, entry.ref, rel,
+                "archive content is encrypted and cannot be inspected",
+                "reject components whose archives cannot be scanned",
+            ))
             continue
         except (archive.ArchiveSecurityError, archive.DecompressionBombError) as exc:
-            findings.append(
-                Finding(
-                    rule_id="V2-UNSAFE-ARCHIVE",
-                    vector=AttackVector.V2,
-                    severity=Severity.HIGH,
-                    component=entry.ref,
-                    location=rel,
-                    evidence=str(exc),
-                    remediation="do not extract this archive; inspect it manually",
-                )
-            )
+            findings.append(Finding(
+                "V2-UNSAFE-ARCHIVE", AttackVector.V2, Severity.HIGH, entry.ref, rel, str(exc),
+                "do not extract this archive; inspect it manually",
+            ))
             continue
         except (archive.UnsupportedFormatError, archive.ExtractionError) as exc:
-            notices.append(f"{entry.ref.slug}/{rel}: {exc}")
+            notices.append(f"{rel}: {exc}")
             continue
         except OSError as exc:  # the only disk access is reading the archive
-            notices.append(f"{entry.ref.slug}/{rel}: cannot read: {exc.strerror or exc}")
+            notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
             continue
-        nested_notices: list[str] = []
         for match in archive.scan_entries(
             entries, config.signatures, config.recursion_depth, config.extraction_limits,
-            notices=nested_notices,
+            notices=scan.notices_for(AttackVector.V2, f"/{rel}: "),
         ):
-            findings.append(
-                Finding(
-                    rule_id="V2-SIGNATURE-MATCH",
-                    vector=AttackVector.V2,
-                    severity=Severity.CRITICAL,
-                    component=entry.ref,
-                    location=f"{rel}!{match.entry_path}",
-                    evidence=f"signature {match.signature_id} matched",
-                    remediation="remove the flagged file and audit the component",
-                )
-            )
-        notices.extend(f"{entry.ref.slug}/{rel}: {notice}" for notice in nested_notices)
+            findings.append(Finding(
+                "V2-SIGNATURE-MATCH", AttackVector.V2, Severity.CRITICAL, entry.ref,
+                f"{rel}!{match.entry_path}", f"signature {match.signature_id} matched",
+                "remove the flagged file and audit the component",
+            ))
     return findings
 
 
-def scan_docker(entry: CorpusEntry, config: AuditConfig, notices: list[str]) -> list[Finding]:
-    """V3 for one component: lint run_commands.txt.
-
-    Notices begin ``<slug>/run_commands.txt``.
-    """
-    if "run_commands.txt" not in entry.parts:
+def scan_docker(scan: ComponentScan) -> list[Finding]:
+    """V3 for one component: lint run_commands.txt."""
+    if "run_commands.txt" not in scan.entry.parts:
         return []
-    name = entry.run_commands_path.name
-    command_notices: list[str] = []
-    text = _read_text(str(entry.root_path), name, command_notices)
-    findings = [] if text is None else dockerlint.lint_commands_text(
+    notices = scan.notices_for(AttackVector.V3)
+    text = scan.read("run_commands.txt", notices)
+    return [] if text is None else dockerlint.lint_commands_text(
         text,
-        component=entry.ref,
-        source_name=name,
-        rules=config.docker_rules,
-        key_config=config.sensitive_keys,
-        notices=command_notices,
+        component=scan.entry.ref,
+        source_name="run_commands.txt",
+        rules=scan.config.docker_rules,
+        key_config=scan.config.sensitive_keys,
+        notices=notices,
     )
-    notices.extend(f"{entry.ref.slug}/{notice}" for notice in command_notices)
-    return findings
 
 
-def scan_iac(
-    entry: CorpusEntry, config: AuditConfig, notices: list[str]
-) -> list[tuple[iaclint.IaCFramework, Finding]]:
-    """V4 for one component: lint every template under iac/.
-
-    Notices begin ``<slug>/iac/<file>: ``.
-    """
-    tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
+def scan_iac(scan: ComponentScan) -> list[Finding]:
+    """V4 for one component: lint every template under iac/."""
+    entry, config = scan.entry, scan.config
     if "iac" not in entry.parts:
-        return tagged
-    template_notices: list[str] = []  # each begins with its iac/ path
-    root = str(entry.root_path)
-    for name in tree_files(entry.iac_path):
+        return []
+    notices = scan.notices_for(AttackVector.V4)
+    for name in tree_files(entry.root_path / "iac"):
         rel = f"iac/{name}"
-        text = _read_text(root, rel, template_notices)
+        text = scan.read(rel, notices)
         if text is None:
             continue
         try:
@@ -475,17 +465,16 @@ def scan_iac(
                 text,
                 catalog=config.iac_catalog,
                 component=entry.ref,
-                notices=template_notices,
+                notices=notices,
                 cors_substrings=config.cors_substrings,
             )
         except iaclint.UnsupportedExtensionError:
             continue
         except iaclint.TemplateParseError as exc:
-            template_notices.append(str(exc))
+            notices.append(str(exc))
             continue
-        tagged.extend((framework, f) for f in findings)
-    notices.extend(f"{entry.ref.slug}/{notice}" for notice in template_notices)
-    return tagged
+        scan.iac_tagged.extend((framework, f) for f in findings)
+    return [f for _, f in scan.iac_tagged]
 
 
 def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, started: float) -> bytes:
@@ -495,8 +484,8 @@ def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, start
     try:
         results = []
         for entry in entries:
-            notices: list[str] = []
-            results.append((scan_archives(entry, config, notices), notices))
+            scan = ComponentScan(entry, config)
+            results.append((scan_archives(scan), scan.notices))
         return pickle.dumps((True, (results, time.perf_counter() - started)), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         try:
@@ -513,11 +502,12 @@ def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, start
 class ArchiveWorker:
     """V2 over ``entries`` in one forked child, while the caller goes on.
 
-    The child runs `scan_archives` on each entry in order, writes one pickle
-    (`_archive_scan_payload`) to a pipe and leaves through ``os._exit``, so
-    it never returns into its caller's frames or flushes stdio buffers it
-    inherited. `result` reads the pickle and reaps the child; `close`, in
-    the caller's ``finally``, kills and reaps a child that `result` did not.
+    The child runs `scan_archives` on a ComponentScan of each entry in
+    order, writes one pickle (`_archive_scan_payload`) to a pipe and leaves
+    through ``os._exit``, so it never returns into its caller's frames or
+    flushes stdio buffers it inherited. `result` reads the pickle and reaps
+    the child; `close`, in the caller's ``finally``, kills and reaps a child
+    that `result` did not.
     """
 
     def __init__(self, entries: list[CorpusEntry], config: AuditConfig) -> None:
@@ -576,6 +566,13 @@ class ArchiveWorker:
             self._pid = 0
 
 
+# What scan_corpus runs in process (V2 runs in the ArchiveWorker), in vector
+# order and by name: each scan looks them up, as perfbench/tracing.py wraps them.
+_IN_PROCESS = {
+    AttackVector.V1: "scan_vuln", AttackVector.V3: "scan_docker", AttackVector.V4: "scan_iac",
+}
+
+
 def scan_corpus(
     corpus_root: str | Path,
     config: AuditConfig | None = None,
@@ -585,8 +582,10 @@ def scan_corpus(
 ) -> AuditRun:
     """Run every enabled vector over a corpus and aggregate one report.
 
-    V2 runs in an ArchiveWorker when some component has ``archives/``. Each
+    Each enabled scanner takes each component's ComponentScan in turn; V2
+    runs in an ArchiveWorker when some component has ``archives/``. Each
     component's notices come in vector order: V1, V2, V3, V4.
+    ``corpus_id`` defaults to the last component of the absolute path.
     """
     config = config or AuditConfig()
     started = _now()
@@ -597,46 +596,33 @@ def scan_corpus(
     entries = load_result.entries
     if filter_serverless:
         entries = [e for e in entries if is_serverless(e)]
-    corpus_id = corpus_id if corpus_id is not None else Path(corpus_root).name
+    if corpus_id is None:
+        corpus_id = os.path.basename(os.path.abspath(corpus_root))
     vectors = config.enabled_vectors
     archived = [e for e in entries if "archives" in e.parts] if AttackVector.V2 in vectors else []
     worker = ArchiveWorker(archived, config) if archived else None
 
     findings: list[Finding] = []
-    vuln_counts: dict[ComponentRef, int] = {}
-    iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
-    index: vulnscan.AdvisoryIndex | None = None  # built for the first tree/
-    # Per entry: the notices of V1, and of V3 and V4. V2's go in between.
-    split_notices: list[tuple[list[str], list[str]]] = []
+    scans: list[ComponentScan] = []
     try:
+        needs_index = AttackVector.V1 in vectors and any("tree" in e.parts for e in entries)
+        index = vulnscan.index_advisories(db or []) if needs_index else None
+        scanners = [globals()[name] for vector, name in _IN_PROCESS.items() if vector in vectors]
         for entry in entries:
-            before: list[str] = []
-            after: list[str] = []
-            if AttackVector.V1 in vectors:
-                if index is None and "tree" in entry.parts:
-                    index = vulnscan.index_advisories(db or [])
-                # Without tree/, scan_vuln returns before it reads the index.
-                vuln_findings, count = scan_vuln(entry, index, config, before)
-                vuln_counts[entry.ref] = count
-                findings.extend(vuln_findings)
-            if AttackVector.V3 in vectors:
-                findings.extend(scan_docker(entry, config, after))
-            if AttackVector.V4 in vectors:
-                tagged = scan_iac(entry, config, after)
-                iac_tagged.extend(tagged)
-                findings.extend(f for _, f in tagged)
-            split_notices.append((before, after))
-        archive_results = iter(worker.result() if worker else ())
+            scan = ComponentScan(entry, config, index)
+            for scanner in scanners:
+                findings += scanner(scan)
+            scans.append(scan)
+        archive_results = worker.result() if worker else []
     finally:
         if worker is not None:
             worker.close()
-    for entry, (before, after) in zip(entries, split_notices):
-        notices.extend(before)
-        if worker is not None and "archives" in entry.parts:
-            archive_findings, archive_notices = next(archive_results)
-            findings.extend(archive_findings)
-            notices.extend(archive_notices)
-        notices.extend(after)
+    archived_scans = [scan for scan in scans if "archives" in scan.entry.parts]
+    for scan, (archive_findings, archive_notices) in zip(archived_scans, archive_results):
+        findings += archive_findings
+        scan.notices_by_vector[AttackVector.V2] = archive_notices
+    for scan in scans:
+        notices += scan.notices
     if AttackVector.V5 in vectors:
         records = typosquat.build_name_records(
             (e.ref for e in entries), include_aws_sar=config.include_aws_sar
@@ -644,6 +630,7 @@ def scan_corpus(
         scan = typosquat.find_near_pairs(records, config.typosquat_max_distance)
         findings.extend(typosquat.findings_from_pairs(scan))
 
+    vuln_counts = {s.entry.ref: s.vuln_count for s in scans if AttackVector.V1 in vectors}
     report = aggregate(
         findings, corpus_id, vuln_counts, config.cdf_thresholds, [e.ref for e in entries]
     )
@@ -651,7 +638,7 @@ def scan_corpus(
         corpus_id=corpus_id,
         enabled_vectors=set(vectors),
         report=report,
-        iac_histogram=iaclint.severity_histogram(iac_tagged),
+        iac_histogram=iaclint.severity_histogram(t for scan in scans for t in scan.iac_tagged),
         tool_versions={
             "slsa-audit": __version__,
             "python": platform.python_version(),

@@ -529,7 +529,8 @@ def extract_inventory(
     """Merge every supported manifest among a tree's files (see ingest.tree_files).
 
     ``read(rel)`` gives a file's text, or None for a file it could not read.
-    Each notice begins with the tree-relative path of the file it is about.
+    Paths are as ``files`` lists them: each package's ``declared_in`` and
+    the start of each notice name the file that way.
     """
     inventory = PackageInventory()
     for rel in files:
@@ -570,7 +571,7 @@ def mark_source_references(
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
 ) -> PackageInventory:
     """Populate referenced_in_source with the tree's files (see ingest.tree_files)
-    importing each package.
+    importing each package, named as ``files`` lists them.
 
     Only files whose extension is in the source set count; metadata files
     never do. ``read(rel)`` gives a file's text, or None for a file it

@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour over the demo corpus."""
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -401,6 +404,33 @@ def test_iac_paths_over_the_demo_templates(demo, tmp_path, capsys, monkeypatch, 
         ] == [(sev, rule, location) for sev, _, rule, location in rows]
     assert main(["--fail-on", "High", *argv]) == 1
     assert capsys.readouterr().err.startswith(_IAC_PATHS_ERR)
+
+
+def test_iac_paths_reads_templates_as_a_corpus_scan_does(demo, tmp_path, capsys, monkeypatch):
+    corpus, _ = demo
+    monkeypatch.chdir(tmp_path)
+    template = (corpus / "bluefin__etl-serverless" / "iac" / "template.yaml").read_bytes()
+    Path("lf.yaml").write_bytes(template)
+    Path("crlf.yaml").write_bytes(template.replace(b"\n", b"\r\n"))
+    Path("bin.yaml").write_bytes(b"Resources: \xff\n")
+    text_opened = []
+    for module in (builtins, io):
+        def recording_open(file, *args, _open=module.open, **kwargs):
+            text_opened.append(os.fspath(file))
+            return _open(file, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", recording_open)
+    outputs = []
+    for name in ("lf.yaml", "crlf.yaml"):
+        assert main(["--output", "json", "iac", "--paths", name]) == 0
+        outputs.append(capsys.readouterr().out.replace(name, "<path>"))
+    assert outputs[0] == outputs[1] and '"findings": []' not in outputs[0]
+    assert main(["iac", "--paths", "bin.yaml"]) == 0
+    assert capsys.readouterr().err == (
+        "notice: bin.yaml: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte\n"
+    )
+    assert [path for path in text_opened if path.endswith(".yaml")] == []
 
 
 def test_typosquat_over_corpus(demo, capsys):

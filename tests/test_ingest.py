@@ -284,9 +284,9 @@ def test_meta_only_component_scans_touch_no_file(tmp_path, monkeypatch):
     config = AuditConfig()
     listed = _count_calls(monkeypatch, "scandir")
     stats = _count_calls(monkeypatch, "stat")
-    notices: list[str] = []
-    assert report.scan_vuln(entry, {}, config, notices) == ([], 0)
-    assert report.scan_archives(entry, config, notices) == []
-    assert report.scan_docker(entry, config, notices) == []
-    assert report.scan_iac(entry, config, notices) == []
-    assert (listed, stats, notices) == ([], [], [])
+    scan = report.ComponentScan(entry, config)
+    assert (report.scan_vuln(scan), scan.vuln_count) == ([], 0)
+    assert report.scan_archives(scan) == []
+    assert report.scan_docker(scan) == []
+    assert report.scan_iac(scan) == []
+    assert (listed, stats, scan.notices) == ([], [], [])

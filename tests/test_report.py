@@ -4,11 +4,14 @@ from __future__ import annotations
 import builtins
 import errno
 import io
+import itertools
 import json
 import os
+import re
 import shutil
 import signal
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,7 @@ from slsa_audit.archive import ArchiveError, ArchiveFormat, pack_entries
 from slsa_audit.cli import main
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus, build_demo_db
-from slsa_audit.ingest import load_corpus, serialize_manifest
+from slsa_audit.ingest import ArtifactKind, CorpusEntry, load_corpus, serialize_manifest
 from slsa_audit.model import (
     AttackVector,
     ComponentRef,
@@ -30,6 +33,7 @@ from slsa_audit.model import (
     Severity,
 )
 from slsa_audit.report import (
+    ComponentScan,
     aggregate,
     emit,
     exit_code_for,
@@ -468,8 +472,14 @@ def test_component_files_are_read_through_raw_descriptors_that_are_closed(
     assert all(path.startswith(prefix) for path in raw_opened)
 
 
+def _read_text(root: str, rel: str, notices: list[str], errors: str = "strict"):
+    """ComponentScan.read of the file ``rel`` of a component rooted at ``root``."""
+    entry = CorpusEntry(REF_A, Path(root), {}, ArtifactKind.SOURCE_TREE, frozenset())
+    return ComponentScan(entry, AuditConfig()).read(rel, notices, errors)
+
+
 def _text_mode_read_text(root: str, rel: str, notices: list[str], errors: str = "strict"):
-    """report._read_text as it read a file through a text-mode ``open``."""
+    """ComponentScan.read as it read a file through a text-mode ``open``."""
     try:
         with open(os.path.join(root, rel), encoding="utf-8", errors=errors) as handle:
             return handle.read()
@@ -502,7 +512,7 @@ def test_read_text_equals_a_text_mode_read(padding, body, errors):
             handle.write(b"x" * padding + body)
         got: list[str] = []
         expected: list[str] = []
-        assert report._read_text(root, "f", got, errors) == _text_mode_read_text(
+        assert _read_text(root, "f", got, errors) == _text_mode_read_text(
             root, "f", expected, errors
         )
         assert got == expected
@@ -513,7 +523,7 @@ def test_read_text_notice_equals_a_text_mode_read(tmp_path, rel):
     (tmp_path / "directory").mkdir()
     got: list[str] = []
     expected: list[str] = []
-    assert report._read_text(str(tmp_path), rel, got) is None
+    assert _read_text(str(tmp_path), rel, got) is None
     assert _text_mode_read_text(str(tmp_path), rel, expected) is None
     assert got == expected and len(got) == 1
 
@@ -562,12 +572,19 @@ def test_table_writes_an_undecodable_tar_member_as_its_bytes(tmp_path, capsysbin
     )
 
 
-def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
+def _components_with_v1_to_v4_notices(tmp_path):
+    """`_component_with_v2_to_v4_notices` plus a V1 notice for that
+    component and a V2 notice for a second one."""
     corpus, slug = _component_with_v2_to_v4_notices(tmp_path)
     (corpus / slug / "tree").mkdir(exist_ok=True)
     (corpus / slug / "tree" / "package.json").write_text("[]")
     archives = corpus / "testbed__zip-bundle-serverless" / "archives"
     (archives / "notes.txt").write_text("not an archive\n")
+    return corpus, slug
+
+
+def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
+    corpus, slug = _components_with_v1_to_v4_notices(tmp_path)
     db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
     config = AuditConfig(enabled_vectors=frozenset(AttackVector) - {AttackVector.V5})
     run = scan_corpus(corpus, config, db)
@@ -580,11 +597,13 @@ def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
     findings = []
     vuln_counts = {}
     for entry in loaded.entries:
-        vuln_findings, vuln_counts[entry.ref] = scan_vuln(entry, index, config, notices)
-        findings += vuln_findings
-        findings += scan_archives(entry, config, notices)
-        findings += scan_docker(entry, config, notices)
-        findings += [finding for _, finding in scan_iac(entry, config, notices)]
+        scan = ComponentScan(entry, config, index)
+        findings += scan_vuln(scan)
+        findings += scan_archives(scan)
+        findings += scan_docker(scan)
+        findings += scan_iac(scan)
+        vuln_counts[entry.ref] = scan.vuln_count
+        notices += scan.notices
     assert run.notices == notices
     assert [n.split(":")[0].split("/")[1] for n in notices if n.startswith(f"{slug}/")] == [
         "tree", "archives", "run_commands.txt#2", "iac", "iac",
@@ -594,6 +613,101 @@ def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
         [entry.ref for entry in loaded.entries],
     )
     assert emit(run.report) == emit(expected)
+
+
+_V1_TO_V4 = (AttackVector.V1, AttackVector.V2, AttackVector.V3, AttackVector.V4)
+
+
+def _by_component(notices: list[str]) -> dict[str, list[str]]:
+    """Notices grouped by the slug each begins with."""
+    grouped: dict[str, list[str]] = {}
+    for notice in notices:
+        grouped.setdefault(re.match(r"[^/:]*", notice).group(), []).append(notice)
+    return grouped
+
+
+def _finding_key(finding: Finding) -> tuple:
+    return (*finding.sort_key(), finding.vector.value, finding.evidence, finding.remediation)
+
+
+def test_each_vector_scans_alike_in_every_subset_of_vectors(tmp_path):
+    corpus, slug = _components_with_v1_to_v4_notices(tmp_path)
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    runs = {
+        subset: scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset(subset)), db)
+        for size in range(1, len(_V1_TO_V4) + 1)
+        for subset in itertools.combinations(_V1_TO_V4, size)
+    }
+    single = {vector: runs[(vector,)] for vector in _V1_TO_V4}
+    assert all(slug in _by_component(run.notices) for run in single.values())
+    slugs = [entry.ref.slug for entry in load_corpus(corpus).entries]
+    for subset, run in runs.items():
+        union = [f for vector in subset for f in single[vector].report.all_findings()]
+        assert sorted(run.report.all_findings(), key=_finding_key) == sorted(
+            union, key=_finding_key
+        ), subset
+        grouped = {vector: _by_component(single[vector].notices) for vector in subset}
+        assert run.notices == [
+            notice for component in slugs for vector in subset
+            for notice in grouped[vector].get(component, ())
+        ], subset
+        counts = single[AttackVector.V1].report.vuln_counts if AttackVector.V1 in subset else {}
+        assert run.report.vuln_counts == counts, subset
+
+
+_SCANNER_VECTORS = {
+    "scan_vuln": AttackVector.V1,
+    "scan_archives": AttackVector.V2,
+    "scan_docker": AttackVector.V3,
+    "scan_iac": AttackVector.V4,
+}
+
+
+def test_scanners_wrapped_at_the_module_attribute_run_once_per_component(
+    tmp_path, monkeypatch
+):
+    # perfbench/tracing.py times each scanner by replacing report.scan_*; a
+    # scan that bound the scanners earlier would leave its timings at 0.
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    for name, vector in _SCANNER_VECTORS.items():
+        def wrapped(scan, _scanner=getattr(report, name), _name=name, _vector=vector):
+            # A notice, not a counter: V2 runs in the forked worker.
+            scan.notices_for(_vector).append(f"wrapped {_name}")
+            return _scanner(scan)
+
+        monkeypatch.setattr(report, name, wrapped)
+    run = scan_corpus(corpus)
+    entries = load_corpus(corpus).entries
+    for name, vector in _SCANNER_VECTORS.items():
+        expected = [
+            f"{entry.ref.slug}/wrapped {name}" for entry in entries
+            if vector is not AttackVector.V2 or "archives" in entry.parts
+        ]
+        assert [n for n in run.notices if n.endswith(f"/wrapped {name}")] == expected
+    assert any("archives" in entry.parts for entry in entries)
+
+
+@pytest.mark.parametrize("cwd,spelled", [
+    ("corpus", "."),
+    ("corpus/acme__serverless-resizer", ".."),
+    ("", "corpus/"),
+    ("", "./corpus/../corpus"),
+    ("", "link"),
+])
+def test_corpus_id_is_the_corpus_directory_name_however_its_path_is_spelled(
+    tmp_path, monkeypatch, capsysbinary, cwd, spelled
+):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    (tmp_path / "link").symlink_to(corpus)  # a symlink is named, not followed
+    assert main(["--output", "json", "scan-all", "--corpus", str(corpus)]) == 0
+    expected = capsysbinary.readouterr().out
+    name = "link" if spelled == "link" else "corpus"
+    monkeypatch.chdir(tmp_path / cwd)
+    assert scan_corpus(spelled).corpus_id == name
+    assert main(["--output", "json", "scan-all", "--corpus", spelled]) == 0
+    out = capsysbinary.readouterr().out
+    assert out == expected.replace(b'"corpus_id": "corpus"', f'"corpus_id": "{name}"'.encode())
+    assert f'"corpus_id": "{name}"'.encode() in out
 
 
 def test_an_exception_in_the_archive_worker_is_raised_by_scan_corpus(tmp_path, monkeypatch):
