@@ -16,6 +16,8 @@ import io
 import json
 import lzma
 import math
+import os
+import re
 import tarfile
 import zipfile
 import zlib
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from slsa_audit import sevenz, zstdcodec
-from slsa_audit.ingest import tree_files
+from slsa_audit.ingest import read_file, tree_files
 from slsa_audit.model import AuditError, ConfigError
 
 
@@ -207,6 +209,93 @@ def _inflate_wrapper(data: bytes, fmt: ArchiveFormat, cap: int) -> bytes:
 
 
 def _extract_tar(data: bytes, cap: int) -> list[ArchiveEntry]:
+    """Regular-file members of an in-memory tar: from `_extract_plain_tar`
+    when every header is plain, else from `_extract_tar_with_tarfile`."""
+    entries = _extract_plain_tar(data, cap)
+    return _extract_tar_with_tarfile(data, cap) if entries is None else entries
+
+
+def _octal_field(width: int, group: bool = False) -> bytes:
+    """A numeric header field as tar writers give it: at most width - 1
+    octal digits, then a NUL inside the field. tarfile's ``nti`` reads it as
+    ``int(digits or "0", 8)``; the digits are a group when ``group`` is set."""
+    digits = rb"[0-7]{0,%d}" % (width - 1)
+    return rb"(?=%s\0)[\x00-\xff]{%d}" % (b"(%s)" % digits if group else digits, width)
+
+
+# Bytes 100-156 of a plain header: mode, uid, gid, size (group 1), mtime,
+# checksum (group 2), and a type flag (group 3) that tarfile reads as a
+# regular file (0, NUL, 7) or as a link, device, directory or FIFO (1-6).
+_PLAIN_FIELDS = re.compile(
+    _octal_field(8) * 3 + _octal_field(12, True) + _octal_field(12)
+    + _octal_field(8, True) + rb"([0-7\0])"
+)
+_PLAIN_DEVICE = re.compile(_octal_field(8) * 2)  # bytes 329-344: devmajor, devminor
+_BLOCK = 512
+_ZERO_BLOCK = bytes(_BLOCK)
+
+
+def _extract_plain_tar(data: bytes, cap: int) -> list[ArchiveEntry] | None:
+    """What `_extract_tar_with_tarfile` returns or raises, read from the
+    ustar headers directly (POSIX pax, ustar Interchange Format), or None
+    when some header is not plain.
+
+    Plain means every header, read as ``tarfile.TarInfo.frombuf`` reads it,
+    has ASCII name and prefix fields, numeric fields in `_octal_field`'s
+    form, a matching unsigned checksum and a type flag in 0-7 or NUL, and
+    the archive ends at a zero block, or at the end of data on a block
+    boundary after a member. Everything else (pax and GNU headers,
+    base-256 numbers, signed checksums, a truncated body or an empty one)
+    is None, so tarfile reads it. A member's path and the cap are checked
+    in tarfile's member order, so the same member raises the same error.
+    """
+    entries: list[ArchiveEntry] = []
+    total = 0
+    pos = 0
+    end = len(data)
+    while pos < end:
+        header = data[pos : pos + _BLOCK]
+        if header == _ZERO_BLOCK:
+            return entries
+        if len(header) < _BLOCK:
+            return None
+        fields = _PLAIN_FIELDS.match(header, 100)
+        if fields is None or _PLAIN_DEVICE.match(header, 329) is None:
+            return None
+        # For ASCII bytes the sum stays below 65521, so adler32's first half
+        # (1 + the sum, modulo 65521) gives it without a Python-level loop.
+        total_sum = (zlib.adler32(header) & 0xFFFF) - 1 if header.isascii() else sum(header)
+        if int(fields[2] or b"0", 8) != 256 + total_sum - sum(header[148:156]):
+            return None
+        name = header[:100].partition(b"\0")[0]
+        prefix = header[345:500].partition(b"\0")[0]
+        if not (name.isascii() and prefix.isascii()):
+            return None
+        name, prefix, kind = name.decode("ascii"), prefix.decode("ascii"), fields[3]
+        if kind == b"\0" and name.endswith("/"):
+            kind = b"5"  # a v7 directory
+        if kind == b"5":
+            name = name.rstrip("/")
+        if prefix:
+            name = f"{prefix}/{name}"
+            if kind == b"5":
+                name = name.rstrip("/")
+        path = _safe_entry_path(name)
+        pos += _BLOCK
+        if kind not in b"0\x007":
+            continue  # a link, device, directory or FIFO: tarfile reads no data for it
+        size = int(fields[1] or b"0", 8)
+        total += size
+        if total > cap:
+            raise DecompressionBombError(f"tar contents exceed the {cap}-byte cap")
+        start, pos = pos, pos + -(-size // _BLOCK) * _BLOCK
+        if pos > end:
+            return None  # cut off in the member's data or padding
+        entries.append(ArchiveEntry(path=path, data=data[start : start + size]))
+    return entries if pos else None
+
+
+def _extract_tar_with_tarfile(data: bytes, cap: int) -> list[ArchiveEntry]:
     """Regular-file members of an in-memory tar. tarfile parses the headers;
     member contents are sliced from data, except for sparse members."""
     entries: list[ArchiveEntry] = []
@@ -312,7 +401,7 @@ def extract(
 ) -> list[ArchiveEntry]:
     """Extract an archive file; format is detected when not given."""
     path = Path(archive_path)
-    data = path.read_bytes()
+    data = read_file(os.fspath(archive_path))
     if fmt is None:
         fmt = detect_format(path.name, data[:512])
     return extract_bytes(data, fmt, limits)

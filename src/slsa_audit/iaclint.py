@@ -6,9 +6,11 @@ catalog plus the dedicated wildcard-CORS check.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterable
 
@@ -143,21 +145,6 @@ def _check_nesting(contents: str, path: str) -> None:
             depth -= 1
 
 
-def _compose(contents: str, path: str) -> yaml.Node | None:
-    try:
-        _check_nesting(contents, path)
-        return yaml.compose(contents, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = f" at line {mark.line + 1}" if mark else ""
-        raise TemplateParseError(f"{path}: YAML/JSON syntax error{line}: {exc}") from exc
-    except UnicodeEncodeError as exc:
-        # libyaml takes UTF-8, which a str holding a lone surrogate has none of.
-        raise TemplateParseError(f"{path}: {exc}") from exc
-    except RecursionError:
-        raise TemplateParseError(f"{path}: nesting too deep to compose") from None
-
-
 class _ValueBuilder:
     """Builds plain value trees from one template's nodes, keeping intrinsics.
 
@@ -222,15 +209,36 @@ def load_template(path: str, contents: str) -> TemplateModel:
 
 
 def _parse_cfn_model(contents: str, path: str) -> TemplateModel:
-    """The model of a YAML/JSON template, its framework read from the root's Transform."""
-    root = _compose(contents, path)
-    model = TemplateModel(
-        framework=IaCFramework.CLOUDFORMATION,
-        path=path,
-        line_count=contents.count("\n") + 1,
-    )
-    if root is None:
-        return model
+    """The model of a YAML/JSON template, its framework read from the root's
+    Transform: from `_json_model` when it reads the text, else composed."""
+    try:
+        _check_nesting(contents, path)
+        model = _json_model(contents, path) if path.lower().endswith(".json") else None
+        root = yaml.compose(contents, Loader=_LOADER) if model is None else None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = f" at line {mark.line + 1}" if mark else ""
+        raise TemplateParseError(f"{path}: YAML/JSON syntax error{line}: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        # libyaml takes UTF-8, which a str holding a lone surrogate has none of.
+        raise TemplateParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise TemplateParseError(f"{path}: nesting too deep to compose") from None
+    if model is None:
+        model = TemplateModel(
+            framework=IaCFramework.CLOUDFORMATION,
+            path=path,
+            line_count=contents.count("\n") + 1,
+        )
+        if root is not None:
+            _read_root(root, path, contents, model)
+    if SAM_TRANSFORM in model.transforms:
+        model.framework = IaCFramework.SAM
+    return model
+
+
+def _read_root(root: yaml.Node, path: str, contents: str, model: TemplateModel) -> None:
+    """Fill model from a composed template root."""
     if not isinstance(root, yaml.MappingNode):
         raise TemplateParseError(f"{path}: template root must be a mapping")
     values = _ValueBuilder(path, contents)
@@ -270,8 +278,131 @@ def _parse_cfn_model(contents: str, path: str) -> TemplateModel:
                         source_span=span,
                     )
                 )
-    if SAM_TRANSFORM in model.transforms:
-        model.framework = IaCFramework.SAM
+
+
+# A JSON template is composed, not read with `json`, when its text holds a
+# character other than printable ASCII and newline (a tab, a BOM, U+2028,
+# ...), a \u escape (an escaped surrogate pair is a YAML scanner error), a
+# line over 1,000 characters (libyaml ends a simple key at 1,024; matched
+# after a newline put in front of the text) or a key whose ":" is on a later
+# line (a simple key is one line).
+_JSON_LONG_LINE = re.compile(r"\n[^\n]{1001}")
+_JSON_KEY_ON_TWO_LINES = re.compile(r'"[ ]*\n[ \n]*:')
+_JSON_SPACE = re.compile(r"[ \n]*")
+# A JSON number that YAML 1.1 resolves as a float (PyYAML's resolver): a
+# fraction, and a signed exponent if any. Others, such as 1e3, 1.0e3 and
+# 1E+3, compose as strings, and so do NaN and Infinity.
+_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
+_JSON_DECODER = json.JSONDecoder(
+    parse_float=lambda s: float(s) if _YAML_FLOAT.fullmatch(s) else s, parse_constant=str
+)
+# A value with more brackets than this may nest deeper than _ValueBuilder
+# recurses safely, so its template is composed.
+_JSON_MAX_BRACKETS = 200
+# The root members whose object values are walked member by member.
+_WALKED = ("Parameters", "Resources")
+
+
+class _Members(list):
+    """The members of a JSON object, each as (key, key offset, value
+    offset, value, value end)."""
+
+
+def _json_members(text: str, pos: int, walk: tuple[str, ...] = ()) -> tuple[_Members, int]:
+    """The members of the JSON object that opens at text[pos], and the
+    offset after it. A member whose key is in ``walk`` and whose value is an
+    object has that object's `_Members` as its value. Raises ValueError or
+    IndexError where there is no object."""
+    if text[pos] != "{":
+        raise ValueError("expected '{'")
+    members = _Members()
+    pos = _JSON_SPACE.match(text, pos + 1).end()
+    if text[pos] == "}":
+        return members, pos + 1
+    while True:
+        if text[pos] != '"':
+            raise ValueError("expected a key")
+        key, end = scanstring(text, pos + 1)
+        end = _JSON_SPACE.match(text, end).end()
+        if text[end] != ":":
+            raise ValueError("expected ':'")
+        start = _JSON_SPACE.match(text, end + 1).end()
+        if key in walk and text[start] == "{":
+            value, end = _json_members(text, start)
+        else:
+            value, end = _JSON_DECODER.raw_decode(text, start)
+        members.append((key, pos, start, value, end))
+        pos = _JSON_SPACE.match(text, end).end()
+        if text[pos] == "}":
+            return members, pos + 1
+        if text[pos] != ",":
+            raise ValueError("expected ','")
+        pos = _JSON_SPACE.match(text, pos + 1).end()
+
+
+def _json_model(contents: str, path: str) -> TemplateModel | None:
+    """The model `_read_root` builds from the composed JSON text, read with
+    `json`'s C scanner, or None where the two might differ.
+
+    Spans are rebuilt from offsets: a resource starts on the line of its
+    id's opening quote and ends on the line of its closing brace. Raises
+    only the duplicate-logical-id TemplateParseError that `_read_root`
+    raises.
+    """
+    if (
+        not (contents.isascii() and contents.replace("\n", "").isprintable())
+        or "\\u" in contents
+        or _JSON_LONG_LINE.search("\n" + contents)
+        or _JSON_KEY_ON_TWO_LINES.search(contents)
+    ):
+        return None
+    try:
+        root, end = _json_members(contents, _JSON_SPACE.match(contents).end(), _WALKED)
+        if _JSON_SPACE.match(contents, end).end() != len(contents):
+            return None
+    except (ValueError, IndexError, RecursionError):
+        return None
+    model = TemplateModel(
+        framework=IaCFramework.CLOUDFORMATION, path=path, line_count=contents.count("\n") + 1
+    )
+
+    def too_deep(start: int, end: int) -> bool:
+        return contents.count("{", start, end) + contents.count("[", start, end) > _JSON_MAX_BRACKETS
+
+    for key, _, start, value, end in root:
+        if key == "Transform":
+            if too_deep(start, end):
+                return None
+            model.transforms = value if isinstance(value, list) else [value]
+        elif key == "Parameters" and isinstance(value, _Members):
+            for name, _, start, param, end in value:
+                if too_deep(start, end):
+                    return None
+                if isinstance(param, dict):
+                    model.parameters[name] = param
+        elif key == "Resources" and isinstance(value, _Members):
+            seen: set[str] = set()
+            line, at = 0, 0  # line is the 0-based line of offset at
+            for logical_id, key_at, start, resource, end in value:
+                if logical_id in seen:
+                    raise TemplateParseError(f"{path}: duplicate logical id {logical_id!r}")
+                seen.add(logical_id)
+                if too_deep(start, end):
+                    return None
+                if not isinstance(resource, dict):
+                    continue
+                line += contents.count("\n", at, key_at)
+                line_start = line + 1
+                line += contents.count("\n", key_at, end)
+                at = end
+                model.resources.append(
+                    ResourceNode(
+                        logical_id=logical_id,
+                        resource_type=str(resource.get("Type", "")),
+                        properties=resource.get("Properties") or {},
+                        source_span=SourceSpan(path, line_start, max(line, line_start)),
+                    )
+                )
     return model
 
 
@@ -638,28 +769,43 @@ _API_RESOURCE_TYPES = (
 CORS_RULE_ID = "R-CORS"
 
 
+_NOT_LOWER_ALNUM = re.compile(r"[^a-z0-9]")
+
+
 def _normalize_key(key: str) -> str:
-    return re.sub(r"[^a-z0-9]", "", key.lower())
+    return _NOT_LOWER_ALNUM.sub("", key.lower())
 
 
-def _is_cors_key(key: str, substrings: tuple[str, ...]) -> bool:
-    normalized = _normalize_key(key)
-    return any(s in normalized for s in substrings)
+class _KeyMemo(dict):
+    """``function`` of each key looked up, computed on its first lookup. One
+    lives for one `check_cors_wildcard` call, so no key outlives it."""
+
+    def __init__(self, function) -> None:
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key: str) -> object:
+        value = self[key] = self.function(key)
+        return value
 
 
-def _walk_items(tree: object):
+def _walk_items(tree: object, items: list | None = None) -> list[tuple[object, object]]:
+    """Each (key, value) of every mapping in tree, depth first, in order."""
+    if items is None:
+        items = []
     if isinstance(tree, dict):
         for key, value in tree.items():
-            yield key, value
-            yield from _walk_items(value)
+            items.append((key, value))
+            _walk_items(value, items)
     elif isinstance(tree, list):
         for item in tree:
-            yield from _walk_items(item)
+            _walk_items(item, items)
+    return items
 
 
-def _resource_has_auth(resource: ResourceNode) -> bool:
+def _resource_has_auth(resource: ResourceNode, normalized_keys: _KeyMemo) -> bool:
     for key, value in _walk_items(resource.properties):
-        normalized = _normalize_key(str(key))
+        normalized = normalized_keys[str(key)]
         if normalized in AUTH_KEYS and value not in (None, {}, []):
             return True
         if normalized == "authorizationtype" and isinstance(value, str) and value.upper() != "NONE":
@@ -679,13 +825,15 @@ def check_cors_wildcard(
     advisory. Templates without CORS-related keys yield nothing.
     """
     component = component or _FALLBACK_COMPONENT
+    normalized = _KeyMemo(_normalize_key)
+    is_cors = _KeyMemo(lambda key: any(s in normalized[key] for s in cors_substrings))
     wildcard_sites: list[tuple[str, ResourceNode | None]] = []
     for name, param in model.parameters.items():
-        if _is_cors_key(name, cors_substrings) and _is_wildcard_origin(param.get("Default")):
+        if is_cors[name] and _is_wildcard_origin(param.get("Default")):
             wildcard_sites.append((f"parameter {name}", None))
     for resource in model.resources:
         for key, value in _walk_items(resource.properties):
-            if _is_cors_key(str(key), cors_substrings) and _is_wildcard_origin(value):
+            if is_cors[str(key)] and _is_wildcard_origin(value):
                 wildcard_sites.append((f"{resource.logical_id}.{key}", resource))
     if not wildcard_sites:
         return []
@@ -697,7 +845,7 @@ def check_cors_wildcard(
             relevant = [owner]
         else:
             relevant = apis
-        unauthenticated = [r for r in relevant if not _resource_has_auth(r)]
+        unauthenticated = [r for r in relevant if not _resource_has_auth(r, normalized)]
         if unauthenticated:
             target = unauthenticated[0]
             findings.append(

@@ -200,7 +200,7 @@ _READ_CHUNK = 1 << 16  # bytes per os.read; most component and advisory files ar
 def read_file(path: str) -> bytes:
     """A file's bytes, read without the objects a text-mode ``open`` builds.
 
-    Every component file but an archive, every advisory file and every
+    Every component file (archives too), every advisory file and every
     `iac --paths` template is read here. An OSError names ``path``, also
     when ``os.read`` raises it (as for a directory).
     """
@@ -218,12 +218,17 @@ def read_file(path: str) -> bytes:
 
 
 def read_text(path: str, errors: str = "strict") -> str:
-    """A file's UTF-8 text with universal newlines, as a text-mode ``open``
-    and ``read`` give it: the bytes decode in one step, so replacement
+    """A file's UTF-8 text with universal newlines (see `decode_text`)."""
+    return decode_text(read_file(path), errors)
+
+
+def decode_text(data: bytes, errors: str = "strict") -> str:
+    """UTF-8 text with universal newlines, as a text-mode ``open`` and
+    ``read`` give it: the bytes decode in one step, so replacement
     characters and UnicodeDecodeError offsets are the same, then ``\\r\\n``
     and a lone ``\\r`` become ``\\n``.
     """
-    text = read_file(path).decode("utf-8", errors)
+    text = data.decode("utf-8", errors)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -28,9 +28,10 @@ from slsa_audit.config import AuditConfig
 from slsa_audit.ingest import (
     CorpusEntry,
     CorpusLoadResult,
+    decode_text,
     is_serverless,
     load_corpus,
-    read_text,
+    read_file,
     tree_files,
 )
 from slsa_audit.model import (
@@ -344,15 +345,20 @@ class ComponentScan:
         self, rel: str, notices: SimpleNamespace | list[str], errors: str = "strict"
     ) -> str | None:
         """The UTF-8 text, with universal newlines, of the component file
-        ``rel``; or None, with the notice ``<rel>: cannot read: <reason>``
-        or, if it does not decode under ``errors``, ``<rel>: <exc>``."""
+        ``rel``, or None, with the notice ``<rel>: cannot read: <reason>``.
+        Bytes that do not decode become U+FFFD: with ``errors="strict"`` the
+        notice ``<rel>: undecodable bytes replaced with U+FFFD`` says so,
+        with ``"replace"`` nothing does."""
         try:
-            return read_text(os.path.join(self.entry.root_path, rel), errors)
+            data = read_file(os.path.join(self.entry.root_path, rel))
         except OSError as exc:
             notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            notices.append(f"{rel}: {exc}")
-        return None
+            return None
+        try:
+            return decode_text(data, errors)
+        except UnicodeDecodeError:
+            notices.append(f"{rel}: undecodable bytes replaced with U+FFFD")
+            return decode_text(data, "replace")
 
 
 def scan_vuln(scan: ComponentScan) -> list[Finding]:
@@ -511,9 +517,9 @@ class ArchiveWorker:
     """
 
     def __init__(self, entries: list[CorpusEntry], config: AuditConfig) -> None:
-        self.meta: dict | None = None  # components, seconds, max_rss_mib; set by result
+        self.meta: dict | None = None  # set by result; the README's --run-meta lists its keys
         self._components = len(entries)
-        started = time.perf_counter()
+        self._started = started = time.perf_counter()
         read_fd, write_fd = os.pipe()
         try:
             self._pid = os.fork()
@@ -537,6 +543,7 @@ class ArchiveWorker:
     def result(self) -> list[tuple[list[Finding], list[str]]]:
         """Each entry's V2 findings and notices. Raises what the child
         raised, or ArchiveError when it ended without sending its result."""
+        called = time.perf_counter()
         data = self._pipe.readall()
         self._pipe.close()
         _, status, usage = os.wait4(self._pid, 0)
@@ -555,6 +562,8 @@ class ArchiveWorker:
             "components": self._components,
             "seconds": seconds,
             "max_rss_mib": usage.ru_maxrss / 1024,  # Linux reports KiB
+            "parent_seconds": called - self._started,
+            "waited_seconds": time.perf_counter() - called,
         }
         return results
 

@@ -8,7 +8,9 @@ can treat them as unknown instead of guessing.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
 from slsa_audit.model import AuditError
 
 
@@ -38,6 +40,13 @@ _PUNCT = "{}[],=:()"
 _CLOSERS = {"(": ")", "[": "]"}  # brackets a reference or call may carry
 
 
+_BLANKS = re.compile(r"[ \t\r]*")
+# A string with no escape, interpolation or newline: its text is its value.
+_PLAIN_STRING = re.compile(r'"([^"\\$\n]*)"')
+# \w is what str.isalnum() accepts, plus "_".
+_IDENT_TAIL = re.compile(r"[\w.-]*")
+
+
 @dataclass
 class _Token:
     kind: str  # ident, string, number, punct, heredoc
@@ -58,20 +67,21 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if char in " \t\r":
-            i += 1
+            i = _BLANKS.match(text, i + 1).end()
             continue
-        if char == "#" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+        if char == "#" or char == "/" and text.startswith("//", i):
+            i = text.find("\n", i)
+            if i == -1:
+                i = n
             continue
-        if text.startswith("/*", i):
+        if char == "/" and text.startswith("/*", i):
             end = text.find("*/", i + 2)
             if end == -1:
                 raise TerraformParseError("unterminated block comment", line)
             line += text.count("\n", i, end)
             i = end + 2
             continue
-        if text.startswith("<<", i):
+        if char == "<" and text.startswith("<<", i):
             # Heredoc: <<EOF or <<-EOF up to a line holding the marker.
             j = i + 2
             if j < n and text[j] == "-":
@@ -102,6 +112,11 @@ def _tokenize(text: str) -> list[_Token]:
             i = line_end + 1
             continue
         if char == '"':
+            plain = _PLAIN_STRING.match(text, i)
+            if plain:
+                tokens.append(_Token("string", plain[1], line))
+                i = plain.end()
+                continue
             j = i + 1
             out = []
             interpolated = False
@@ -157,9 +172,7 @@ def _tokenize(text: str) -> list[_Token]:
             i = j
             continue
         if char.isalpha() or char == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_-."):
-                j += 1
+            j = _IDENT_TAIL.match(text, i + 1).end()
             tokens.append(_Token("ident", text[i:j], line))
             i = j
             continue

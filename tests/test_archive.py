@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsa_audit import sevenz
-from slsa_audit.ingest import serialize_manifest
+from slsa_audit import archive, sevenz
+from slsa_audit.config import AuditConfig
+from slsa_audit.demo import build_demo_corpus
+from slsa_audit.ingest import load_corpus, serialize_manifest
 from slsa_audit.model import ComponentRef, Repository
-from slsa_audit.report import scan_corpus
+from slsa_audit.report import ComponentScan, scan_archives, scan_corpus
 from slsa_audit.archive import (
     BUILTIN_SIGNATURES,
     EICAR_TEST_STRING,
@@ -369,6 +371,181 @@ def test_gnu_sparse_member_matches_extractfile():
         logical[offset : offset + len(data)] = data
     assert expected == [("sparse.bin", bytes(logical))]
     assert [(e.path, e.data) for e in extract_bytes(blob, ArchiveFormat.TAR)] == expected
+
+
+def _tarfile_extract_tar(data: bytes, cap: int) -> list[ArchiveEntry]:
+    """archive._extract_tar as it read every tar through tarfile, kept as
+    the oracle of the plain-header reader."""
+    entries: list[ArchiveEntry] = []
+    total = 0
+    try:
+        with tarfile.open(fileobj=io.BytesIO(data), mode="r:") as tar:
+            for member in tar:
+                name = _safe_entry_path(member.name)
+                if not member.isfile():
+                    continue  # only regular files come back; links never followed
+                total += member.size
+                if total > cap:
+                    raise DecompressionBombError(
+                        f"tar contents exceed the {cap}-byte cap"
+                    )
+                if member.issparse():
+                    content = tar.extractfile(member).read()
+                else:
+                    start = member.offset_data
+                    content = data[start : start + member.size]
+                    if len(content) < member.size:  # the tar is cut off
+                        raise ExtractionError("corrupt tar archive: unexpected end of data")
+                entries.append(ArchiveEntry(path=name, data=content))
+    except tarfile.TarError as exc:
+        offset = getattr(exc, "offset", None)
+        suffix = f" at offset {offset}" if offset is not None else ""
+        raise ExtractionError(f"corrupt tar archive{suffix}: {exc}") from exc
+    return entries
+
+
+def _header(name: str, size: int = 0, type: bytes = tarfile.REGTYPE, **fields) -> bytearray:
+    info = tarfile.TarInfo(name)
+    info.size, info.type = size, type
+    for field, value in fields.items():
+        setattr(info, field, value)
+    return bytearray(info.tobuf(tarfile.USTAR_FORMAT))
+
+
+def _checksummed(header: bytearray) -> bytearray:
+    header[148:156] = b" " * 8
+    header[148:156] = b"%06o\0 " % sum(header)
+    return header
+
+
+def _member(name: str, data: bytes, type: bytes = tarfile.REGTYPE) -> bytes:
+    return bytes(_header(name, len(data), type)) + data + bytes(-len(data) % 512)
+
+
+_END = bytes(1024)
+_PLAIN = _member("a.txt", b"a" * 100) + _member("sub/b.bin", bytes(range(256)) * 3)
+
+
+def _with_header_field(header: bytearray, start: int, value: bytes) -> bytes:
+    header[start : start + len(value)] = value
+    return bytes(_checksummed(header))
+
+
+def _tar_cases() -> dict[str, bytes]:
+    long_name = "deep/" + "d" * 120 + "/payload.py"
+    base256 = bytearray(_header("big.bin", 5))
+    base256[124:136] = b"\x80" + (5).to_bytes(11, "big")
+    bad_first = bytearray(_PLAIN)
+    bad_first[148:154] = b"000001"
+    bad_later = bytearray(_PLAIN)
+    bad_later[512 + 512 + 148 : 512 + 512 + 154] = b"000001"
+    signed = bytearray(_header("signed.txt", 3, uname="\xe9"))
+    signed[148:156] = b" " * 8
+    signed[148:156] = b"%06o\0 " % (sum(b - 256 if b > 127 else b for b in signed) & 0o777777)
+    return {
+        "plain": _PLAIN + _END,
+        "plain-gnu-magic": _tar_blob([("a", b"x"), ("b/c", b"yz")], tarfile.GNU_FORMAT),
+        "pax-long-name": _tar_blob([(long_name, b"p"), ("short", b"s")], tarfile.PAX_FORMAT),
+        "gnu-long-name": _tar_blob([(long_name, b"g"), ("short", b"s")], tarfile.GNU_FORMAT),
+        "gnu-sparse": _gnu_sparse_tar([(0, b"head"), (100, b"tail")], 200),
+        "pax-global": tarfile.TarInfo.create_pax_global_header({"comment": "c"}) + _PLAIN + _END,
+        "base-256-size": bytes(_checksummed(base256)) + b"hello" + bytes(507) + _END,
+        "blank-padded-number": _with_header_field(_header("n.txt", 2), 100, b"  644 \0") + b"hi"
+        + bytes(510) + _END,
+        "signed-checksum": bytes(signed) + b"abc" + bytes(509) + _END,
+        "bad-checksum-first": bytes(bad_first) + _END,
+        "bad-checksum-later": bytes(bad_later) + _END,
+        "truncated-header": _PLAIN[:-1024 + 100],
+        "truncated-data": _PLAIN[: 512 + 100 + 412 + 512 + 300],
+        "truncated-padding": _PLAIN[:-100],
+        "no-end-blocks": _PLAIN,
+        "trailing-zero-blocks": _PLAIN + bytes(512 * 7),
+        "trailing-garbage": _PLAIN + _END + b"garbage" * 100,
+        "garbage-after-member": _PLAIN + b"garbage" * 100,
+        "one-zero-block": bytes(512),
+        "empty": b"",
+        "short-body": b"x" * 100,
+        "prefix-field": _tar_blob([("p" * 60 + "/" + "q" * 60, b"deep")]),
+        "v7-directory": bytes(_header("dir/", type=tarfile.AREGTYPE)) + _member("dir/f", b"f") + _END,
+        "directory-with-size": bytes(_header("d", 700, tarfile.DIRTYPE)) + _member("d/f", b"f")
+        + _END,
+        "prefixed-directory": bytes(_with_header_field(_header("x/", type=tarfile.DIRTYPE), 345,
+                                                       b"pre/")) + _PLAIN + _END,
+        "links-and-fifo": _member("f", b"data")
+        + bytes(_header("hard", type=tarfile.LNKTYPE, linkname="f"))
+        + bytes(_header("soft", type=tarfile.SYMTYPE, linkname="/etc/passwd"))
+        + bytes(_header("fifo", type=tarfile.FIFOTYPE))
+        + bytes(_header("chr", type=tarfile.CHRTYPE)) + _END,
+        "contiguous-file": _member("c.bin", b"contig", tarfile.CONTTYPE) + _END,
+        "unknown-type": _member("u.bin", b"unknown", b"Z") + _PLAIN + _END,
+        "non-ascii-name": _tar_blob([("ünï/cödé.py", b"x")]),
+        "nul-in-name": _with_header_field(_header("a.txt", 1), 0, b"a\0junk") + b"1"
+        + bytes(511) + _END,
+        "traversal": _member("ok.txt", b"ok") + _member("../evil.py", b"x") + _END,
+        "absolute-link": _member("ok.txt", b"ok") + bytes(_header("/etc/x", type=tarfile.SYMTYPE))
+        + _END,
+        "empty-directory-name": bytes(_header("/", type=tarfile.AREGTYPE)) + _END,
+    }
+
+
+@pytest.mark.parametrize("cap", [1 << 20, 150], ids=["roomy", "tight-cap"])
+@pytest.mark.parametrize("case", list(_tar_cases()))
+def test_plain_tar_reader_equals_the_tarfile_loop(case, cap):
+    body = _tar_cases()[case]
+    assert _outcome(archive._extract_tar, body, cap) == _outcome(_tarfile_extract_tar, body, cap)
+
+
+def test_tar_cases_cover_both_readers():
+    plain = {case for case, body in _tar_cases().items()
+             if _outcome(archive._extract_plain_tar, body, 1 << 20) is not None}
+    assert plain == {
+        "plain", "plain-gnu-magic", "no-end-blocks", "trailing-zero-blocks",
+        "trailing-garbage", "one-zero-block", "prefix-field", "v7-directory",
+        "directory-with-size", "prefixed-directory", "links-and-fifo",
+        "contiguous-file", "nul-in-name", "traversal", "absolute-link",
+        "empty-directory-name",
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_tars_read_as_the_tarfile_loop(data):
+    body = bytearray(data.draw(st.sampled_from(list(_tar_cases().values()))))
+    for _ in range(data.draw(st.integers(0, 4))):
+        op = data.draw(st.sampled_from(("set", "cut", "append")))
+        if op == "set" and body:
+            pos = data.draw(st.integers(0, len(body) - 1))
+            body[pos] = data.draw(st.sampled_from([0, 32, 47, 48, 55, 56, 128, 255]))
+        elif op == "cut":
+            del body[data.draw(st.integers(0, len(body))):]
+        else:
+            body += data.draw(st.sampled_from([bytes(512), b"\0" * 100, _PLAIN]))
+    cap = data.draw(st.sampled_from([1 << 20, 200]))
+    assert _outcome(archive._extract_tar, bytes(body), cap) == _outcome(
+        _tarfile_extract_tar, bytes(body), cap
+    )
+
+
+_TAR_KINDS = [ArchiveFormat.TAR, *sorted(archive._TAR_WRAPPED, key=lambda f: f.value)]
+
+
+def test_no_plain_tar_reaches_tarfile(tmp_path, monkeypatch):
+    demo_corpus = build_demo_corpus(tmp_path / "corpus")
+    items = [(f"d{i % 3}/f{i}.txt", random.Random(i).randbytes(40 + 9 * i)) for i in range(16)]
+    blobs = {fmt: pack_entries(items, fmt) for fmt in _TAR_KINDS}
+    pax = _tar_cases()["pax-long-name"]
+    opened = []
+    tarfile_open = tarfile.open
+    monkeypatch.setattr(tarfile, "open", lambda *a, **k: opened.append(a) or tarfile_open(*a, **k))
+    for fmt, blob in blobs.items():
+        assert [(e.path, e.data) for e in extract_bytes(blob, fmt)] == sorted(items), fmt
+    archived = [e for e in load_corpus(demo_corpus).entries if "archives" in e.parts]
+    findings = [f for e in archived for f in scan_archives(ComponentScan(e, AuditConfig()))]
+    assert {f.rule_id for f in findings} == {"V2-SIGNATURE-MATCH"}
+    assert any(p.name.endswith(".tar.zst") for p in demo_corpus.glob("*/archives/*"))
+    assert opened == []
+    extract_bytes(pax, ArchiveFormat.TAR)
+    assert len(opened) == 1  # the counter sees tarfile when it is used
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=[f.value for f in ALL_FORMATS])

@@ -80,9 +80,12 @@ def test_scan_all_run_meta(demo, tmp_path, capsys):
     assert meta["enabled_vectors"] == ["V1", "V2", "V3", "V4", "V5"]
     assert meta["started"] and meta["finished"]
     worker = meta["archive_worker"]  # one demo component has archives/
-    assert set(worker) == {"components", "seconds", "max_rss_mib"}
+    assert set(worker) == {
+        "components", "seconds", "max_rss_mib", "parent_seconds", "waited_seconds"
+    }
     assert worker["components"] == 1
     assert worker["seconds"] > 0 and worker["max_rss_mib"] > 0
+    assert worker["parent_seconds"] >= 0 and worker["waited_seconds"] >= 0
 
     bare = tmp_path / "bare"
     shutil.copytree(corpus, bare)

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsa_audit import iaclint
+from slsa_audit import iaclint, tfparse
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus
 from slsa_audit.iaclint import (
@@ -614,18 +614,28 @@ def test_libyaml_and_pure_loaders_build_equal_models(demo_corpus, monkeypatch):
 
 
 def test_scan_corpus_composes_each_template_once(demo_corpus, monkeypatch):
-    created = []
+    composed = []
 
     class CountingLoader(iaclint._LOADER):
         def __init__(self, stream):
-            created.append(1)
+            composed.append(stream)
             super().__init__(stream)
 
     monkeypatch.setattr(iaclint, "_LOADER", CountingLoader)
-    structured = [p for p, _ in _demo_templates(demo_corpus) if not p.endswith(".tf")]
+    templates = dict(_demo_templates(demo_corpus))
     run = scan_corpus(demo_corpus, AuditConfig(enabled_vectors=frozenset({AttackVector.V4})))
     assert run.report.all_findings()
-    assert len(structured) == 3 and len(created) == len(structured)
+    # Each YAML template is composed once; the JSON one is read by json.
+    yaml_texts = [text for path, text in templates.items() if path.endswith(".yaml")]
+    assert len(yaml_texts) == 2 and sorted(composed) == sorted(yaml_texts)
+    assert sum(path.endswith(".json") for path in templates) == 1
+    # A tab is one of the characters that send a JSON template to compose.
+    composed.clear()
+    (json_text,) = [text for path, text in templates.items() if path.endswith(".json")]
+    tabbed = json_text.replace(",\n", ",\t\n", 1)
+    assert tabbed != json_text
+    load_template("iac/stack.json", tabbed)
+    assert composed == [tabbed]
 
 
 _STRUCTURAL_BYTES = list(b"[]{}:-?&*!|>'\"#,\n \t%@`")
@@ -657,3 +667,320 @@ def test_mutated_templates_raise_only_audit_errors(demo_templates, data):
         lint_template(path, mutated, notices=[])
     except AuditError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The JSON path against compose
+# ---------------------------------------------------------------------------
+
+
+def _template_outcome(path: str, text: str, json_path: bool = True) -> str:
+    """repr of load_template's model (dict order included), or its error."""
+    saved = iaclint._json_model
+    if not json_path:
+        iaclint._json_model = lambda contents, path: None
+    try:
+        return repr(load_template(path, text))
+    except TemplateParseError as exc:
+        return f"TemplateParseError: {exc}"
+    finally:
+        iaclint._json_model = saved
+
+
+_JSON_PLAIN_SCALARS = st.sampled_from([
+    "0", "-0", "7", "-12", "1" * 40, "1e3", "1.0e3", "1E+3", "1.5E+3", "1.5e-3", "-0.5", "2.50",
+    "1.5e+999", "NaN", "Infinity", "-Infinity", "true", "false", "null", '"*"', '"a\\/b"',
+    '"q\\"\\\\\\b\\f\\n\\r\\t"', '"AWS::S3::Bucket"', '"AWS::Serverless::Api"', '"PublicRead"',
+    f'"{SAM_TRANSFORM}"', '" "', '"# not a comment"', '"- x"', '"a: b"',
+])
+# Each of these sends its template to compose.
+_JSON_TRAP_SCALARS = st.sampled_from([
+    "1" * 4301, '"\\ud83d\\ude00"', '"\\u00e9"', '"\\\\u"', '"tab\there"', '"x' + "y" * 1100 + '"',
+])
+_JSON_KEYS = st.sampled_from(
+    ["Type", "Properties", "AccessControl", "AllowOrigin", "Auth", "Default", "A", "B", "", "<<"]
+)
+
+
+def _json_values(scalars, space):
+    """JSON value texts built from ``scalars``, with ``space`` around keys
+    and colons (a newline before a colon included)."""
+
+    def render(pairs):
+        return "{" + ",".join(f"{a}{json.dumps(k)}{b}:{c}{v}" for (k, v), (a, b, c) in pairs) + "}"
+
+    before_colon = st.sampled_from(["", " "] * 6 + ["\n"])
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+            st.lists(
+                st.tuples(st.tuples(_JSON_KEYS, inner), st.tuples(space, before_colon, space)),
+                max_size=4,
+            ).map(render),
+        ),
+        max_leaves=12,
+    )
+
+
+_PLAIN_SPACE = st.sampled_from(["", " ", "\n", "\n  ", "  \n", " \n\n "])
+# Values a template reads with `json`, and values with every trap besides.
+_JSON_PLAIN_VALUES = _json_values(
+    st.one_of(_JSON_PLAIN_SCALARS, st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                                           max_size=6).map(json.dumps)),
+    _PLAIN_SPACE,
+)
+_JSON_ANY_VALUES = _json_values(
+    st.one_of(
+        _JSON_PLAIN_SCALARS, _JSON_TRAP_SCALARS, st.text(max_size=6).map(json.dumps),
+        st.text(max_size=3).map(lambda s: json.dumps(s, ensure_ascii=False)),
+    ),
+    st.one_of(_PLAIN_SPACE, st.just("\t")),
+)
+
+
+@st.composite
+def _json_templates(draw) -> str:
+    values = draw(st.sampled_from([_JSON_PLAIN_VALUES, _JSON_PLAIN_VALUES, _JSON_ANY_VALUES]))
+    space = draw(st.sampled_from(["", " ", "\n", "\n  "]))
+    resources = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["R0", "R1", "R2", "Api", ""]),
+            st.one_of(
+                st.builds(
+                    lambda type_, props: "{" + f'"Type": {type_},{space}"Properties": {props}' + "}",
+                    st.sampled_from(['"AWS::S3::Bucket"', '"AWS::Serverless::Api"', "1.5E+3"]),
+                    st.one_of(st.just("null"), values),
+                ),
+                values,
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    root = []
+    keys = draw(st.lists(st.sampled_from(["Transform", "Parameters", "Resources", "Outputs"]),
+                         max_size=3))
+    for key in keys + ["Resources"] * min(draw(st.integers(0, 4)), 1):
+        if key == "Resources" and draw(st.integers(0, 3)):
+            value = "{" + f",{space}".join(f"{json.dumps(k)}: {v}" for k, v in resources) + "}"
+        elif key == "Parameters":
+            value = "{" + ", ".join(
+                f"{json.dumps(k)}: {v}" for k, v in draw(st.lists(st.tuples(_JSON_KEYS, values)))
+            ) + "}"
+        else:
+            value = draw(values)
+        root.append(f"{json.dumps(key)}: {value}")
+    text = "{" + space + f",{space}".join(root) + space + "}"
+    if draw(st.integers(0, 9)) < 7:
+        return text + draw(st.sampled_from(["", "\n", " \n\n"]))
+    return draw(st.sampled_from(["", " \n", "\ufeff", "[", "1 "])) + text + draw(
+        st.sampled_from(["", "\n{}", "\n# tail", "x", "]", "\u2028"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_templates())
+def test_json_path_equals_compose(text):
+    assert _template_outcome("t.json", text) == _template_outcome("t.json", text, json_path=False)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "[]", "1", '"s"', "null", "{} {}", '{"a": 1}x', '{"a": 1,}', "{\"a\"\n: 1}",
+    '{"Resources": ' * 300 + "{}" + "}" * 300,
+    # Nesting near the depths where json's decoder and _ValueBuilder's
+    # recursion give out, which lie close together.
+    *(f'{{"Resources": {{"R": {"[" * depth + "]" * depth}}}}}' for depth in range(400, 511, 10)),
+    *(f'{{"Transform": {"[" * depth + "]" * depth}}}' for depth in range(400, 511, 10)),
+    *(f'{{"Parameters": {{"P": {"[" * depth + "]" * depth}}}}}' for depth in range(400, 511, 10)),
+    '{"Resources": {"R": {"Type": "x", "Properties": ' + "[" * 480 + "]" * 480 + "}}}",
+    '{"Resources": {"R": {"Type": "x"}, "R": {"Type": "y"}}}',
+    '{"Resources": {"R": {"Type": "x"}}, "Resources": {"R": {"Type": "y"}}}',
+    '{"Resources": {"R": {"Type": "x", "Type": "y", "Properties": {"A": 1, "A": {"A": 2}}}}}',
+    '{"Parameters": {"P": {"Default": "*"}, "P": "x"}, "Resources": 5}',
+    '{"Resources": {"R": "not an object", "S": {"Properties": null}}}',
+    '{"Transform": "AWS::Serverless-2016-10-31", "Resources": {"F": {"Type": 1e3}}}',
+    '{"Resources": {"' + "k" * 1030 + '": {"Type": "x"}}}',
+    '{"Resources": {"R": {"Type": "' + "v" * 1010 + '"}}}',
+    '{"Resources": {"R": {"Type": "x", "N": ' + "9" * 4301 + "}}}",
+    '{"Resources": {"R": {"Type": "\\ud83d\\ude00"}}}',
+    '﻿{"Resources": {"R": {"Type": "x"}}}',
+    '{"Resources": {"R": {"Type": "x y"}}}',
+    '{\n\t"Resources": {"R": {"Type": "x"}}}',
+    '{"Resources":\n  {"R":\n    {"Type": "x"\n    }\n  ,\n  "S": {}}\n}\n',
+])
+def test_json_path_traps_equal_compose(text):
+    assert _template_outcome("t.json", text) == _template_outcome("t.json", text, json_path=False)
+
+
+def test_json_path_reads_generated_templates(demo_corpus):
+    rng = random.Random(31)
+    texts = [text for path, text in _demo_templates(demo_corpus) if path.endswith(".json")]
+    for _ in range(150):
+        path, text = _random_template(rng)
+        if path.endswith(".json"):
+            texts.append(text)
+    assert len(texts) > 30
+    for text in texts:
+        assert iaclint._json_model(text, "t.json") is not None, text
+        assert _template_outcome("t.json", text) == _template_outcome(
+            "t.json", text, json_path=False
+        )
+
+
+# ---------------------------------------------------------------------------
+# The Terraform tokenizer against its character loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_tokenize(text: str) -> list[tfparse._Token]:
+    """tfparse._tokenize as a loop over characters, kept as its oracle."""
+    _Token, _PUNCT = tfparse._Token, tfparse._PUNCT
+    tokens: list[_Token] = []
+    i = 0
+    line = 1
+    n = len(text)
+    while i < n:
+        char = text[i]
+        if char == "\n":
+            line += 1
+            i += 1
+            continue
+        if char in " \t\r":
+            i += 1
+            continue
+        if char == "#" or text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end == -1:
+                raise TerraformParseError("unterminated block comment", line)
+            line += text.count("\n", i, end)
+            i = end + 2
+            continue
+        if text.startswith("<<", i):
+            j = i + 2
+            if j < n and text[j] == "-":
+                j += 1
+            marker_start = j
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            marker = text[marker_start:j]
+            if not marker:
+                raise TerraformParseError("malformed heredoc", line)
+            body_start = text.find("\n", j) + 1
+            if body_start == 0:
+                raise TerraformParseError("unterminated heredoc", line)
+            pos = body_start
+            content_lines = []
+            while True:
+                line_end = text.find("\n", pos)
+                if line_end == -1:
+                    raise TerraformParseError("unterminated heredoc", line)
+                candidate = text[pos:line_end]
+                if candidate.strip() == marker:
+                    break
+                content_lines.append(candidate)
+                pos = line_end + 1
+            content = "\n".join(content_lines)
+            tokens.append(_Token("string", content, line, interpolated="${" in content))
+            line += text.count("\n", i, line_end)
+            i = line_end + 1
+            continue
+        if char == '"':
+            j = i + 1
+            out = []
+            interpolated = False
+            depth = 0
+            while j < n:
+                c = text[j]
+                if c == "\\" and j + 1 < n:
+                    escape = text[j + 1]
+                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
+                    j += 2
+                    continue
+                if text.startswith("${", j):
+                    interpolated = True
+                    depth += 1
+                    out.append("${")
+                    j += 2
+                    continue
+                if depth and c == "}":
+                    depth -= 1
+                    out.append(c)
+                    j += 1
+                    continue
+                if c == '"' and depth == 0:
+                    break
+                if c == "\n":
+                    raise TerraformParseError("unterminated string", line)
+                out.append(c)
+                j += 1
+            if j >= n:
+                raise TerraformParseError("unterminated string", line)
+            tokens.append(_Token("string", "".join(out), line, interpolated=interpolated))
+            i = j + 1
+            continue
+        if char in _PUNCT:
+            tokens.append(_Token("punct", char, line))
+            i += 1
+            continue
+        if char.isdigit() or (char == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] in ".eE+-"):
+                if text[j] in "+-" and text[j - 1] not in "eE":
+                    break
+                j += 1
+            literal = text[i:j]
+            try:
+                value: object = int(literal)
+            except ValueError:
+                try:
+                    value = float(literal)
+                except ValueError:
+                    raise TerraformParseError(f"malformed number {literal!r}", line) from None
+            tokens.append(_Token("number", value, line))
+            i = j
+            continue
+        if char.isalpha() or char == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_-."):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], line))
+            i = j
+            continue
+        raise TerraformParseError(f"unexpected character {char!r}", line)
+    return tokens
+
+
+_HCL_PIECES = st.sampled_from([
+    "resource", "aws_s3_bucket", "b", "var.x", "a-b.c_d", "x9", "ä", "变量", "٣", "²", "½", "_u",
+    "Ⅻ", "ǅ", "a٣²", '"plain"', '"with \\"escape\\""', '"tab\\tnl\\n\\\\"', '"${var.a}"',
+    '"${ {x} }"', '"$"', '"cost $5"', '"{}"', '"\\${no}"', '"\\', '"open', '"multi\nline"',
+    "<<EOF\nbody ${x}\n  EOF\n", "<<-EOT\n  indented\n  EOT\n", "<<EOF\nnever ends", "<<\n",
+    "# hash comment", "// slash comment", "/* block\ncomment */", "/* open", "/", "/x",
+    "1", "-2", "1.5e3", "2E", "1.2.3", "7e+2", "-", "{", "}", "[", "]", ",", "=", ":", "(", ")",
+    " ", "\t", "\r", "\n", "  \n  ", "@", "<", "~", "é",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_HCL_PIECES, max_size=30).map(lambda pieces: "".join(pieces)))
+def test_tokenizer_equals_the_character_loop(text):
+    assert _outcome_of(tfparse._tokenize, text) == _outcome_of(_reference_tokenize, text)
+
+
+def test_tokenizer_equals_the_character_loop_on_generated_files(demo_corpus):
+    texts = [text for path, text in _demo_templates(demo_corpus) if path.endswith(".tf")]
+    texts.append(TF_MINIMAL)
+    assert texts
+    for text in texts:
+        assert tfparse._tokenize(text) == _reference_tokenize(text)
+
+
+def _outcome_of(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)

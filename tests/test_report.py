@@ -333,6 +333,27 @@ def test_scan_corpus_reports_undecodable_run_commands(tmp_path):
     assert [f.rule_id for f in run.report.per_component[refs["good"]]] == ["V3-PRIVILEGED"]
 
 
+def test_an_undecodable_byte_hides_no_v3_or_v4_finding(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V3, AttackVector.V4}))
+    before = scan_corpus(corpus, config)
+    commands = corpus / "acme__serverless-resizer" / "run_commands.txt"
+    commands.write_bytes(commands.read_bytes() + b"docker run -e X='broken \xff")
+    template = corpus / "bluefin__etl-serverless" / "iac" / "template.yaml"
+    template.write_bytes(template.read_bytes().replace(b"\n", b"  # owner: \xff\xfe team\n", 1))
+    after = scan_corpus(corpus, config)
+    resizer = next(ref for ref in before.report.per_component if ref.name == "serverless-resizer")
+    assert [f.vector for f in before.report.per_component[resizer]] == [AttackVector.V3] * 2
+    assert after.report.per_component == before.report.per_component
+    assert any(f.vector is AttackVector.V4 for f in after.report.all_findings())
+    assert set(after.notices) - set(before.notices) == {
+        "acme__serverless-resizer/run_commands.txt: undecodable bytes replaced with U+FFFD",
+        "acme__serverless-resizer/run_commands.txt#2: cannot tokenize command: "
+        "No closing quotation (column 17)",
+        "bluefin__etl-serverless/iac/template.yaml: undecodable bytes replaced with U+FFFD",
+    }
+
+
 def test_v1_notices_name_the_component(tmp_path):
     corpus = build_demo_corpus(tmp_path / "corpus")
     db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
@@ -479,14 +500,17 @@ def _read_text(root: str, rel: str, notices: list[str], errors: str = "strict"):
 
 
 def _text_mode_read_text(root: str, rel: str, notices: list[str], errors: str = "strict"):
-    """ComponentScan.read as it read a file through a text-mode ``open``."""
+    """ComponentScan.read as a text-mode ``open`` gives it: with ``errors``,
+    and where that fails to decode, with a notice and ``errors="replace"``."""
     try:
         with open(os.path.join(root, rel), encoding="utf-8", errors=errors) as handle:
             return handle.read()
     except OSError as exc:
         notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        notices.append(f"{rel}: {exc}")
+    except UnicodeDecodeError:
+        notices.append(f"{rel}: undecodable bytes replaced with U+FFFD")
+        with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as handle:
+            return handle.read()
     return None
 
 
