@@ -319,6 +319,13 @@ def _extract_tar_with_tarfile(data: bytes, cap: int) -> list[ArchiveEntry]:
                     if len(content) < member.size:  # the tar is cut off
                         raise ExtractionError("corrupt tar archive: unexpected end of data")
                 entries.append(ArchiveEntry(path=name, data=content))
+            # tarfile ends its iteration quietly at a bad header after the
+            # first member; the members behind it would go unscanned.
+            stopped = data[tar.offset : tar.offset + _BLOCK]
+            if len(stopped) == _BLOCK and stopped != _ZERO_BLOCK:
+                raise ArchiveSecurityError(
+                    f"invalid tar header at offset {tar.offset} hides the rest of the archive"
+                )
     except tarfile.TarError as exc:
         offset = getattr(exc, "offset", None)
         suffix = f" at offset {offset}" if offset is not None else ""

@@ -187,10 +187,18 @@ class _ValueBuilder:
                     return None
                 return node.value
             return IntrinsicRef(tag=node.tag, value=node.value)
+        # Loops, not comprehensions: a comprehension is a frame of its own
+        # before Python 3.12, which would halve the depth that builds.
         if isinstance(node, yaml.SequenceNode):
-            return [self._value(child) for child in node.value]
+            items = []
+            for child in node.value:
+                items.append(self._value(child))
+            return items
         if isinstance(node, yaml.MappingNode):
-            out = {str(self._value(k)): self._value(v) for k, v in node.value}
+            out = {}
+            for key_node, value_node in node.value:
+                key = str(self._value(key_node))
+                out[key] = self._value(value_node)
             if not node.tag.startswith("tag:yaml.org,2002:"):
                 return IntrinsicRef(tag=node.tag, value=out)
             return out
@@ -296,8 +304,8 @@ _YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
 _JSON_DECODER = json.JSONDecoder(
     parse_float=lambda s: float(s) if _YAML_FLOAT.fullmatch(s) else s, parse_constant=str
 )
-# A value with more brackets than this may nest deeper than _ValueBuilder
-# recurses safely, so its template is composed.
+# A value with more brackets than this is composed rather than decoded by
+# `json`, whose C decoder recurses once per level on the caller's stack.
 _JSON_MAX_BRACKETS = 200
 # The root members whose object values are walked member by member.
 _WALKED = ("Parameters", "Resources")

@@ -257,7 +257,7 @@ def tree_files(tree_root: str | Path) -> list[str]:
     database, the serverless filter and the injection harness all use it.
     """
     found: list[tuple[str, ...]] = []
-    pending: list[tuple[tuple[str, ...], str]] = [((), str(Path(tree_root)))]
+    pending: list[tuple[tuple[str, ...], str]] = [((), os.fspath(tree_root))]
     while pending:
         parts, directory = pending.pop()
         try:

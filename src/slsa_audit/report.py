@@ -14,6 +14,7 @@ import os
 import pickle
 import platform
 import signal
+import stat
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -291,6 +292,7 @@ class AuditRun:
     started: str = ""
     finished: str = ""
     notices: list[str] = field(default_factory=list)
+    archives: dict | None = None  # the archives V2 listed; None when it listed none
     archive_worker: dict | None = None  # ArchiveWorker.meta, None when none ran
 
     def meta_dict(self) -> dict:
@@ -301,6 +303,7 @@ class AuditRun:
             "started": self.started,
             "finished": self.finished,
             "notices": list(self.notices),
+            "archives": self.archives,
             "archive_worker": self.archive_worker,
         }
 
@@ -309,13 +312,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# What a non-regular entry of a listing is called in its notice, by st_mode
+# type; any other is a "special file".
+_FILE_KINDS = {stat.S_IFLNK: "symlink", stat.S_IFDIR: "directory", stat.S_IFIFO: "FIFO"}
+
+
 class ComponentScan:
     """One component's scan step, which each ``scan_*`` takes: the one
     reader of its files, and the one place a notice gets its component in
     front. V1 sets ``vuln_count``; V4 tags its findings with their
     framework in ``iac_tagged``. Building one touches no file."""
 
-    __slots__ = ("entry", "config", "index", "vuln_count", "iac_tagged", "notices_by_vector")
+    __slots__ = (
+        "entry", "config", "index", "vuln_count", "iac_tagged", "notices_by_vector", "archives"
+    )
 
     def __init__(
         self, entry: CorpusEntry, config: AuditConfig, index: vulnscan.AdvisoryIndex | None = None
@@ -326,6 +336,7 @@ class ComponentScan:
         self.vuln_count = 0
         self.iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
         self.notices_by_vector: dict[AttackVector, list[str]] = {}
+        self.archives: list[tuple[str, int]] | None = None  # set by archive_files
 
     def notices_for(self, vector: AttackVector, prefix: str = "/") -> SimpleNamespace:
         """What ``vector`` passes as an analyzer's ``notices`` list, which is
@@ -340,6 +351,37 @@ class ComponentScan:
     def notices(self) -> list[str]:
         """The component's notices in vector order."""
         return [n for vector in AttackVector for n in self.notices_by_vector.get(vector, ())]
+
+    def archive_files(self) -> list[tuple[str, int]]:
+        """The regular files directly under ``archives/``, as ``(name,
+        size)`` sorted by name, from one listing that follows no symlink.
+        Every other entry gives the V2 notice ``archives/<name>: not a
+        regular file (<kind>); skipped``, and a directory that cannot be
+        listed the notice ``archives: cannot list: <reason>``. Only the
+        first call lists, so the fork gate and `scan_archives` see the
+        same files."""
+        if self.archives is not None:
+            return self.archives
+        self.archives = []
+        notices = self.notices_for(AttackVector.V2)
+        try:
+            with os.scandir(os.path.join(self.entry.root_path, "archives")) as it:
+                listed = sorted(it, key=attrgetter("name"))
+        except OSError as exc:
+            notices.append(f"archives: cannot list: {exc.strerror or exc}")
+            return self.archives
+        for item in listed:
+            try:
+                info = item.stat(follow_symlinks=False)
+            except OSError as exc:
+                notices.append(f"archives/{item.name}: cannot read: {exc.strerror or exc}")
+                continue
+            if item.is_file(follow_symlinks=False):
+                self.archives.append((item.name, info.st_size))
+            else:
+                kind = _FILE_KINDS.get(stat.S_IFMT(info.st_mode), "special file")
+                notices.append(f"archives/{item.name}: not a regular file ({kind}); skipped")
+        return self.archives
 
     def read(
         self, rel: str, notices: SimpleNamespace | list[str], errors: str = "strict"
@@ -370,7 +412,7 @@ def scan_vuln(scan: ComponentScan) -> list[Finding]:
     entry, config = scan.entry, scan.config
     if "tree" not in entry.parts:
         return []
-    files = [f"tree/{rel}" for rel in tree_files(entry.root_path / "tree")]
+    files = [f"tree/{rel}" for rel in tree_files(os.path.join(entry.root_path, "tree"))]
     notices = scan.notices_for(AttackVector.V1)
     read = functools.partial(scan.read, notices=notices, errors="replace")
     inventory = vulnscan.extract_inventory(files, read, notices)
@@ -395,18 +437,19 @@ def scan_vuln(scan: ComponentScan) -> list[Finding]:
 
 
 def scan_archives(scan: ComponentScan) -> list[Finding]:
-    """V2 for one component: extract and signature-scan archives/."""
+    """V2 for one component: extract and signature-scan the regular files
+    of archives/ (`ComponentScan.archive_files`)."""
     entry, config = scan.entry, scan.config
     findings: list[Finding] = []
     if "archives" not in entry.parts:
         return findings
     notices = scan.notices_for(AttackVector.V2)
-    for path in sorted((entry.root_path / "archives").iterdir()):
-        if not path.is_file():
-            continue
-        rel = f"archives/{path.name}"
+    for name, _ in scan.archive_files():
+        rel = f"archives/{name}"
         try:
-            entries = archive.extract(path, limits=config.extraction_limits)
+            entries = archive.extract(
+                os.path.join(entry.root_path, rel), limits=config.extraction_limits
+            )
         except archive.EncryptedArchiveError:
             findings.append(Finding(
                 "V2-ENCRYPTED-ARCHIVE", AttackVector.V2, Severity.MEDIUM, entry.ref, rel,
@@ -460,7 +503,7 @@ def scan_iac(scan: ComponentScan) -> list[Finding]:
     if "iac" not in entry.parts:
         return []
     notices = scan.notices_for(AttackVector.V4)
-    for name in tree_files(entry.root_path / "iac"):
+    for name in tree_files(os.path.join(entry.root_path, "iac")):
         rel = f"iac/{name}"
         text = scan.read(rel, notices)
         if text is None:
@@ -483,15 +526,14 @@ def scan_iac(scan: ComponentScan) -> list[Finding]:
     return [f for _, f in scan.iac_tagged]
 
 
-def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, started: float) -> bytes:
+def _archive_scan_payload(scans: list[ComponentScan], started: float) -> bytes:
     """What an archive worker sends: the pickle of ``(True, (results,
-    seconds))``, with one ``(findings, notices)`` per entry, or of
+    seconds))``, with one ``(findings, V2 notices)`` per scan, or of
     ``(False, exception)``."""
     try:
-        results = []
-        for entry in entries:
-            scan = ComponentScan(entry, config)
-            results.append((scan_archives(scan), scan.notices))
+        results = [
+            (scan_archives(scan), scan.notices_by_vector.get(AttackVector.V2, [])) for scan in scans
+        ]
         return pickle.dumps((True, (results, time.perf_counter() - started)), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         try:
@@ -506,19 +548,19 @@ def _archive_scan_payload(entries: list[CorpusEntry], config: AuditConfig, start
 
 
 class ArchiveWorker:
-    """V2 over ``entries`` in one forked child, while the caller goes on.
+    """V2 over ``scans`` in one forked child, while the caller goes on.
 
-    The child runs `scan_archives` on a ComponentScan of each entry in
-    order, writes one pickle (`_archive_scan_payload`) to a pipe and leaves
-    through ``os._exit``, so it never returns into its caller's frames or
-    flushes stdio buffers it inherited. `result` reads the pickle and reaps
+    The child runs `scan_archives` on each scan in order, writes one
+    pickle (`_archive_scan_payload`) to a pipe and leaves through
+    ``os._exit``, so it never returns into its caller's frames or flushes
+    stdio buffers it inherited. `result` reads the pickle and reaps
     the child; `close`, in the caller's ``finally``, kills and reaps a child
     that `result` did not.
     """
 
-    def __init__(self, entries: list[CorpusEntry], config: AuditConfig) -> None:
+    def __init__(self, scans: list[ComponentScan]) -> None:
         self.meta: dict | None = None  # set by result; the README's --run-meta lists its keys
-        self._components = len(entries)
+        self._components = len(scans)
         self._started = started = time.perf_counter()
         read_fd, write_fd = os.pipe()
         try:
@@ -531,7 +573,7 @@ class ArchiveWorker:
             status = 1
             try:
                 os.close(read_fd)
-                payload = memoryview(_archive_scan_payload(entries, config, started))
+                payload = memoryview(_archive_scan_payload(scans, started))
                 while payload:
                     payload = payload[os.write(write_fd, payload):]
                 status = 0
@@ -541,7 +583,7 @@ class ArchiveWorker:
         self._pipe = io.FileIO(read_fd, "r")
 
     def result(self) -> list[tuple[list[Finding], list[str]]]:
-        """Each entry's V2 findings and notices. Raises what the child
+        """Each scan's V2 findings and notices. Raises what the child
         raised, or ArchiveError when it ended without sending its result."""
         called = time.perf_counter()
         data = self._pipe.readall()
@@ -575,11 +617,26 @@ class ArchiveWorker:
             self._pid = 0
 
 
-# What scan_corpus runs in process (V2 runs in the ArchiveWorker), in vector
-# order and by name: each scan looks them up, as perfbench/tracing.py wraps them.
-_IN_PROCESS = {
-    AttackVector.V1: "scan_vuln", AttackVector.V3: "scan_docker", AttackVector.V4: "scan_iac",
+# The per-component scanners in vector order and by name: each scan looks
+# them up, as perfbench/tracing.py wraps them.
+_SCANNERS = {
+    AttackVector.V1: "scan_vuln", AttackVector.V2: "scan_archives",
+    AttackVector.V3: "scan_docker", AttackVector.V4: "scan_iac",
 }
+
+# When V2 runs in an ArchiveWorker. Measured on the perfbench corpora (2
+# vCPUs, Python 3.11): in the parent, V2 takes 0.18-0.26 ms per archive
+# plus 47-73 ns per byte, so an archive costs about what 4 KiB of archive
+# bytes cost; a fork costs the parent about 0.02-0.04 s, mostly in pages
+# it copies on write after the fork (0.025 s on `mixed`). So V2 forks when
+# its archives weigh at least 512 KiB, counting each as its size plus 4
+# KiB, and V1, V3 or V4 has work to run beside it. Seed-1 `mixed` (50 archives, 10.8 KB) weighs
+# about 216 KB and runs V2 in the parent; `artifacts` (196 archives, 2.0
+# MB) weighs about 2.85 MB, and a paper-scale `mixed` (about 460 archives)
+# about 1.9 MB, and both fork.
+_ARCHIVE_OVERHEAD_BYTES = 4 << 10
+_FORK_MIN_BYTES = 512 << 10
+_OVERLAPPED = frozenset((AttackVector.V1, AttackVector.V3, AttackVector.V4))
 
 
 def scan_corpus(
@@ -591,9 +648,10 @@ def scan_corpus(
 ) -> AuditRun:
     """Run every enabled vector over a corpus and aggregate one report.
 
-    Each enabled scanner takes each component's ComponentScan in turn; V2
-    runs in an ArchiveWorker when some component has ``archives/``. Each
-    component's notices come in vector order: V1, V2, V3, V4.
+    Each enabled scanner takes each component's ComponentScan in turn. V2
+    runs in an ArchiveWorker instead when its archives are large enough to
+    pay for the fork (see `_FORK_MIN_BYTES`). Each component's notices come
+    in vector order: V1, V2, V3, V4, wherever V2 ran.
     ``corpus_id`` defaults to the last component of the absolute path.
     """
     config = config or AuditConfig()
@@ -608,26 +666,32 @@ def scan_corpus(
     if corpus_id is None:
         corpus_id = os.path.basename(os.path.abspath(corpus_root))
     vectors = config.enabled_vectors
-    archived = [e for e in entries if "archives" in e.parts] if AttackVector.V2 in vectors else []
-    worker = ArchiveWorker(archived, config) if archived else None
+    scans = [ComponentScan(entry, config) for entry in entries]
+    archived = [s for s in scans if AttackVector.V2 in vectors and "archives" in s.entry.parts]
+    sizes = [size for scan in archived for _, size in scan.archive_files()]
+    forked = bool(sizes and vectors & _OVERLAPPED) and (
+        sum(sizes) + len(sizes) * _ARCHIVE_OVERHEAD_BYTES >= _FORK_MIN_BYTES
+    )
+    worker = ArchiveWorker(archived) if forked else None
 
     findings: list[Finding] = []
-    scans: list[ComponentScan] = []
     try:
-        needs_index = AttackVector.V1 in vectors and any("tree" in e.parts for e in entries)
-        index = vulnscan.index_advisories(db or []) if needs_index else None
-        scanners = [globals()[name] for vector, name in _IN_PROCESS.items() if vector in vectors]
-        for entry in entries:
-            scan = ComponentScan(entry, config, index)
+        if AttackVector.V1 in vectors and any("tree" in e.parts for e in entries):
+            index = vulnscan.index_advisories(db or [])
+            for scan in scans:
+                scan.index = index
+        scanners = [
+            globals()[name] for vector, name in _SCANNERS.items()
+            if vector in vectors and not (forked and vector is AttackVector.V2)
+        ]
+        for scan in scans:
             for scanner in scanners:
                 findings += scanner(scan)
-            scans.append(scan)
         archive_results = worker.result() if worker else []
     finally:
         if worker is not None:
             worker.close()
-    archived_scans = [scan for scan in scans if "archives" in scan.entry.parts]
-    for scan, (archive_findings, archive_notices) in zip(archived_scans, archive_results):
+    for scan, (archive_findings, archive_notices) in zip(archived, archive_results):
         findings += archive_findings
         scan.notices_by_vector[AttackVector.V2] = archive_notices
     for scan in scans:
@@ -655,6 +719,7 @@ def scan_corpus(
         started=started,
         finished=_now(),
         notices=notices,
+        archives={"files": len(sizes), "bytes": sum(sizes), "forked": forked} if sizes else None,
         archive_worker=worker.meta if worker else None,
     )
 

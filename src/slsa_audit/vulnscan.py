@@ -369,7 +369,7 @@ def parse_manifest(
     :class:`ManifestError` naming the offending line.
     """
     inventory = PackageInventory()
-    filename = Path(path).name.lower()
+    filename = path.rpartition("/")[2].lower()
     if filename == "package.json":
         _parse_package_json(path, contents, inventory, notices)
     elif filename == "package-lock.json":

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hostile_corpus import encrypted_zip as _encrypted_zip
+from hostile_corpus import gnu_sparse_tar as _gnu_sparse_tar
+from hostile_corpus import tar_blob as _tar_blob
 from slsa_audit import archive, sevenz
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus
@@ -118,16 +121,6 @@ def test_extract_from_file(benign_tree, tmp_path):
     path = tmp_path / "c.tar.gz"
     path.write_bytes(blob)
     assert len(extract(path)) == 3
-
-
-def _tar_blob(members: list[tuple[str, bytes]], format: int = tarfile.USTAR_FORMAT) -> bytes:
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w", format=format) as tar:
-        for name, data in members:
-            info = tarfile.TarInfo(name=name)
-            info.size = len(data)
-            tar.addfile(info, io.BytesIO(data))
-    return buf.getvalue()
 
 
 def _reference_safe_entry_path(name: str) -> str:
@@ -344,24 +337,6 @@ def test_long_name_tar_members_match_extractfile(format):
     assert [(e.path, e.data) for e in extract_bytes(blob, ArchiveFormat.TAR)] == expected
 
 
-def _gnu_sparse_tar(chunks: list[tuple[int, bytes]], real_size: int) -> bytes:
-    """One old-GNU sparse member ('S') holding chunks at their offsets."""
-    stored = b"".join(data for _, data in chunks)
-    info = tarfile.TarInfo("sparse.bin")
-    info.type = tarfile.GNUTYPE_SPARSE
-    info.size = len(stored)
-    header = bytearray(info.tobuf(format=tarfile.GNU_FORMAT))
-    for slot, (offset, data) in enumerate(chunks):
-        pos = 386 + 24 * slot
-        header[pos : pos + 12] = tarfile.itn(offset, 12, tarfile.GNU_FORMAT)
-        header[pos + 12 : pos + 24] = tarfile.itn(len(data), 12, tarfile.GNU_FORMAT)
-    header[483:495] = tarfile.itn(real_size, 12, tarfile.GNU_FORMAT)
-    header[148:156] = b" " * 8
-    header[148:156] = b"%06o\0 " % sum(header)
-    padding = -len(stored) % 512
-    return bytes(header) + stored + bytes(padding) + bytes(1024)
-
-
 def test_gnu_sparse_member_matches_extractfile():
     chunks = [(0, b"head"), (100, b"middle"), (300, b"more"), (596, b"tail")]
     blob = _gnu_sparse_tar(chunks, 600)
@@ -397,6 +372,11 @@ def _tarfile_extract_tar(data: bytes, cap: int) -> list[ArchiveEntry]:
                     if len(content) < member.size:  # the tar is cut off
                         raise ExtractionError("corrupt tar archive: unexpected end of data")
                 entries.append(ArchiveEntry(path=name, data=content))
+            stopped = data[tar.offset : tar.offset + 512]
+            if len(stopped) == 512 and any(stopped):  # a bad header after the first member
+                raise ArchiveSecurityError(
+                    f"invalid tar header at offset {tar.offset} hides the rest of the archive"
+                )
     except tarfile.TarError as exc:
         offset = getattr(exc, "offset", None)
         suffix = f" at offset {offset}" if offset is not None else ""
@@ -505,6 +485,26 @@ def test_tar_cases_cover_both_readers():
         "contiguous-file", "nul-in-name", "traversal", "absolute-link",
         "empty-directory-name",
     }
+
+
+def test_a_bad_header_after_the_first_member_hides_nothing():
+    three = _member("a.txt", b"a") + _member("b.txt", b"b") + _member("c.txt", b"c")
+    bad = bytearray(three + _END)
+    bad[1024 + 148 : 1024 + 154] = b"000001"  # b.txt's checksum
+    with pytest.raises(
+        ArchiveSecurityError, match="^invalid tar header at offset 1024 hides the rest"
+    ):
+        extract_bytes(bytes(bad), ArchiveFormat.TAR)
+    # Ending at a zero block, with or without garbage after it, is no error,
+    # for plain headers and for those only tarfile reads.
+    pax = _tar_blob([("a.txt", b"a"), ("b.txt", b"b")], tarfile.PAX_FORMAT)
+    for body, names in ((three + _END, ["a.txt", "b.txt", "c.txt"]), (pax, ["a.txt", "b.txt"])):
+        for tail in (b"", b"garbage" * 100):
+            assert [e.path for e in extract_bytes(body + tail, ArchiveFormat.TAR)] == names
+    # So is a tail too short to be a header.
+    assert [e.path for e in extract_bytes(three + b"x" * 100, ArchiveFormat.TAR)] == [
+        "a.txt", "b.txt", "c.txt"
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -618,17 +618,6 @@ def test_encrypted_sevenz_notice():
     )
     with pytest.raises(EncryptedArchiveError):
         extract_bytes(blob, ArchiveFormat.SEVENZ)
-
-
-def _encrypted_zip() -> bytes:
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
-        zf.writestr("secret.txt", b"hidden")
-    data = bytearray(buf.getvalue())
-    # Set the encryption bit in the local header and the central directory.
-    data[6] |= 0x1
-    data[data.index(b"PK\x01\x02") + 8] |= 0x1
-    return bytes(data)
 
 
 def test_encrypted_zip_reported_by_scan_corpus(tmp_path):

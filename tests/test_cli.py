@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from slsa_audit import archive, sevenz
+from slsa_audit import archive, report, sevenz
 from slsa_audit.cli import main
 from slsa_audit.demo import build_demo_corpus, build_demo_db
 
@@ -70,7 +70,8 @@ def test_scan_all_byte_stable(demo, capsys):
     assert first == second
 
 
-def test_scan_all_run_meta(demo, tmp_path, capsys):
+def test_scan_all_run_meta(demo, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(report, "_FORK_MIN_BYTES", 0)  # the demo's archives run in the parent
     corpus, db = demo
     meta_path = tmp_path / "meta.json"
     main(["--output", "json", "scan-all", "--corpus", str(corpus),
@@ -86,6 +87,10 @@ def test_scan_all_run_meta(demo, tmp_path, capsys):
     assert worker["components"] == 1
     assert worker["seconds"] > 0 and worker["max_rss_mib"] > 0
     assert worker["parent_seconds"] >= 0 and worker["waited_seconds"] >= 0
+    archives = sorted((corpus / "testbed__zip-bundle-serverless" / "archives").iterdir())
+    assert meta["archives"] == {
+        "files": len(archives), "bytes": sum(a.stat().st_size for a in archives), "forked": True,
+    }
 
     bare = tmp_path / "bare"
     shutil.copytree(corpus, bare)
@@ -93,7 +98,8 @@ def test_scan_all_run_meta(demo, tmp_path, capsys):
     main(["--output", "json", "scan-all", "--corpus", str(bare),
           "--db", str(db), "--run-meta", str(meta_path)])
     capsys.readouterr()
-    assert json.loads(meta_path.read_text())["archive_worker"] is None
+    bare_meta = json.loads(meta_path.read_text())
+    assert bare_meta["archive_worker"] is None and bare_meta["archives"] is None
 
 
 def test_docker_cmd(demo, capsys):

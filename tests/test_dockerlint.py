@@ -6,7 +6,7 @@ import shlex
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slsa_audit.demo import build_demo_corpus
@@ -106,6 +106,25 @@ def test_parse_preserves_tokens_losslessly():
     for command in (CMD_INLINE_CREDS, CMD_ENV_PASSTHROUGH, CMD_SOCKET_MOUNT):
         spec = parse_run_command(command)
         assert spec.raw_tokens == shlex.split(command)
+
+
+# shlex's four separators, characters it keeps inside tokens (vertical tab,
+# form feed, file separator, no-break and em space), quotes and escapes.
+_TOKEN_CHARS = " \t\r\n\x0b\x0c\x1c\xa0\u2003'\"\\ae-=:$#"
+
+
+@given(st.text(alphabet=_TOKEN_CHARS, max_size=40))
+@example("-e A=1\x0bB \x0cC\xa0D\u2003E\tF\r\n")
+@example("-e 'A B' \\ C\\ D")
+def test_parse_tokens_are_shlex_split(args):
+    command = f"docker run {args} -- img"  # "--" leaves an image whatever args holds
+    try:
+        expected = shlex.split(command)
+    except ValueError:
+        with pytest.raises(CommandParseError, match="^cannot tokenize command"):
+            parse_run_command(command)
+        return
+    assert parse_run_command(command).raw_tokens == expected
 
 
 def test_parse_unknown_flags_kept():

@@ -514,15 +514,29 @@ def test_nesting_limit_is_on_depth_not_indicator_count():
     many = "Resources:\n  R:\n    Type: X\n    Properties:\n      L:\n" + "        - x\n" * 600
     model = load_template("t.yaml", many)
     assert model.resources[0].properties["L"] == ["x"] * 600
-    def nested(depth: int) -> str:  # the root and Resources mappings are two levels
-        return '{"Resources": {"R": ' + "[" * (depth - 2) + "]" * (depth - 2) + "}}"
+    def nested(depth: int, open: str, close: str, inner: str = "") -> str:
+        levels = depth - 4  # the root, Resources, R and Properties mappings are four
+        return (
+            '{"Resources": {"R": {"Type": "X", "Properties": {"L": '
+            + open * levels + inner + close * levels + "}}}}"
+        )
 
-    with pytest.raises(TemplateParseError, match="nesting deeper than"):
-        load_template("t.json", nested(MAX_NESTING + 1))
-    # At the limit the guard lets the document through, but building its
-    # values exceeds the interpreter's recursion limit.
-    with pytest.raises(TemplateParseError, match="too deep"):
-        load_template("t.json", nested(MAX_NESTING))
+    def from_deep_stack(frames: int, call):
+        return call() if frames == 0 else from_deep_stack(frames - 1, call)
+
+    for path in ("t.json", "t.yaml"):
+        for kind, innermost in ((("[", "]"), []), (('{"k": ', "}", "1"), {"k": 1})):
+            with pytest.raises(TemplateParseError, match="nesting deeper than"):
+                load_template(path, nested(MAX_NESTING + 1, *kind))
+            # At the limit the values build, one frame per level, also when
+            # the caller is already deep in its own stack.
+            model = from_deep_stack(
+                100, lambda: load_template(path, nested(MAX_NESTING, *kind))
+            )
+            value = model.resources[0].properties["L"]
+            for _ in range(MAX_NESTING - 5):
+                (value,) = value if isinstance(value, list) else value.values()
+            assert value == innermost
 
 
 def test_alias_expansion_bomb_refused():

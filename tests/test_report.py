@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hostile_corpus import build_hostile_corpus
 from slsa_audit import archive, ingest, report, vulnscan
 from slsa_audit.archive import ArchiveError, ArchiveFormat, pack_entries
 from slsa_audit.cli import main
@@ -226,7 +227,7 @@ def _reference_json(report: ScanReport) -> bytes:
 _JSON_TEXT = st.text(
     st.one_of(
         st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\udc80\udcffé€\U0001d11e%'),
-        st.characters(),
+        st.characters(exclude_categories=["Cs"]),  # surrogates only from the list above
     ),
     max_size=12,
 )
@@ -607,7 +608,13 @@ def _components_with_v1_to_v4_notices(tmp_path):
     return corpus, slug
 
 
-def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path):
+def _force_fork(monkeypatch) -> None:
+    """Run V2 in an ArchiveWorker whatever the archives weigh."""
+    monkeypatch.setattr(report, "_FORK_MIN_BYTES", 0)
+
+
+def test_archive_worker_keeps_each_components_notices_in_vector_order(tmp_path, monkeypatch):
+    _force_fork(monkeypatch)
     corpus, slug = _components_with_v1_to_v4_notices(tmp_path)
     db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
     config = AuditConfig(enabled_vectors=frozenset(AttackVector) - {AttackVector.V5})
@@ -687,15 +694,18 @@ _SCANNER_VECTORS = {
 }
 
 
+@pytest.mark.parametrize("forked", [False, True])
 def test_scanners_wrapped_at_the_module_attribute_run_once_per_component(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, forked
 ):
     # perfbench/tracing.py times each scanner by replacing report.scan_*; a
     # scan that bound the scanners earlier would leave its timings at 0.
+    if forked:
+        _force_fork(monkeypatch)
     corpus = build_demo_corpus(tmp_path / "corpus")
     for name, vector in _SCANNER_VECTORS.items():
         def wrapped(scan, _scanner=getattr(report, name), _name=name, _vector=vector):
-            # A notice, not a counter: V2 runs in the forked worker.
+            # A notice, not a counter: V2 may run in the forked worker.
             scan.notices_for(_vector).append(f"wrapped {_name}")
             return _scanner(scan)
 
@@ -705,10 +715,12 @@ def test_scanners_wrapped_at_the_module_attribute_run_once_per_component(
     for name, vector in _SCANNER_VECTORS.items():
         expected = [
             f"{entry.ref.slug}/wrapped {name}" for entry in entries
-            if vector is not AttackVector.V2 or "archives" in entry.parts
+            # The worker scans only the components with archives/.
+            if not (forked and vector is AttackVector.V2) or "archives" in entry.parts
         ]
         assert [n for n in run.notices if n.endswith(f"/wrapped {name}")] == expected
     assert any("archives" in entry.parts for entry in entries)
+    assert run.archives["forked"] is forked
 
 
 @pytest.mark.parametrize("cwd,spelled", [
@@ -735,6 +747,7 @@ def test_corpus_id_is_the_corpus_directory_name_however_its_path_is_spelled(
 
 
 def test_an_exception_in_the_archive_worker_is_raised_by_scan_corpus(tmp_path, monkeypatch):
+    _force_fork(monkeypatch)
     corpus = build_demo_corpus(tmp_path / "corpus")
 
     def failing_extract(*args, **kwargs):  # the forked worker inherits the patch
@@ -746,6 +759,7 @@ def test_an_exception_in_the_archive_worker_is_raised_by_scan_corpus(tmp_path, m
 
 
 def test_an_exception_the_worker_cannot_pickle_is_a_runtime_error(tmp_path, monkeypatch):
+    _force_fork(monkeypatch)
     corpus = build_demo_corpus(tmp_path / "corpus")
 
     class LocalError(Exception):  # pickle cannot find a class defined in a function
@@ -765,6 +779,7 @@ def test_an_exception_the_worker_cannot_pickle_is_a_runtime_error(tmp_path, monk
     (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
 ])
 def test_an_archive_worker_that_dies_is_an_archive_error(tmp_path, monkeypatch, capsys, end, ended):
+    _force_fork(monkeypatch)
     corpus = build_demo_corpus(tmp_path / "corpus")
     monkeypatch.setattr(archive, "extract", lambda *args, **kwargs: end())
     message = f"archive scan worker ended with {ended} before sending its result"
@@ -779,6 +794,7 @@ def test_an_archive_worker_that_dies_is_an_archive_error(tmp_path, monkeypatch, 
 def test_an_exception_in_the_parent_still_reaps_the_archive_worker(
     tmp_path, monkeypatch, forked_pids, error
 ):
+    _force_fork(monkeypatch)
     corpus = build_demo_corpus(tmp_path / "corpus")
 
     def failing_scan_iac(*args, **kwargs):
@@ -804,3 +820,117 @@ def test_no_archive_worker_without_archives_to_scan(tmp_path, forked_pids, corpu
     run = scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset(vectors)))
     assert forked_pids == []
     assert run.archive_worker is None
+    assert run.archives is None
+
+
+_DEMO_ARCHIVES = ["bundle.zip", "worker.tar.zst"]
+
+
+@pytest.mark.parametrize("added,vectors,heavy,forks", [
+    ({}, set(AttackVector), False, False),
+    # Over the budget by size, and by the per-archive allowance alone.
+    ({"big.zip": 600 << 10}, set(AttackVector), True, True),
+    ({f"t{i:03}.zip": 1 for i in range(126)}, set(AttackVector), True, True),
+    ({"big.zip": 600 << 10}, {AttackVector.V2, AttackVector.V5}, True, False),  # nothing to overlap
+], ids=["demo", "big-archive", "many-archives", "v2-only"])
+def test_v2_forks_only_when_its_archives_pay_for_it(
+    tmp_path, forked_pids, added, vectors, heavy, forks
+):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    archives = corpus / "testbed__zip-bundle-serverless" / "archives"
+    for name, size in added.items():
+        (archives / name).write_bytes(pack_entries([("f", os.urandom(size))], ArchiveFormat.ZIP))
+    files = sorted(archives.iterdir())
+    run = scan_corpus(corpus, AuditConfig(enabled_vectors=frozenset(vectors)))
+    assert len(forked_pids) == forks
+    assert (run.archive_worker is not None) is forks
+    assert run.archives == {
+        "files": len(files), "bytes": sum(f.stat().st_size for f in files), "forked": forks,
+    }
+    weight = run.archives["bytes"] + len(files) * report._ARCHIVE_OVERHEAD_BYTES
+    assert (weight >= report._FORK_MIN_BYTES) is heavy
+
+
+def _with_non_regular_archives(corpus: Path, outside: Path) -> list[str]:
+    """Adds a symlink to a zip outside the corpus, a directory holding a
+    zip, a FIFO and a tar whose second header is bad to the demo's archive
+    component; returns the V2 notices they give."""
+    slug = "testbed__zip-bundle-serverless"
+    archives = corpus / slug / "archives"
+    eicar_zip = pack_entries([("eicar.com", archive.EICAR_TEST_STRING)], ArchiveFormat.ZIP)
+    outside.write_bytes(eicar_zip)
+    (archives / "link.zip").symlink_to(outside)
+    (archives / "sub.zip").mkdir()
+    (archives / "sub.zip" / "inner.zip").write_bytes(eicar_zip)
+    os.mkfifo(archives / "pipe.zip")
+    tar = bytearray(pack_entries(
+        [("a.txt", b"a"), ("b.txt", b"b"), ("c.com", archive.EICAR_TEST_STRING)], ArchiveFormat.TAR
+    ))
+    tar[1024 + 148 : 1024 + 154] = b"000001"
+    (archives / "zbad.tar").write_bytes(bytes(tar))
+    return [
+        f"{slug}/archives/link.zip: not a regular file (symlink); skipped",
+        f"{slug}/archives/pipe.zip: not a regular file (FIFO); skipped",
+        f"{slug}/archives/sub.zip: not a regular file (directory); skipped",
+    ]
+
+
+def test_archives_are_listed_without_following_symlinks(tmp_path):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V2}))
+    before = scan_corpus(corpus, config)
+    notices = _with_non_regular_archives(corpus, tmp_path / "outside.zip")
+    run = scan_corpus(corpus, config)
+    assert run.notices == before.notices + notices
+    added = [f for f in run.report.all_findings() if f not in before.report.all_findings()]
+    assert [(f.rule_id, f.location, f.evidence) for f in added] == [(
+        "V2-UNSAFE-ARCHIVE", "archives/zbad.tar",
+        "invalid tar header at offset 1024 hides the rest of the archive",
+    )]
+    assert run.archives["files"] == len(_DEMO_ARCHIVES) + 1
+
+
+def test_an_archives_directory_that_cannot_be_listed_is_a_notice(tmp_path, monkeypatch):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    slug = "acme__serverless-resizer"  # its tree/ tells its kind, so ingest lists no archives/
+    (corpus / slug / "archives").mkdir()
+    unlistable = os.path.join(corpus / slug, "archives")
+    scandir = os.scandir
+
+    def failing_scandir(path="."):
+        if os.fspath(path) == unlistable:
+            raise PermissionError(errno.EACCES, "Permission denied", unlistable)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", failing_scandir)
+    config = AuditConfig(enabled_vectors=frozenset({AttackVector.V2}))
+    run = scan_corpus(corpus, config)
+    assert run.notices == [f"{slug}/archives: cannot list: Permission denied"]
+    assert {f.rule_id for f in run.report.all_findings()} == {"V2-SIGNATURE-MATCH"}
+    assert run.archives["files"] == len(_DEMO_ARCHIVES)
+
+
+@pytest.mark.parametrize("corpus_kind", ["demo", "hostile"])
+def test_v2_gives_the_same_output_in_the_parent_and_in_the_worker(
+    tmp_path, monkeypatch, forked_pids, corpus_kind
+):
+    if corpus_kind == "demo":
+        corpus = build_demo_corpus(tmp_path / "corpus")
+    else:
+        corpus = build_hostile_corpus(tmp_path / "corpus")
+        _with_non_regular_archives(corpus, tmp_path / "outside.zip")
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    outputs = {}
+    for forked, threshold in ((False, 1 << 62), (True, 0)):
+        monkeypatch.setattr(report, "_FORK_MIN_BYTES", threshold)
+        run = scan_corpus(corpus, db=db)
+        assert run.archives["forked"] is forked
+        outputs[forked] = (
+            [emit(run.report, fmt) for fmt in ("json", "table", "sarif-like")], run.notices
+        )
+    assert len(forked_pids) == 1
+    assert outputs[False] == outputs[True]
+    kinds = {f.rule_id for f in parse_report(outputs[False][0][0]).all_findings()}
+    assert "V2-SIGNATURE-MATCH" in kinds and any(kind.startswith("V1-") for kind in kinds)
+    if corpus_kind == "hostile":
+        assert {"V2-ENCRYPTED-ARCHIVE", "V2-UNSAFE-ARCHIVE"} <= kinds
