@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from slsa_audit import sevenz, zstdcodec
-from slsa_audit.ingest import read_file, tree_files
+from slsa_audit.ingest import read_file, walk_files
 from slsa_audit.model import AuditError, ConfigError
 
 
@@ -665,8 +665,10 @@ def inject_and_pack(
     payload_file: str | Path | None,
     fmt: ArchiveFormat,
     payload_dest: str | None = None,
+    notices: list[str] | None = None,
 ) -> bytes:
-    """Pack a source tree, optionally adding one payload file.
+    """Pack the regular files of a source tree (`ingest.walk_files`, whose
+    notices go to ``notices``), optionally adding one payload file.
 
     The payload lands at payload_dest (default: its filename at tree root).
     Output is byte-stable for fixed inputs. With payload_file None this is
@@ -675,7 +677,7 @@ def inject_and_pack(
     tree_root = Path(benign_tree)
     if not tree_root.is_dir():
         raise FileNotFoundError(f"benign tree not found: {tree_root}")
-    items = [(rel, (tree_root / rel).read_bytes()) for rel in tree_files(tree_root)]
+    items = [(rel, read_file(os.path.join(tree_root, rel))) for rel in walk_files(tree_root, notices)]
     if not items:
         raise ValueError(f"benign tree is empty: {tree_root}")
     if payload_file is not None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from slsa_audit import __version__, archive, dockerlint, iaclint, typosquat, vulnscan
 from slsa_audit.config import CONFIG_ENV_VAR, load_config
-from slsa_audit.ingest import is_serverless, load_corpus, read_text
+from slsa_audit.ingest import decode_noted, is_serverless, load_corpus, read_file
 from slsa_audit.model import AttackVector, AuditError, EmptyInputError, Severity, dump_json
 from slsa_audit.report import aggregate, emit, exit_code_for, scan_corpus
 
@@ -143,11 +143,13 @@ def _cmd_archive_inject(args, config, fail_on: Severity | None) -> int:
     if not args.i_am_testing:
         print("refusing to build an injection sample without --i-am-testing", file=sys.stderr)
         return 2
+    notices: list[str] = []
     blob = archive.inject_and_pack(
-        args.tree, args.payload, archive.ArchiveFormat(args.format), args.dest_path
+        args.tree, args.payload, archive.ArchiveFormat(args.format), args.dest_path, notices
     )
     Path(args.output_file).write_bytes(blob)
     print(f"wrote {len(blob)} bytes to {args.output_file}", file=sys.stderr)
+    _print_notices(notices)
     return 0
 
 
@@ -186,7 +188,7 @@ def _cmd_docker(args, config, fail_on: Severity | None) -> int:
             args, replace(config, enabled_vectors=frozenset({AttackVector.V3})), fail_on
         )
     notices: list[str] = []
-    text = sys.stdin.read() if args.cmd == "-" else args.cmd
+    text = decode_noted(sys.stdin.buffer.read(), "cmdline", notices) if args.cmd == "-" else args.cmd
     findings = dockerlint.lint_commands_text(
         text, source_name="cmdline", rules=config.docker_rules,
         key_config=config.sensitive_keys, notices=notices,
@@ -209,15 +211,12 @@ def _cmd_iac(args, config, fail_on: Severity | None) -> int:
     for path in args.paths:
         try:
             framework, findings = iaclint.lint_template(
-                path, read_text(path),
+                path, decode_noted(read_file(path), path, notices),
                 catalog=config.iac_catalog, notices=notices,
                 cors_substrings=config.cors_substrings,
             )
         except (iaclint.UnsupportedExtensionError, iaclint.TemplateParseError) as exc:
             notices.append(str(exc))
-            continue
-        except UnicodeDecodeError as exc:
-            notices.append(f"{path}: {exc}")
             continue
         tagged.extend((framework, f) for f in findings)
     report = aggregate((f for _, f in tagged), "paths")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import os
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -47,6 +48,8 @@ class CorpusEntry:
     ``parts`` names which of ``tree``, ``archives``, ``iac`` and ``image``
     (directories) and ``run_commands.txt`` (a file) the component has, as
     `load_corpus` found them; the scanners skip an absent part.
+    ``skipped_parts`` holds, by part name, the `walk_files` notice of a
+    part that is a symlink, FIFO or special file, which its scanner gives.
     """
 
     ref: ComponentRef
@@ -54,6 +57,7 @@ class CorpusEntry:
     metadata: dict[str, str]
     artifact_kind: ArtifactKind
     parts: frozenset[str]
+    skipped_parts: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -128,14 +132,9 @@ def _is(entry: os.DirEntry, test) -> bool:
         raise
 
 
-# A component's optional parts, and the kind of file each must be.
-_PARTS = (
-    ("tree", os.DirEntry.is_dir),
-    ("archives", os.DirEntry.is_dir),
-    ("iac", os.DirEntry.is_dir),
-    ("image", os.DirEntry.is_dir),
-    ("run_commands.txt", os.DirEntry.is_file),
-)
+# A component's optional parts, each with whether it must be a directory
+# (else a regular file).
+_PARTS = {"tree": True, "archives": True, "iac": True, "image": True, "run_commands.txt": False}
 
 
 def _has_children(path: str) -> bool:
@@ -149,7 +148,10 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
     Invalid manifests become error records in the result instead of being
     silently dropped; a missing root raises. The root is listed once and
     each component directory once; ``tree/`` and ``archives/`` are listed
-    only to tell the artifact kind. Symlinks are followed.
+    only to tell the artifact kind. A component directory and its
+    ``component.meta`` may be symlinks; a part is told by the type its
+    listing gives, without following symlinks, and one that is neither a
+    directory nor a regular file is a skipped part (`CorpusEntry`).
     """
     root_path = Path(root)
     if not root_path.is_dir():
@@ -167,7 +169,7 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
             continue
         rel = f"{child.name}/{_MANIFEST_NAME}"
         try:
-            ref, metadata = parse_manifest(rel, read_text(manifest.path))
+            ref, metadata = parse_manifest(rel, decode_text(read_file(manifest.path)))
         except OSError as exc:
             result.errors.append(ManifestParseError(rel, f"cannot read: {exc.strerror or exc}"))
             continue
@@ -177,9 +179,14 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
         except ManifestParseError as exc:
             result.errors.append(exc)
             continue
-        parts = frozenset(
-            name for name, test in _PARTS if name in listing and _is(listing[name], test)
-        )
+        parts, skipped = set(), {}
+        for name in sorted(_PARTS.keys() & listing.keys()):
+            item = listing[name]
+            is_dir, is_file = item.is_dir(follow_symlinks=False), item.is_file(follow_symlinks=False)
+            if is_dir if _PARTS[name] else is_file:
+                parts.add(name)
+            elif not (is_dir or is_file):
+                skipped[name] = _skipped(name, item)
         if "tree" in parts and _has_children(listing["tree"].path):
             kind = ArtifactKind.SOURCE_TREE
         elif "archives" in parts and _has_children(listing["archives"].path):
@@ -189,7 +196,8 @@ def load_corpus(root: str | Path) -> CorpusLoadResult:
         else:
             kind = ArtifactKind.SOURCE_TREE
         result.entries.append(CorpusEntry(
-            ref=ref, root_path=root_path / child.name, metadata=metadata, artifact_kind=kind, parts=parts
+            ref=ref, root_path=root_path / child.name, metadata=metadata, artifact_kind=kind,
+            parts=frozenset(parts), skipped_parts=skipped,
         ))
     return result
 
@@ -217,11 +225,6 @@ def read_file(path: str) -> bytes:
     return b"".join(chunks)
 
 
-def read_text(path: str, errors: str = "strict") -> str:
-    """A file's UTF-8 text with universal newlines (see `decode_text`)."""
-    return decode_text(read_file(path), errors)
-
-
 def decode_text(data: bytes, errors: str = "strict") -> str:
     """UTF-8 text with universal newlines, as a text-mode ``open`` and
     ``read`` give it: the bytes decode in one step, so replacement
@@ -234,44 +237,78 @@ def decode_text(data: bytes, errors: str = "strict") -> str:
     return text
 
 
+def decode_noted(data: bytes, rel: str, notices) -> str:
+    """`decode_text` of ``data``, where bytes that do not decode become
+    U+FFFD with the one notice ``<rel>: undecodable bytes replaced with
+    U+FFFD``, so one bad byte hides no finding. Every linted text is
+    decoded here: component files, `iac --paths` templates and
+    `docker --cmd -` input."""
+    try:
+        return decode_text(data)
+    except UnicodeDecodeError:
+        notices.append(f"{rel}: undecodable bytes replaced with U+FFFD")
+        return decode_text(data, "replace")
+
+
 def is_serverless(entry: CorpusEntry) -> bool:
     """Two-step filter: 'serverless' keyword in name/metadata, OR a
-    serverless.yml anywhere under the component (either signal keeps it)."""
+    serverless.yml among the component's files (either signal keeps it).
+    The files are listed by `walk_files`; its notices are the scanners' to
+    give, so the filter drops them."""
     keyword = "serverless"
     if keyword in entry.ref.name.lower() or keyword in entry.ref.publisher.lower():
         return True
     for key, value in entry.metadata.items():
         if keyword in key.lower() or keyword in value.lower():
             return True
-    return any(rel.rpartition("/")[2] == "serverless.yml" for rel in tree_files(entry.root_path))
+    return any(rel.rpartition("/")[2] == "serverless.yml" for rel in walk_files(entry.root_path))
 
 
-def tree_files(tree_root: str | Path) -> list[str]:
-    """Relative POSIX paths of the regular files under tree_root, sorted by
-    path parts as their ``Path`` objects sort, from one walk.
+def _skipped(rel: str, entry: os.DirEntry) -> str:
+    """The notice for a listed entry that is neither a directory nor a
+    regular file, which is never followed."""
+    try:
+        fifo = stat.S_ISFIFO(entry.stat(follow_symlinks=False).st_mode)
+    except OSError:
+        fifo = False
+    kind = "symlink" if entry.is_symlink() else "FIFO" if fifo else "special file"
+    return f"{rel}: not a regular file ({kind}); skipped"
 
-    As with pathlib's recursive glob and ``Path.is_file``, symlinked
-    directories are not entered, symlinked files count, and directories
-    that cannot be listed are skipped. A missing tree has no files. This
-    is the one recursive listing: V1 trees, IaC templates, the advisory
-    database, the serverless filter and the injection harness all use it.
+
+def walk_files(root: str | os.PathLike, notices=None, prefix: str = "") -> list[str]:
+    """The regular files under the directory ``root``, as POSIX paths
+    ``prefix + <path below root>`` sorted by path parts as their ``Path``
+    objects sort, from one walk that follows no symlink.
+
+    Directories are entered and regular files kept by the type the listing
+    gives (``follow_symlinks=False``, so no ``stat`` per file). Every other
+    entry is skipped with the notice ``<path>: not a regular file
+    (symlink|FIFO|special file); skipped``, and a directory that cannot be
+    listed gives ``<path>: cannot list: <reason>``, ``root`` itself named
+    by ``prefix`` without its trailing ``/``. The notices go to ``notices``,
+    unless it is None, in the same path order. This is the one recursive
+    listing: V1 trees, V2 archives, IaC templates, the advisory database,
+    the serverless filter and the injection harness all use it.
     """
     found: list[tuple[str, ...]] = []
-    pending: list[tuple[tuple[str, ...], str]] = [((), os.fspath(tree_root))]
+    skipped: list[tuple[tuple[str, ...], str]] = []
+    pending: list[tuple[tuple[str, ...], str]] = [((), os.fspath(root))]
     while pending:
         parts, directory = pending.pop()
         try:
             with os.scandir(directory) as it:
-                children = list(it)
-        except OSError:
-            continue
-        for child in children:
-            try:
-                if child.is_dir(follow_symlinks=False):
-                    pending.append(((*parts, child.name), child.path))
-                elif child.is_file():
-                    found.append((*parts, child.name))
-            except OSError:
-                continue
+                for child in it:
+                    child_parts = (*parts, child.name)
+                    if child.is_dir(follow_symlinks=False):
+                        pending.append((child_parts, child.path))
+                    elif child.is_file(follow_symlinks=False):
+                        found.append(child_parts)
+                    else:
+                        skipped.append((child_parts, _skipped(prefix + "/".join(child_parts), child)))
+        except OSError as exc:
+            rel = (prefix + "/".join(parts)).rstrip("/") or "."
+            skipped.append((parts, f"{rel}: cannot list: {exc.strerror or exc}"))
     found.sort()
-    return ["/".join(parts) for parts in found]
+    for _, notice in sorted(skipped) if notices is not None else ():
+        notices.append(notice)
+    return [prefix + "/".join(parts) for parts in found]

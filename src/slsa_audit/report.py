@@ -14,7 +14,6 @@ import os
 import pickle
 import platform
 import signal
-import stat
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -29,11 +28,12 @@ from slsa_audit.config import AuditConfig
 from slsa_audit.ingest import (
     CorpusEntry,
     CorpusLoadResult,
+    decode_noted,
     decode_text,
     is_serverless,
     load_corpus,
     read_file,
-    tree_files,
+    walk_files,
 )
 from slsa_audit.model import (
     DEFAULT_CDF_THRESHOLDS,
@@ -312,11 +312,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-# What a non-regular entry of a listing is called in its notice, by st_mode
-# type; any other is a "special file".
-_FILE_KINDS = {stat.S_IFLNK: "symlink", stat.S_IFDIR: "directory", stat.S_IFIFO: "FIFO"}
-
-
 class ComponentScan:
     """One component's scan step, which each ``scan_*`` takes: the one
     reader of its files, and the one place a notice gets its component in
@@ -352,35 +347,27 @@ class ComponentScan:
         """The component's notices in vector order."""
         return [n for vector in AttackVector for n in self.notices_by_vector.get(vector, ())]
 
+    def has(self, part: str, vector: AttackVector) -> bool:
+        """Whether the component has ``part``, told without touching a file.
+        A part `load_corpus` skipped gives its notice to ``vector`` here."""
+        if part in self.entry.skipped_parts:
+            self.notices_for(vector).append(self.entry.skipped_parts[part])
+        return part in self.entry.parts
+
     def archive_files(self) -> list[tuple[str, int]]:
-        """The regular files directly under ``archives/``, as ``(name,
-        size)`` sorted by name, from one listing that follows no symlink.
-        Every other entry gives the V2 notice ``archives/<name>: not a
-        regular file (<kind>); skipped``, and a directory that cannot be
-        listed the notice ``archives: cannot list: <reason>``. Only the
-        first call lists, so the fork gate and `scan_archives` see the
+        """The regular files under ``archives/``, as ``(archives/<path>,
+        size)`` in `ingest.walk_files` order, with its notices for V2. Only
+        the first call lists, so the fork gate and `scan_archives` see the
         same files."""
-        if self.archives is not None:
-            return self.archives
-        self.archives = []
-        notices = self.notices_for(AttackVector.V2)
-        try:
-            with os.scandir(os.path.join(self.entry.root_path, "archives")) as it:
-                listed = sorted(it, key=attrgetter("name"))
-        except OSError as exc:
-            notices.append(f"archives: cannot list: {exc.strerror or exc}")
-            return self.archives
-        for item in listed:
-            try:
-                info = item.stat(follow_symlinks=False)
-            except OSError as exc:
-                notices.append(f"archives/{item.name}: cannot read: {exc.strerror or exc}")
-                continue
-            if item.is_file(follow_symlinks=False):
-                self.archives.append((item.name, info.st_size))
-            else:
-                kind = _FILE_KINDS.get(stat.S_IFMT(info.st_mode), "special file")
-                notices.append(f"archives/{item.name}: not a regular file ({kind}); skipped")
+        if self.archives is None:
+            self.archives = []
+            if self.has("archives", AttackVector.V2):
+                notices = self.notices_for(AttackVector.V2)
+                for rel in walk_files(self.entry.root_path / "archives", notices, "archives/"):
+                    try:
+                        self.archives.append((rel, os.lstat(self.entry.root_path / rel).st_size))
+                    except OSError as exc:
+                        notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
         return self.archives
 
     def read(
@@ -389,18 +376,14 @@ class ComponentScan:
         """The UTF-8 text, with universal newlines, of the component file
         ``rel``, or None, with the notice ``<rel>: cannot read: <reason>``.
         Bytes that do not decode become U+FFFD: with ``errors="strict"`` the
-        notice ``<rel>: undecodable bytes replaced with U+FFFD`` says so,
-        with ``"replace"`` nothing does."""
+        notice of `ingest.decode_noted` says so, with ``"replace"`` nothing
+        does."""
         try:
             data = read_file(os.path.join(self.entry.root_path, rel))
         except OSError as exc:
             notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
             return None
-        try:
-            return decode_text(data, errors)
-        except UnicodeDecodeError:
-            notices.append(f"{rel}: undecodable bytes replaced with U+FFFD")
-            return decode_text(data, "replace")
+        return decode_text(data, errors) if errors == "replace" else decode_noted(data, rel, notices)
 
 
 def scan_vuln(scan: ComponentScan) -> list[Finding]:
@@ -410,10 +393,10 @@ def scan_vuln(scan: ComponentScan) -> list[Finding]:
     manifest is its location.
     """
     entry, config = scan.entry, scan.config
-    if "tree" not in entry.parts:
+    if not scan.has("tree", AttackVector.V1):
         return []
-    files = [f"tree/{rel}" for rel in tree_files(os.path.join(entry.root_path, "tree"))]
     notices = scan.notices_for(AttackVector.V1)
+    files = walk_files(os.path.join(entry.root_path, "tree"), notices, "tree/")
     read = functools.partial(scan.read, notices=notices, errors="replace")
     inventory = vulnscan.extract_inventory(files, read, notices)
     vulnscan.mark_source_references(inventory, files, read, config.source_extensions)
@@ -441,11 +424,8 @@ def scan_archives(scan: ComponentScan) -> list[Finding]:
     of archives/ (`ComponentScan.archive_files`)."""
     entry, config = scan.entry, scan.config
     findings: list[Finding] = []
-    if "archives" not in entry.parts:
-        return findings
     notices = scan.notices_for(AttackVector.V2)
-    for name, _ in scan.archive_files():
-        rel = f"archives/{name}"
+    for rel, _ in scan.archive_files():
         try:
             entries = archive.extract(
                 os.path.join(entry.root_path, rel), limits=config.extraction_limits
@@ -483,7 +463,7 @@ def scan_archives(scan: ComponentScan) -> list[Finding]:
 
 def scan_docker(scan: ComponentScan) -> list[Finding]:
     """V3 for one component: lint run_commands.txt."""
-    if "run_commands.txt" not in scan.entry.parts:
+    if not scan.has("run_commands.txt", AttackVector.V3):
         return []
     notices = scan.notices_for(AttackVector.V3)
     text = scan.read("run_commands.txt", notices)
@@ -500,11 +480,10 @@ def scan_docker(scan: ComponentScan) -> list[Finding]:
 def scan_iac(scan: ComponentScan) -> list[Finding]:
     """V4 for one component: lint every template under iac/."""
     entry, config = scan.entry, scan.config
-    if "iac" not in entry.parts:
+    if not scan.has("iac", AttackVector.V4):
         return []
     notices = scan.notices_for(AttackVector.V4)
-    for name in tree_files(os.path.join(entry.root_path, "iac")):
-        rel = f"iac/{name}"
+    for rel in walk_files(os.path.join(entry.root_path, "iac"), notices, "iac/"):
         text = scan.read(rel, notices)
         if text is None:
             continue
@@ -667,7 +646,9 @@ def scan_corpus(
         corpus_id = os.path.basename(os.path.abspath(corpus_root))
     vectors = config.enabled_vectors
     scans = [ComponentScan(entry, config) for entry in entries]
-    archived = [s for s in scans if AttackVector.V2 in vectors and "archives" in s.entry.parts]
+    # Listing every component's archives here also puts each V2 listing
+    # notice in the parent, for the components the worker does not take.
+    archived = [s for s in scans if AttackVector.V2 in vectors and s.archive_files()]
     sizes = [size for scan in archived for _, size in scan.archive_files()]
     forked = bool(sizes and vectors & _OVERLAPPED) and (
         sum(sizes) + len(sizes) * _ARCHIVE_OVERHEAD_BYTES >= _FORK_MIN_BYTES

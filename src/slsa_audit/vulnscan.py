@@ -17,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from slsa_audit.ingest import read_file, tree_files
+from slsa_audit.ingest import read_file, walk_files
 from slsa_audit.model import AuditError, Severity, read_settings_file, severity_band
 
 
@@ -253,23 +253,23 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
 
 
 def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> list[Advisory]:
-    """Load every ``*.json`` advisory under db_dir (sorted for determinism)."""
+    """Load every regular ``*.json`` file under db_dir as advisories, in
+    `ingest.walk_files` order (its notices join the skipped files')."""
     root = Path(db_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"advisory database directory not found: {root}")
-    prefix = os.path.join(root, "")
     advisories: list[Advisory] = []
-    for rel in tree_files(root):
-        if not rel.endswith(".json"):
+    for path in walk_files(root, notices, os.path.join(root, "")):
+        if not path.endswith(".json"):
             continue
         try:
             # Decoded before json.loads, which would otherwise accept UTF-16 and UTF-32.
-            doc = json.loads(read_file(prefix + rel).decode("utf-8"))
+            doc = json.loads(read_file(path).decode("utf-8"))
             advisories.extend(advisory_from_osv(doc))
         # Not UTF-8 JSON, nested too deep to decode, or not OSV-shaped.
         except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             if notices is not None:
-                notices.append(f"skipped advisory {rel.rpartition('/')[2]}: {exc}")
+                notices.append(f"skipped advisory {path.rpartition('/')[2]}: {exc}")
     return advisories
 
 
@@ -526,7 +526,7 @@ def _suffix(rel: str) -> str:
 def extract_inventory(
     files: Iterable[str], read: Callable[[str], str | None], notices: list[str]
 ) -> PackageInventory:
-    """Merge every supported manifest among a tree's files (see ingest.tree_files).
+    """Merge every supported manifest among a tree's files (see ingest.walk_files).
 
     ``read(rel)`` gives a file's text, or None for a file it could not read.
     Paths are as ``files`` lists them: each package's ``declared_in`` and
@@ -570,7 +570,7 @@ def mark_source_references(
     read: Callable[[str], str | None],
     source_extensions: Iterable[str] = SOURCE_EXTENSIONS,
 ) -> PackageInventory:
-    """Populate referenced_in_source with the tree's files (see ingest.tree_files)
+    """Populate referenced_in_source with the tree's files (see ingest.walk_files)
     importing each package, named as ``files`` lists them.
 
     Only files whose extension is in the source set count; metadata files

@@ -1,10 +1,11 @@
-"""The demo corpus with hostile archives added, for tests that compare two
-ways of scanning it.
+"""The demo corpus with hostile archives and symlinks added, for tests that
+compare two ways of scanning it.
 
     python tests/hostile_corpus.py OUT_DIR
 
-writes the corpus to OUT_DIR, so that the output of ``slsa-audit scan-all``
-can be compared between two versions of the program.
+writes the corpus to OUT_DIR, and the files its symlinks point at to
+OUT_DIR-outside, so that the output of ``slsa-audit scan-all`` can be
+compared between two versions of the program.
 """
 from __future__ import annotations
 
@@ -18,6 +19,17 @@ from slsa_audit.archive import EICAR_TEST_STRING, ArchiveFormat, pack_entries
 from slsa_audit.demo import build_demo_corpus
 
 HOSTILE_SLUG = "testbed__zip-bundle-serverless"
+
+# Component files that are symlinks out of the corpus, with their targets'
+# bytes: each would give a finding if it were read.
+SYMLINKS = {
+    "acme__serverless-resizer/tree/vendor/requirements.txt": b"urllib3==1.25.8\n",
+    "acme__iac-library-serverless/iac/linked.yaml": (
+        b"Resources:\n  Open:\n    Type: AWS::S3::Bucket\n"
+        b"    Properties:\n      AccessControl: PublicReadWrite\n"
+    ),
+    "dana__queue-worker-serverless/run_commands.txt": b"docker run --privileged img\n",
+}
 
 
 def encrypted_zip() -> bytes:
@@ -62,9 +74,18 @@ def gnu_sparse_tar(chunks: list[tuple[int, bytes]], real_size: int) -> bytes:
 def build_hostile_corpus(root: str | Path) -> Path:
     """The demo corpus, whose archive component also holds a truncated and
     an encrypted zip, a tar.gz bomb, a file that is no archive, pax, GNU
-    and sparse tars, and a zip nested in a zip, with the test signature in
-    some of them."""
+    and sparse tars, a zip nested in a zip and a zip in a subdirectory,
+    with the test signature in some of them. Three components hold a
+    symlink to a file outside the corpus (`SYMLINKS`), which a scan must
+    not read."""
     root = build_demo_corpus(root)
+    outside = Path(f"{root.resolve()}-outside")
+    outside.mkdir(exist_ok=True)
+    for rel, data in SYMLINKS.items():
+        target = outside / rel.replace("/", "__")
+        target.write_bytes(data)
+        (root / rel).parent.mkdir(exist_ok=True)
+        (root / rel).symlink_to(target)
     archives = root / HOSTILE_SLUG / "archives"
     long_name = "deep/" + "d" * 120 + "/payload.py"
     inner = pack_entries([("inner/eicar.com", EICAR_TEST_STRING)], ArchiveFormat.ZIP)
@@ -78,6 +99,8 @@ def build_hostile_corpus(root: str | Path) -> Path:
         "sparse.tar": gnu_sparse_tar([(0, b"head"), (100, EICAR_TEST_STRING)], 400),
         "nested.zip": pack_entries([("inner.zip", inner)], ArchiveFormat.ZIP),
     }
+    (archives / "sub").mkdir()
+    files["sub/hidden.zip"] = (archives / "bundle.zip").read_bytes()
     for name, data in files.items():
         (archives / name).write_bytes(data)
     return root

@@ -19,6 +19,7 @@ from hostile_corpus import encrypted_zip as _encrypted_zip
 from hostile_corpus import gnu_sparse_tar as _gnu_sparse_tar
 from hostile_corpus import tar_blob as _tar_blob
 from slsa_audit import archive, sevenz
+from slsa_audit.cli import main
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_corpus
 from slsa_audit.ingest import load_corpus, serialize_manifest
@@ -114,6 +115,25 @@ def test_inject_adds_payload(benign_tree, tmp_path):
     entries = extract_bytes(nested, ArchiveFormat.ZIP)
     matches = scan_entries(entries, BUILTIN_SIGNATURES, recursion_depth=0, notices=[])
     assert [m.entry_path for m in matches] == ["node_modules/.cache/x.py"]
+
+
+def test_inject_packs_no_symlinked_file_and_names_it(benign_tree, tmp_path, capsys):
+    (tmp_path / "secret.txt").write_bytes(b"outside the tree")
+    (benign_tree / "sub" / "link.txt").symlink_to(tmp_path / "secret.txt")
+    notices: list[str] = []
+    blob = inject_and_pack(benign_tree, None, ArchiveFormat.ZIP, notices=notices)
+    assert sorted(e.path for e in extract_bytes(blob, ArchiveFormat.ZIP)) == [
+        "README.md", "app.py", "sub/data.bin",
+    ]
+    assert notices == ["sub/link.txt: not a regular file (symlink); skipped"]
+    out = tmp_path / "out.zip"
+    assert main([
+        "archive", "inject", str(benign_tree), str(tmp_path / "secret.txt"), "--format", "zip",
+        "-o", str(out), "--i-am-testing",
+    ]) == 0
+    assert capsys.readouterr().err.endswith(
+        "notice: sub/link.txt: not a regular file (symlink); skipped\n"
+    )
 
 
 def test_extract_from_file(benign_tree, tmp_path):

@@ -435,11 +435,29 @@ def test_iac_paths_reads_templates_as_a_corpus_scan_does(demo, tmp_path, capsys,
         outputs.append(capsys.readouterr().out.replace(name, "<path>"))
     assert outputs[0] == outputs[1] and '"findings": []' not in outputs[0]
     assert main(["iac", "--paths", "bin.yaml"]) == 0
-    assert capsys.readouterr().err == (
-        "notice: bin.yaml: 'utf-8' codec can't decode byte 0xff in position 11: "
-        "invalid start byte\n"
-    )
+    assert capsys.readouterr().err == "notice: bin.yaml: undecodable bytes replaced with U+FFFD\n"
     assert [path for path in text_opened if path.endswith(".yaml")] == []
+
+
+def test_an_undecodable_byte_hides_no_iac_paths_finding(tmp_path, capsys):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    component = corpus / "acme__iac-library-serverless"
+    (component / "iac" / "main.tf").unlink()
+    template = component / "iac" / "stack.json"
+    template.write_bytes(template.read_bytes().replace(
+        b'"Type": "AWS::S3::Bucket",', b'"Type": "AWS::S3::Bucket", "Metadata": {"Note": "caf\xe9"},'
+    ))
+    findings = {}
+    for args in (["--paths", str(template)], ["--corpus", str(corpus)]):
+        assert main(["--output", "json", "iac", *args]) == 0
+        captured = capsys.readouterr()
+        findings[args[0]] = [
+            f["rule_id"] for c in json.loads(captured.out)["components"] for f in c["findings"]
+            if c["component"]["name"] in ("template", "iac-library-serverless")
+        ]
+        path = str(template) if args[0] == "--paths" else "acme__iac-library-serverless/iac/stack.json"
+        assert captured.err.endswith(f"notice: {path}: undecodable bytes replaced with U+FFFD\n")
+    assert findings["--paths"] == findings["--corpus"] == ["R-KMS"]
 
 
 def test_typosquat_over_corpus(demo, capsys):
@@ -526,13 +544,26 @@ def test_config_env_var_fallback(demo, tmp_path, capsys, monkeypatch):
     assert vectors == {"V4"}
 
 
-def test_docker_stdin(monkeypatch, capsys):
-    import io
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin whose text layer decodes strictly, as Python's does under
+    ``PYTHONIOENCODING=utf-8:strict``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("docker run --privileged img\n"))
+
+def test_docker_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"docker run --privileged img\n"))
     assert main(["--output", "json", "docker", "--cmd", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["components"][0]["findings"][0]["rule_id"] == "V3-PRIVILEGED"
+
+
+def test_docker_stdin_with_an_undecodable_byte_is_linted_with_a_notice(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"docker run --privileged -e X=\xff img\r\n"))
+    assert main(["--output", "json", "--fail-on", "High", "docker", "--cmd", "-"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [f["rule_id"] for f in doc["components"][0]["findings"]] == ["V3-PRIVILEGED"]
+    assert captured.err == "notice: cmdline: undecodable bytes replaced with U+FFFD\n"
 
 
 def test_archive_scan_reads_signatures_and_depth_from_config(tmp_path, capsys):

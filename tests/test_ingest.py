@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import os
+import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slsa_audit import report
+from slsa_audit import archive, report, vulnscan
 from slsa_audit.cli import main
 from slsa_audit.config import AuditConfig
 from slsa_audit.demo import build_demo_db
@@ -17,8 +22,9 @@ from slsa_audit.ingest import (
     load_corpus,
     parse_manifest,
     serialize_manifest,
+    walk_files,
 )
-from slsa_audit.model import ComponentRef, Repository
+from slsa_audit.model import AttackVector, ComponentRef, Repository
 
 
 def _write_component(root, publisher, name, repository="dockerhub", version="", extra="", files=None):
@@ -290,3 +296,142 @@ def test_meta_only_component_scans_touch_no_file(tmp_path, monkeypatch):
     assert report.scan_docker(scan) == []
     assert report.scan_iac(scan) == []
     assert (listed, stats, scan.notices) == ([], [], [])
+
+
+# ---------------------------------------------------------------------------
+# The one walker (a reference built apart from it)
+# ---------------------------------------------------------------------------
+
+
+_NAMES = st.sampled_from(["a", "b", "a-b", "a.b", "ab", "B", "é"])
+_LINKS = ("link-sibling", "link-root", "link-outside-file", "link-outside-dir", "dangling")
+_LEAVES = st.sampled_from(("file", "fifo", *_LINKS))
+_TREES = st.dictionaries(_NAMES, st.recursive(
+    _LEAVES, lambda inner: st.dictionaries(_NAMES, inner, max_size=4), max_leaves=14
+), max_size=5)
+
+
+def _build_tree(directory: Path, tree: dict, root: Path, outside: Path) -> None:
+    """Nested directories, regular files and FIFOs, and symlinks to a
+    sibling name, to the root, out of it, and to nothing."""
+    directory.mkdir()
+    for name, node in tree.items():
+        path = directory / name
+        if isinstance(node, dict):
+            _build_tree(path, node, root, outside)
+        elif node == "file":
+            path.write_bytes(b"x")
+        elif node == "fifo":
+            os.mkfifo(path)
+        else:
+            path.symlink_to({
+                "link-sibling": "a", "link-root": root, "link-outside-file": outside / "file",
+                "link-outside-dir": outside, "dangling": outside / "missing",
+            }[node])
+
+
+def _reference_walk(root: str, prefix: str) -> tuple[list[str], list[str]]:
+    """The files and notices of walk_files, from ``os.walk`` without
+    following links and ``os.lstat`` of each entry it lists."""
+    files, skipped = [], []
+    for directory, dirnames, filenames in os.walk(root, followlinks=False):
+        below = os.path.relpath(directory, root)
+        parts = () if below == "." else tuple(below.split(os.sep))
+        for name in dirnames + filenames:
+            mode = os.lstat(os.path.join(directory, name)).st_mode
+            if stat.S_ISREG(mode):
+                files.append((*parts, name))
+            elif not stat.S_ISDIR(mode):  # a real directory is walked by os.walk
+                kind = "symlink" if stat.S_ISLNK(mode) else (
+                    "FIFO" if stat.S_ISFIFO(mode) else "special file")
+                rel = prefix + "/".join((*parts, name))
+                skipped.append(((*parts, name), f"{rel}: not a regular file ({kind}); skipped"))
+    return [prefix + "/".join(p) for p in sorted(files)], [n for _, n in sorted(skipped)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES, prefix=st.sampled_from(["", "tree/"]))
+def test_walk_files_equals_an_os_walk_reference(tree, prefix):
+    with tempfile.TemporaryDirectory() as scratch:
+        root, outside = Path(scratch, "root"), Path(scratch, "outside")
+        (outside / "dir").mkdir(parents=True)
+        (outside / "file").write_bytes(b"outside")
+        _build_tree(root, tree, root, outside)
+        notices: list[str] = []
+        files = walk_files(root, notices, prefix)
+        assert (files, notices) == _reference_walk(str(root), prefix)
+        assert walk_files(root, None, prefix) == files
+        if not any(leaf in repr(tree) for leaf in _LINKS):
+            # The order tree_files gave: sorted Path objects, as rglob lists them.
+            old = [prefix + p.relative_to(root).as_posix() for p in sorted(root.rglob("*"))
+                   if p.is_file()]
+            assert files == old
+
+
+def test_walk_files_names_a_directory_it_cannot_list(tmp_path, monkeypatch):
+    (tmp_path / "tree" / "sub").mkdir(parents=True)
+    (tmp_path / "tree" / "a.txt").write_text("a")
+    (tmp_path / "tree" / "sub" / "b.txt").write_text("b")
+    scandir = os.scandir
+
+    def failing_scandir(path="."):
+        if os.fspath(path).endswith("sub"):
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", failing_scandir)
+    notices: list[str] = []
+    assert walk_files(tmp_path / "tree", notices, "tree/") == ["tree/a.txt"]
+    assert notices == ["tree/sub: cannot list: Permission denied"]
+    assert walk_files(tmp_path / "missing", notices) == []
+    assert notices[1:] == [".: cannot list: No such file or directory"]
+
+
+# ---------------------------------------------------------------------------
+# Parts are not followed either
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_a_symlinked_or_special_part_is_skipped_with_one_notice_from_its_vector(
+    tmp_path, monkeypatch, forked
+):
+    root = tmp_path / "corpus"
+    outside = _write_component(tmp_path / "outside", "out", "side", files={
+        "tree/package.json": '{"dependencies": {"lodash": "4.17.11"}}\n',
+        "iac/stack.yaml": "Resources:\n  B:\n    Type: AWS::S3::Bucket\n"
+                          "    Properties:\n      AccessControl: PublicReadWrite\n",
+    })
+    (outside / "archives").mkdir()
+    eicar = archive.pack_entries([("eicar.com", archive.EICAR_TEST_STRING)], archive.ArchiveFormat.ZIP)
+    (outside / "archives" / "bundle.zip").write_bytes(eicar)
+    component = _write_component(root, "p", "linked-parts")
+    for part in ("tree", "archives", "iac"):
+        (component / part).symlink_to(outside / part)
+    os.mkfifo(component / "run_commands.txt")  # a read would block
+    (_write_component(root, "q", "own-archive") / "archives").mkdir()
+    (root / "q__own-archive" / "archives" / "own.zip").write_bytes(eicar)
+    entry = load_corpus(root).entries[0]
+    assert entry.parts == frozenset()
+    assert entry.skipped_parts == {
+        "archives": "archives: not a regular file (symlink); skipped",
+        "iac": "iac: not a regular file (symlink); skipped",
+        "run_commands.txt": "run_commands.txt: not a regular file (FIFO); skipped",
+        "tree": "tree: not a regular file (symlink); skipped",
+    }
+    monkeypatch.setattr(report, "_FORK_MIN_BYTES", 0 if forked else 1 << 62)
+    db = vulnscan.load_advisory_db(build_demo_db(tmp_path / "db"))
+    run = report.scan_corpus(root, db=db)
+    assert run.archives["forked"] is forked
+    assert [
+        (f.component.slug, f.location) for f in run.report.all_findings()
+        if f.vector is not AttackVector.V5
+    ] == [
+        ("q__own-archive", "archives/own.zip!eicar.com")
+    ]
+    assert run.notices == [
+        f"p__linked-parts/{entry.skipped_parts[part]}"
+        for part in ("tree", "archives", "run_commands.txt", "iac")  # V1, V2, V3, V4
+    ]
+    only_v3 = report.scan_corpus(root, AuditConfig(enabled_vectors=frozenset({AttackVector.V3})))
+    assert only_v3.notices == ["p__linked-parts/run_commands.txt: not a regular file (FIFO); skipped"]

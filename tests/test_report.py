@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hostile_corpus import build_hostile_corpus
+from hostile_corpus import SYMLINKS, build_hostile_corpus
 from slsa_audit import archive, ingest, report, vulnscan
 from slsa_audit.archive import ArchiveError, ArchiveFormat, pack_entries
 from slsa_audit.cli import main
@@ -854,7 +854,8 @@ def test_v2_forks_only_when_its_archives_pay_for_it(
 def _with_non_regular_archives(corpus: Path, outside: Path) -> list[str]:
     """Adds a symlink to a zip outside the corpus, a directory holding a
     zip, a FIFO and a tar whose second header is bad to the demo's archive
-    component; returns the V2 notices they give."""
+    component; returns the V2 notices they give (none for the directory,
+    which is walked)."""
     slug = "testbed__zip-bundle-serverless"
     archives = corpus / slug / "archives"
     eicar_zip = pack_entries([("eicar.com", archive.EICAR_TEST_STRING)], ArchiveFormat.ZIP)
@@ -871,7 +872,6 @@ def _with_non_regular_archives(corpus: Path, outside: Path) -> list[str]:
     return [
         f"{slug}/archives/link.zip: not a regular file (symlink); skipped",
         f"{slug}/archives/pipe.zip: not a regular file (FIFO); skipped",
-        f"{slug}/archives/sub.zip: not a regular file (directory); skipped",
     ]
 
 
@@ -883,11 +883,12 @@ def test_archives_are_listed_without_following_symlinks(tmp_path):
     run = scan_corpus(corpus, config)
     assert run.notices == before.notices + notices
     added = [f for f in run.report.all_findings() if f not in before.report.all_findings()]
-    assert [(f.rule_id, f.location, f.evidence) for f in added] == [(
-        "V2-UNSAFE-ARCHIVE", "archives/zbad.tar",
-        "invalid tar header at offset 1024 hides the rest of the archive",
-    )]
-    assert run.archives["files"] == len(_DEMO_ARCHIVES) + 1
+    assert [(f.rule_id, f.location, f.evidence) for f in added] == [
+        ("V2-SIGNATURE-MATCH", "archives/sub.zip/inner.zip!eicar.com", "signature eicar matched"),
+        ("V2-UNSAFE-ARCHIVE", "archives/zbad.tar",
+         "invalid tar header at offset 1024 hides the rest of the archive"),
+    ]
+    assert run.archives["files"] == len(_DEMO_ARCHIVES) + 2
 
 
 def test_an_archives_directory_that_cannot_be_listed_is_a_notice(tmp_path, monkeypatch):
@@ -908,6 +909,26 @@ def test_an_archives_directory_that_cannot_be_listed_is_a_notice(tmp_path, monke
     assert run.notices == [f"{slug}/archives: cannot list: Permission denied"]
     assert {f.rule_id for f in run.report.all_findings()} == {"V2-SIGNATURE-MATCH"}
     assert run.archives["files"] == len(_DEMO_ARCHIVES)
+
+
+def test_scan_all_opens_no_file_outside_the_hostile_corpus(tmp_path, monkeypatch, capsys):
+    corpus = build_hostile_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(report, "_FORK_MIN_BYTES", 1 << 62)  # V2 reads in this process too
+    opened: list[str] = []
+    real_open = os.open
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.realpath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert main(["scan-all", "--corpus", str(corpus)]) == 0
+    inside = os.path.join(os.path.realpath(corpus), "")
+    assert opened and [path for path in opened if not path.startswith(inside)] == []
+    err = capsys.readouterr().err
+    for rel in SYMLINKS:
+        assert f"notice: {rel}: not a regular file (symlink); skipped\n" in err
+    assert {path.rpartition("/")[2] for path in opened} >= {"hidden.zip", "bundle.zip"}
 
 
 @pytest.mark.parametrize("corpus_kind", ["demo", "hostile"])
@@ -934,3 +955,9 @@ def test_v2_gives_the_same_output_in_the_parent_and_in_the_worker(
     assert "V2-SIGNATURE-MATCH" in kinds and any(kind.startswith("V1-") for kind in kinds)
     if corpus_kind == "hostile":
         assert {"V2-ENCRYPTED-ARCHIVE", "V2-UNSAFE-ARCHIVE"} <= kinds
+        assert "testbed__zip-bundle-serverless:archives/sub/hidden.zip!vendor/cache.bin" in (
+            outputs[False][0][1].decode()
+        )
+        assert [n for n in outputs[False][1] if "(symlink)" in n][:3] == [
+            f"{rel}: not a regular file (symlink); skipped" for rel in sorted(SYMLINKS)
+        ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from slsa_audit import ingest, vulnscan
 from slsa_audit.demo import build_demo_db
-from slsa_audit.ingest import tree_files
+from slsa_audit.ingest import walk_files
 from slsa_audit.model import Severity, severity_band
 from slsa_audit.vulnscan import (
     SOURCE_EXTENSIONS,
@@ -241,15 +241,15 @@ def test_load_advisory_db(tmp_path):
 def _reference_load_advisory_db(db_dir, notices: list[str]) -> list[Advisory]:
     """load_advisory_db as it read files with a text-mode open and json.load."""
     advisories: list[Advisory] = []
-    for rel in tree_files(db_dir):
-        if not rel.endswith(".json"):
+    for path in walk_files(db_dir, notices, os.path.join(db_dir, "")):
+        if not path.endswith(".json"):
             continue
         try:
-            with open(os.path.join(db_dir, rel), encoding="utf-8") as handle:
+            with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
             advisories.extend(advisory_from_osv(doc))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not OSV-shaped
-            notices.append(f"skipped advisory {rel.rpartition('/')[2]}: {exc}")
+            notices.append(f"skipped advisory {path.rpartition('/')[2]}: {exc}")
     return advisories
 
 
@@ -272,7 +272,9 @@ _LOADER_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", [*_LOADER_FILES, "demo", "directory", "dangling-symlink"])
+@pytest.mark.parametrize(
+    "case", [*_LOADER_FILES, "demo", "directory", "dangling-symlink", "symlink"]
+)
 def test_load_advisory_db_matches_the_text_mode_reference(tmp_path, case):
     db = tmp_path / "db"
     if case == "demo":
@@ -285,14 +287,17 @@ def test_load_advisory_db_matches_the_text_mode_reference(tmp_path, case):
     if case == "directory":
         (db / "x.json").mkdir()
         (db / "x.json" / "inner.json").write_bytes(_LODASH_BYTES)
-    elif case == "dangling-symlink":
-        (db / "x.json").symlink_to(db / "missing.json")
+    elif case.endswith("symlink"):
+        (db / "x.json").symlink_to(db / ("missing.json" if case.startswith("dangling") else "z.json"))
     notices: list[str] = []
     reference_notices: list[str] = []
     advisories = load_advisory_db(db, notices)
     assert advisories == _reference_load_advisory_db(db, reference_notices)
     assert notices == reference_notices
     assert advisories
+    if case.endswith("symlink"):  # a symlinked advisory is skipped, its target not read twice
+        assert notices == [f"{db}/x.json: not a regular file (symlink); skipped"]
+        assert [a.id for a in advisories] == [MINIMIST_OSV["id"]]
 
 
 def test_load_advisory_db_quotes_the_char_offset_of_the_raw_text(tmp_path):
@@ -588,7 +593,7 @@ def test_extract_inventory_merges(tmp_path):
     sub = tmp_path / "svc"
     sub.mkdir()
     (sub / "package.json").write_text(json.dumps({"dependencies": {"lodash": "4.17.20"}}))
-    inventory = extract_inventory(tree_files(tmp_path), _reader(tmp_path), [])
+    inventory = extract_inventory(walk_files(tmp_path), _reader(tmp_path), [])
     records = inventory.records()
     assert len(records) == 1
     assert records[0].versions == {"4.17.11", "4.17.20"}
@@ -612,16 +617,26 @@ def _tree_with_links(tmp_path):
     return root
 
 
-def test_tree_files_equal_sorted_rglob(tmp_path):
+def test_walk_files_equal_sorted_rglob(tmp_path):
     root = _tree_with_links(tmp_path)
-    expected = [p.relative_to(root).as_posix() for p in sorted(root.rglob("*")) if p.is_file()]
-    files = tree_files(root)
+    expected = [
+        p.relative_to(root).as_posix() for p in sorted(root.rglob("*"))
+        if p.is_file() and not p.is_symlink()
+    ]
+    notices: list[str] = []
+    files = walk_files(root, notices)
     assert files == expected
     assert files.index("a/b.py") < files.index("a-b/c.py")  # by parts, not by string
-    assert "linkfile.py" in files and "broken.py" not in files
+    assert "linkfile.py" not in files and "broken.py" not in files
     assert not any(rel.startswith("linkdir") for rel in files)
-    assert tree_files(tmp_path / "missing") == []
-    assert tree_files(root / "ab") == []
+    assert notices == [
+        f"{name}: not a regular file (symlink); skipped"
+        for name in ("broken.py", "linkdir", "linkfile.py")
+    ]
+    missing: list[str] = []
+    assert walk_files(tmp_path / "missing", missing, "missing/") == []
+    assert missing == ["missing: cannot list: No such file or directory"]
+    assert walk_files(root / "ab", [], "ab/") == []
 
 
 @pytest.mark.parametrize(
@@ -629,7 +644,7 @@ def test_tree_files_equal_sorted_rglob(tmp_path):
 )
 def test_single_walk_feeds_both_tree_stages(tmp_path, extensions):
     root = _tree_with_links(tmp_path)
-    files = tree_files(root)
+    files = walk_files(root)
     inventory = extract_inventory(files, _reader(root), [])
     inventory.add("requests", "1.0.0", Ecosystem.PYPI, "requirements.txt")
     assert [r.declared_in for r in inventory.records() if r.name == "lodash"] == [{"PACKAGE.JSON"}]
@@ -638,14 +653,14 @@ def test_single_walk_feeds_both_tree_stages(tmp_path, extensions):
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     # Path.suffix semantics: ".py", ".env" and "file." have no suffix; "Z.PY" counts.
     referenced = inventory.packages[("requests", Ecosystem.PYPI)].referenced_in_source
-    assert {"Z.PY", "linkfile.py"} <= referenced
+    assert "Z.PY" in referenced and "linkfile.py" not in referenced  # symlinks are skipped
     assert ({".py", ".env", "file."} <= referenced) is ("" in extensions)
 
 
 def test_tree_stages_read_only_through_the_reader(tmp_path, monkeypatch):
     root = _tree_with_links(tmp_path)
     (root / "a" / "requirements.txt").write_text("requests==2.0.0\n")
-    files = tree_files(root)
+    files = walk_files(root)
     on_disk = extract_inventory(files, _reader(root), [])
     mark_source_references(on_disk, files, _reader(root))
     texts = {rel: _reader(root)(rel) for rel in files}
@@ -678,7 +693,7 @@ def _inventory_with(name: str, ecosystem: Ecosystem = Ecosystem.PYPI) -> Package
 def test_source_reference_import(tmp_path):
     (tmp_path / "handler.py").write_text("import requests\n\nprint(requests)\n")
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path))
     record = inventory.records()[0]
     assert record.referenced_in_source == {"handler.py"}
 
@@ -687,13 +702,13 @@ def test_metadata_only_package(tmp_path):
     (tmp_path / "README.md").write_text("uses requests heavily\nimport requests\n")
     (tmp_path / "package.json").write_text(json.dumps({"dependencies": {"requests": "1.0.0"}}))
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path))
     assert inventory.records()[0].referenced_in_source == set()
 
 
 def test_empty_tree_all_metadata_only(tmp_path):
     inventory = _inventory_with("requests")
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path))
     matches = match_advisories(
         inventory,
         index_advisories(
@@ -711,7 +726,7 @@ def test_require_and_from_contexts(tmp_path):
     inventory.add("lodash", "4.17.11", Ecosystem.NPM, "package.json")
     inventory.add("left-pad", "1.3.0", Ecosystem.NPM, "package.json")
     inventory.add("minimist", "1.2.5", Ecosystem.NPM, "package.json")
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path))
     by_name = {r.name: r for r in inventory.records()}
     assert by_name["lodash"].referenced_in_source == {"app.js"}
     assert by_name["left-pad"].referenced_in_source == {"mod.ts"}
@@ -722,7 +737,7 @@ def test_gomod_bare_path_context(tmp_path):
     (tmp_path / "main.go").write_text('import "github.com/gin-gonic/gin"\n')
     inventory = PackageInventory()
     inventory.add("github.com/gin-gonic/gin", "1.4.0", Ecosystem.GOMOD, "go.mod")
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path))
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path))
     assert inventory.records()[0].referenced_in_source == {"main.go"}
 
 
@@ -731,7 +746,7 @@ def _marked_by_full_search(inventory: PackageInventory, root, source_extensions)
     patterns = {key: _import_pattern(record) for key, record in inventory.packages.items()}
     marked = {key: set() for key in patterns}
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.suffix.lower() in source_extensions:
+        if path.is_file() and not path.is_symlink() and path.suffix.lower() in source_extensions:
             text = path.read_text(encoding="utf-8", errors="replace")
             for key, pattern in patterns.items():
                 if pattern.search(text):
@@ -789,7 +804,7 @@ def test_source_marking_equals_full_search(tmp_path, seed):
         inventory.add(name, "1.0.0", ecosystem, "manifest")
     extensions = (".py", ".js", ".go") if seed % 2 else SOURCE_EXTENSIONS
     expected = _marked_by_full_search(inventory, tmp_path, extensions)
-    mark_source_references(inventory, tree_files(tmp_path), _reader(tmp_path), extensions)
+    mark_source_references(inventory, walk_files(tmp_path), _reader(tmp_path), extensions)
     assert {key: rec.referenced_in_source for key, rec in inventory.packages.items()} == expected
     assert any(expected.values())
 
