@@ -405,10 +405,13 @@ def extract(
     archive_path: str | Path,
     fmt: ArchiveFormat | None = None,
     limits: ExtractionLimits = DEFAULT_LIMITS,
+    data: bytes | None = None,
 ) -> list[ArchiveEntry]:
-    """Extract an archive file; format is detected when not given."""
+    """Extract an archive file; format is detected when not given. ``data``
+    is its bytes when the caller has read them; else the file is read."""
     path = Path(archive_path)
-    data = read_file(os.fspath(archive_path))
+    if data is None:
+        data = read_file(os.fspath(archive_path))
     if fmt is None:
         fmt = detect_format(path.name, data[:512])
     return extract_bytes(data, fmt, limits)

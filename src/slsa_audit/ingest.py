@@ -208,21 +208,61 @@ _READ_CHUNK = 1 << 16  # bytes per os.read; most component and advisory files ar
 def read_file(path: str) -> bytes:
     """A file's bytes, read without the objects a text-mode ``open`` builds.
 
-    Every component file (archives too), every advisory file and every
-    `iac --paths` template is read here. An OSError names ``path``, also
-    when ``os.read`` raises it (as for a directory).
+    Advisory files, `iac --paths` templates, `archive scan` archives and
+    each ``component.meta`` are read here. A symlink is followed: the user
+    names the first three, and a corpus may link a component's manifest.
+    An OSError names ``path``, also when ``os.read`` raises it (as for a
+    directory).
     """
     fd = os.open(path, os.O_RDONLY)
     try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
+        return _read_all(fd)
     except OSError as exc:
         exc.filename = path
         raise
     finally:
         os.close(fd)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, _READ_CHUNK):
+        chunks.append(chunk)
     return b"".join(chunks)
+
+
+def read_component_file(path: str, rel: str, notices) -> bytes | None:
+    """The bytes of the component file ``rel`` at ``path``, which
+    `walk_files` or `load_corpus` listed as a regular file, or None with one
+    notice. The file is opened without following a symlink or waiting for a
+    FIFO's writer (``O_NOFOLLOW | O_NONBLOCK``) and read only when
+    ``fstat`` finds a regular file. So a file swapped after the listing is
+    neither followed nor read: it gives the walker's notice ``<rel>: not a
+    regular file (symlink|FIFO|special file); skipped``. A directory, or
+    any other failure, gives ``<rel>: cannot read: <reason>``. Every file
+    V1-V4 read under a component is read here.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:  # what O_NOFOLLOW gives for a symlink
+            notices.append(_not_regular(rel, "symlink"))
+        else:
+            notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+        return None
+    try:
+        mode = os.fstat(fd).st_mode
+        if stat.S_ISREG(mode):
+            return _read_all(fd)
+        if stat.S_ISDIR(mode):
+            notices.append(f"{rel}: cannot read: {os.strerror(errno.EISDIR)}")
+        else:
+            notices.append(_not_regular(rel, "FIFO" if stat.S_ISFIFO(mode) else "special file"))
+    except OSError as exc:
+        notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+    finally:
+        os.close(fd)
+    return None
 
 
 def decode_text(data: bytes, errors: str = "strict") -> str:
@@ -271,7 +311,10 @@ def _skipped(rel: str, entry: os.DirEntry) -> str:
         fifo = stat.S_ISFIFO(entry.stat(follow_symlinks=False).st_mode)
     except OSError:
         fifo = False
-    kind = "symlink" if entry.is_symlink() else "FIFO" if fifo else "special file"
+    return _not_regular(rel, "symlink" if entry.is_symlink() else "FIFO" if fifo else "special file")
+
+
+def _not_regular(rel: str, kind: str) -> str:
     return f"{rel}: not a regular file ({kind}); skipped"
 
 

@@ -8,6 +8,7 @@ AuditRun record.
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pickle
 import platform
 import signal
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -32,7 +34,7 @@ from slsa_audit.ingest import (
     decode_text,
     is_serverless,
     load_corpus,
-    read_file,
+    read_component_file,
     walk_files,
 )
 from slsa_audit.model import (
@@ -294,6 +296,7 @@ class AuditRun:
     notices: list[str] = field(default_factory=list)
     archives: dict | None = None  # the archives V2 listed; None when it listed none
     archive_worker: dict | None = None  # ArchiveWorker.meta, None when none ran
+    analysed: dict = field(default_factory=dict)  # AnalysisMemo.counts per enabled V2-V4
 
     def meta_dict(self) -> dict:
         return {
@@ -305,11 +308,35 @@ class AuditRun:
             "notices": list(self.notices),
             "archives": self.archives,
             "archive_worker": self.archive_worker,
+            "analysed": self.analysed,
         }
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+class AnalysisMemo:
+    """The V2, V3 and V4 results of one `scan_corpus` call, one per
+    distinct (vector, component-relative path, sha256 of the file's bytes),
+    so each distinct file is analysed once per run
+    (`ComponentScan.analysed`). A result is the findings of the component
+    that was analysed, V4's framework, and the notices as they follow that
+    component's slug. ``files`` counts the files looked up per vector.
+    Each call makes its own, and an archive worker fills the copy it forked
+    with."""
+
+    __slots__ = ("results", "files")
+
+    def __init__(self) -> None:
+        self.results: dict[tuple[AttackVector, str, bytes], tuple] = {}
+        self.files: Counter[AttackVector] = Counter()
+
+    def counts(self, vector: AttackVector) -> dict[str, int]:
+        """``{"files": n, "distinct": m}``: the files of ``vector`` looked
+        up, and how many of them were analysed."""
+        distinct = sum(1 for key in self.results if key[0] is vector)
+        return {"files": self.files[vector], "distinct": distinct}
 
 
 class ComponentScan:
@@ -319,15 +346,21 @@ class ComponentScan:
     framework in ``iac_tagged``. Building one touches no file."""
 
     __slots__ = (
-        "entry", "config", "index", "vuln_count", "iac_tagged", "notices_by_vector", "archives"
+        "entry", "config", "index", "memo", "vuln_count", "iac_tagged", "notices_by_vector",
+        "archives",
     )
 
     def __init__(
-        self, entry: CorpusEntry, config: AuditConfig, index: vulnscan.AdvisoryIndex | None = None
+        self,
+        entry: CorpusEntry,
+        config: AuditConfig,
+        index: vulnscan.AdvisoryIndex | None = None,
+        memo: AnalysisMemo | None = None,
     ) -> None:
         self.entry = entry
         self.config = config
         self.index = index or {}  # what V1 matches against
+        self.memo = memo or AnalysisMemo()  # shared by the scans of one run
         self.vuln_count = 0
         self.iac_tagged: list[tuple[iaclint.IaCFramework, Finding]] = []
         self.notices_by_vector: dict[AttackVector, list[str]] = {}
@@ -370,20 +403,48 @@ class ComponentScan:
                         notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
         return self.archives
 
+    def read_bytes(self, rel: str, notices: SimpleNamespace | list[str]) -> bytes | None:
+        """The bytes of the component file ``rel``, or None with its notice
+        (`ingest.read_component_file`, which follows no symlink)."""
+        return read_component_file(os.path.join(self.entry.root_path, rel), rel, notices)
+
     def read(
         self, rel: str, notices: SimpleNamespace | list[str], errors: str = "strict"
     ) -> str | None:
         """The UTF-8 text, with universal newlines, of the component file
-        ``rel``, or None, with the notice ``<rel>: cannot read: <reason>``.
-        Bytes that do not decode become U+FFFD: with ``errors="strict"`` the
-        notice of `ingest.decode_noted` says so, with ``"replace"`` nothing
-        does."""
-        try:
-            data = read_file(os.path.join(self.entry.root_path, rel))
-        except OSError as exc:
-            notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
+        ``rel``, or None with the notice of `read_bytes`. Bytes that do not
+        decode become U+FFFD: with ``errors="strict"`` the notice of
+        `ingest.decode_noted` says so, with ``"replace"`` nothing does."""
+        data = self.read_bytes(rel, notices)
+        if data is None:
             return None
         return decode_text(data, errors) if errors == "replace" else decode_noted(data, rel, notices)
+
+    def analysed(self, vector: AttackVector, rel: str, data: bytes, analyse) -> tuple:
+        """``analyse(self, rel, data)``, which returns ``(findings,
+        framework)``, run once per run for each distinct ``(vector, rel,
+        data)`` (`AnalysisMemo`). The first component to ask keeps the
+        analyser's findings. Each later one gets copies that name it, and
+        the first one's ``vector`` notices from the analysis again, after
+        its own slug."""
+        memo = self.memo
+        memo.files[vector] += 1
+        key = (vector, rel, hashlib.sha256(data).digest())
+        into = self.notices_by_vector.setdefault(vector, [])
+        slug = self.entry.ref.slug
+        result = memo.results.get(key)
+        if result is None:
+            start = len(into)
+            findings, framework = analyse(self, rel, data)
+            memo.results[key] = findings, framework, [n[len(slug):] for n in into[start:]]
+            return findings, framework
+        findings, framework, notices = result
+        into += [slug + notice for notice in notices]
+        ref = self.entry.ref
+        return [
+            Finding(f.rule_id, f.vector, f.severity, ref, f.location, f.evidence, f.remediation)
+            for f in findings
+        ], framework
 
 
 def scan_vuln(scan: ComponentScan) -> list[Finding]:
@@ -421,99 +482,127 @@ def scan_vuln(scan: ComponentScan) -> list[Finding]:
 
 def scan_archives(scan: ComponentScan) -> list[Finding]:
     """V2 for one component: extract and signature-scan the regular files
-    of archives/ (`ComponentScan.archive_files`)."""
-    entry, config = scan.entry, scan.config
+    of archives/ (`ComponentScan.archive_files`), each distinct one once
+    per run."""
     findings: list[Finding] = []
     notices = scan.notices_for(AttackVector.V2)
     for rel, _ in scan.archive_files():
-        try:
-            entries = archive.extract(
-                os.path.join(entry.root_path, rel), limits=config.extraction_limits
-            )
-        except archive.EncryptedArchiveError:
-            findings.append(Finding(
-                "V2-ENCRYPTED-ARCHIVE", AttackVector.V2, Severity.MEDIUM, entry.ref, rel,
-                "archive content is encrypted and cannot be inspected",
-                "reject components whose archives cannot be scanned",
-            ))
-            continue
-        except (archive.ArchiveSecurityError, archive.DecompressionBombError) as exc:
-            findings.append(Finding(
-                "V2-UNSAFE-ARCHIVE", AttackVector.V2, Severity.HIGH, entry.ref, rel, str(exc),
-                "do not extract this archive; inspect it manually",
-            ))
-            continue
-        except (archive.UnsupportedFormatError, archive.ExtractionError) as exc:
-            notices.append(f"{rel}: {exc}")
-            continue
-        except OSError as exc:  # the only disk access is reading the archive
-            notices.append(f"{rel}: cannot read: {exc.strerror or exc}")
-            continue
-        for match in archive.scan_entries(
-            entries, config.signatures, config.recursion_depth, config.extraction_limits,
-            notices=scan.notices_for(AttackVector.V2, f"/{rel}: "),
-        ):
-            findings.append(Finding(
-                "V2-SIGNATURE-MATCH", AttackVector.V2, Severity.CRITICAL, entry.ref,
-                f"{rel}!{match.entry_path}", f"signature {match.signature_id} matched",
-                "remove the flagged file and audit the component",
-            ))
+        data = scan.read_bytes(rel, notices)
+        if data is not None:
+            findings += scan.analysed(AttackVector.V2, rel, data, _scan_archive)[0]
     return findings
 
 
+def _scan_archive(scan: ComponentScan, rel: str, data: bytes) -> tuple[list[Finding], None]:
+    """V2's analysis of the archive ``rel`` with the bytes ``data``."""
+    entry, config = scan.entry, scan.config
+    try:
+        entries = archive.extract(
+            os.path.join(entry.root_path, rel), limits=config.extraction_limits, data=data
+        )
+    except archive.EncryptedArchiveError:
+        return [Finding(
+            "V2-ENCRYPTED-ARCHIVE", AttackVector.V2, Severity.MEDIUM, entry.ref, rel,
+            "archive content is encrypted and cannot be inspected",
+            "reject components whose archives cannot be scanned",
+        )], None
+    except (archive.ArchiveSecurityError, archive.DecompressionBombError) as exc:
+        return [Finding(
+            "V2-UNSAFE-ARCHIVE", AttackVector.V2, Severity.HIGH, entry.ref, rel, str(exc),
+            "do not extract this archive; inspect it manually",
+        )], None
+    except (archive.UnsupportedFormatError, archive.ExtractionError) as exc:
+        scan.notices_for(AttackVector.V2).append(f"{rel}: {exc}")
+        return [], None
+    matches = archive.scan_entries(
+        entries, config.signatures, config.recursion_depth, config.extraction_limits,
+        notices=scan.notices_for(AttackVector.V2, f"/{rel}: "),
+    )
+    return [
+        Finding(
+            "V2-SIGNATURE-MATCH", AttackVector.V2, Severity.CRITICAL, entry.ref,
+            f"{rel}!{match.entry_path}", f"signature {match.signature_id} matched",
+            "remove the flagged file and audit the component",
+        )
+        for match in matches
+    ], None
+
+
 def scan_docker(scan: ComponentScan) -> list[Finding]:
-    """V3 for one component: lint run_commands.txt."""
+    """V3 for one component: lint run_commands.txt, each distinct one once
+    per run."""
     if not scan.has("run_commands.txt", AttackVector.V3):
         return []
-    notices = scan.notices_for(AttackVector.V3)
-    text = scan.read("run_commands.txt", notices)
-    return [] if text is None else dockerlint.lint_commands_text(
-        text,
+    data = scan.read_bytes("run_commands.txt", scan.notices_for(AttackVector.V3))
+    if data is None:
+        return []
+    return scan.analysed(AttackVector.V3, "run_commands.txt", data, _lint_commands)[0]
+
+
+def _lint_commands(scan: ComponentScan, rel: str, data: bytes) -> tuple[list[Finding], None]:
+    """V3's analysis of the command file ``rel`` with the bytes ``data``."""
+    config, notices = scan.config, scan.notices_for(AttackVector.V3)
+    return dockerlint.lint_commands_text(
+        decode_noted(data, rel, notices),
         component=scan.entry.ref,
-        source_name="run_commands.txt",
-        rules=scan.config.docker_rules,
-        key_config=scan.config.sensitive_keys,
+        source_name=rel,
+        rules=config.docker_rules,
+        key_config=config.sensitive_keys,
         notices=notices,
-    )
+    ), None
 
 
 def scan_iac(scan: ComponentScan) -> list[Finding]:
-    """V4 for one component: lint every template under iac/."""
-    entry, config = scan.entry, scan.config
+    """V4 for one component: lint every template under iac/, each distinct
+    one once per run."""
     if not scan.has("iac", AttackVector.V4):
         return []
     notices = scan.notices_for(AttackVector.V4)
-    for rel in walk_files(os.path.join(entry.root_path, "iac"), notices, "iac/"):
-        text = scan.read(rel, notices)
-        if text is None:
+    for rel in walk_files(os.path.join(scan.entry.root_path, "iac"), notices, "iac/"):
+        data = scan.read_bytes(rel, notices)
+        if data is None:
             continue
-        try:
-            framework, findings = iaclint.lint_template(
-                rel,
-                text,
-                catalog=config.iac_catalog,
-                component=entry.ref,
-                notices=notices,
-                cors_substrings=config.cors_substrings,
-            )
-        except iaclint.UnsupportedExtensionError:
-            continue
-        except iaclint.TemplateParseError as exc:
-            notices.append(str(exc))
-            continue
+        findings, framework = scan.analysed(AttackVector.V4, rel, data, _lint_template)
         scan.iac_tagged.extend((framework, f) for f in findings)
     return [f for _, f in scan.iac_tagged]
 
 
+def _lint_template(
+    scan: ComponentScan, rel: str, data: bytes
+) -> tuple[list[Finding], iaclint.IaCFramework | None]:
+    """V4's analysis of the template ``rel`` with the bytes ``data``: no
+    findings and no framework for a template it does not lint."""
+    config, notices = scan.config, scan.notices_for(AttackVector.V4)
+    try:
+        framework, findings = iaclint.lint_template(
+            rel,
+            decode_noted(data, rel, notices),
+            catalog=config.iac_catalog,
+            component=scan.entry.ref,
+            notices=notices,
+            cors_substrings=config.cors_substrings,
+        )
+    except iaclint.UnsupportedExtensionError:
+        return [], None
+    except iaclint.TemplateParseError as exc:
+        notices.append(str(exc))
+        return [], None
+    return findings, framework
+
+
 def _archive_scan_payload(scans: list[ComponentScan], started: float) -> bytes:
     """What an archive worker sends: the pickle of ``(True, (results,
-    seconds))``, with one ``(findings, V2 notices)`` per scan, or of
-    ``(False, exception)``."""
+    seconds, counts))``, with one ``(findings, V2 notices)`` per scan and
+    the V2 `AnalysisMemo.counts` of the scans' memo, or of ``(False,
+    exception)``."""
     try:
         results = [
             (scan_archives(scan), scan.notices_by_vector.get(AttackVector.V2, [])) for scan in scans
         ]
-        return pickle.dumps((True, (results, time.perf_counter() - started)), pickle.HIGHEST_PROTOCOL)
+        counts = scans[0].memo.counts(AttackVector.V2)
+        return pickle.dumps(
+            (True, (results, time.perf_counter() - started, counts)), pickle.HIGHEST_PROTOCOL
+        )
     except Exception as exc:
         try:
             payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
@@ -539,6 +628,7 @@ class ArchiveWorker:
 
     def __init__(self, scans: list[ComponentScan]) -> None:
         self.meta: dict | None = None  # set by result; the README's --run-meta lists its keys
+        self.counts: dict | None = None  # set by result: the worker's V2 AnalysisMemo.counts
         self._components = len(scans)
         self._started = started = time.perf_counter()
         read_fd, write_fd = os.pipe()
@@ -578,7 +668,7 @@ class ArchiveWorker:
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        results, seconds = value
+        results, seconds, self.counts = value
         self.meta = {
             "components": self._components,
             "seconds": seconds,
@@ -630,7 +720,9 @@ def scan_corpus(
     Each enabled scanner takes each component's ComponentScan in turn. V2
     runs in an ArchiveWorker instead when its archives are large enough to
     pay for the fork (see `_FORK_MIN_BYTES`). Each component's notices come
-    in vector order: V1, V2, V3, V4, wherever V2 ran.
+    in vector order: V1, V2, V3, V4, wherever V2 ran. The scans share one
+    AnalysisMemo, made here, so each distinct V2-V4 file is analysed once
+    in this call.
     ``corpus_id`` defaults to the last component of the absolute path.
     """
     config = config or AuditConfig()
@@ -645,7 +737,8 @@ def scan_corpus(
     if corpus_id is None:
         corpus_id = os.path.basename(os.path.abspath(corpus_root))
     vectors = config.enabled_vectors
-    scans = [ComponentScan(entry, config) for entry in entries]
+    memo = AnalysisMemo()
+    scans = [ComponentScan(entry, config, memo=memo) for entry in entries]
     # Listing every component's archives here also puts each V2 listing
     # notice in the parent, for the components the worker does not take.
     archived = [s for s in scans if AttackVector.V2 in vectors and s.archive_files()]
@@ -684,6 +777,10 @@ def scan_corpus(
         scan = typosquat.find_near_pairs(records, config.typosquat_max_distance)
         findings.extend(typosquat.findings_from_pairs(scan))
 
+    analysed = {
+        vector.value: worker.counts if forked and vector is AttackVector.V2 else memo.counts(vector)
+        for vector in (AttackVector.V2, AttackVector.V3, AttackVector.V4) if vector in vectors
+    }
     vuln_counts = {s.entry.ref: s.vuln_count for s in scans if AttackVector.V1 in vectors}
     report = aggregate(
         findings, corpus_id, vuln_counts, config.cdf_thresholds, [e.ref for e in entries]
@@ -702,6 +799,7 @@ def scan_corpus(
         notices=notices,
         archives={"files": len(sizes), "bytes": sum(sizes), "forked": forked} if sizes else None,
         archive_worker=worker.meta if worker else None,
+        analysed=analysed,
     )
 
 

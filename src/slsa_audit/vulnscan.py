@@ -211,10 +211,79 @@ def _intervals_from_events(events: list[dict]) -> list[VersionInterval]:
     return intervals
 
 
-def advisory_from_osv(doc: dict) -> list[Advisory]:
-    """Flatten one OSV-subset document into per-package Advisory records."""
+# CVSS v3.0 and v3.1 base metrics and their weights (CVSS v3.1
+# specification, section 7.4). Scope picks the equations and has no weight;
+# Privileges Required weighs more when Scope is Changed.
+_CVSS3_BASE = {
+    "AV": {"N": 0.85, "A": 0.62, "L": 0.55, "P": 0.2},
+    "AC": {"L": 0.77, "H": 0.44},
+    "PR": {"N": 0.85, "L": 0.62, "H": 0.27},
+    "UI": {"N": 0.85, "R": 0.62},
+    "S": {"U": 0.0, "C": 0.0},
+    "C": {"H": 0.56, "L": 0.22, "N": 0.0},
+    "I": {"H": 0.56, "L": 0.22, "N": 0.0},
+    "A": {"H": 0.56, "L": 0.22, "N": 0.0},
+}
+_CVSS3_PR_CHANGED = {"N": 0.85, "L": 0.68, "H": 0.5}
+# Temporal and environmental metrics, which a vector may carry and the base
+# score does not read.
+_CVSS3_OTHER = frozenset("E RL RC CR IR AR MAV MAC MPR MUI MS MC MI MA".split())
+
+
+def cvss3_base_score(vector: str) -> float:
+    """The base score of a CVSS v3.0 or v3.1 vector string, such as
+    ``CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H`` (9.8), by the base
+    equations of the CVSS v3.1 specification (section 7.1) and its
+    ``Roundup`` (Appendix A), for both versions. Raises ValueError for any
+    other string, a v2 or v4 vector among them."""
+    if not isinstance(vector, str) or not vector.startswith(("CVSS:3.0/", "CVSS:3.1/")):
+        raise ValueError("not a number or a CVSS v3.0/v3.1 vector")
+    values: dict[str, str] = {}
+    for metric in vector[9:].split("/"):
+        name, _, value = metric.partition(":")
+        known = value in _CVSS3_BASE[name] if name in _CVSS3_BASE else name in _CVSS3_OTHER
+        if not known or not value or name in values:
+            raise ValueError(f"malformed CVSS v3 metric {metric!r}")
+        values[name] = value
+    missing = [name for name in _CVSS3_BASE if name not in values]
+    if missing:
+        raise ValueError(f"CVSS v3 vector without {'/'.join(missing)}")
+    av, ac, pr, ui, _, c, i, a = (_CVSS3_BASE[name][values[name]] for name in _CVSS3_BASE)
+    changed = values["S"] == "C"
+    iss = 1 - (1 - c) * (1 - i) * (1 - a)
+    if changed:
+        pr = _CVSS3_PR_CHANGED[values["PR"]]
+        impact = 7.52 * (iss - 0.029) - 3.25 * (iss - 0.02) ** 15
+    else:
+        impact = 6.42 * iss
+    if impact <= 0:
+        return 0.0
+    exploitability = 8.22 * av * ac * pr * ui
+    return _cvss_roundup(min((1.08 if changed else 1.0) * (impact + exploitability), 10.0))
+
+
+def _cvss_roundup(value: float) -> float:
+    """The smallest number with one decimal place that is at least
+    ``value``, computed on an integer so that float error in ``value`` does
+    not round it up a tenth (CVSS v3.1, Appendix A)."""
+    scaled = round(value * 100_000)
+    if scaled % 10_000 == 0:
+        return scaled / 100_000
+    return (scaled // 10_000 + 1) / 10
+
+
+def advisory_from_osv(doc: dict, notices: list[str] | None = None) -> list[Advisory]:
+    """Flatten one OSV-subset document into per-package Advisory records.
+
+    The score is the first ``severity[].score`` that is a number or a CVSS
+    v3.0/v3.1 vector (`cvss3_base_score`). When scores are given but none
+    of them scores, the advisory loads as Unknown with the notice
+    ``advisory <id>: severity <score> not scored (<reason>); loaded as
+    Unknown``, naming the first.
+    """
     advisory_id = doc.get("id", "")
     score: float | None = None
+    unscored = ""
     for sev in doc.get("severity", []):
         raw = sev.get("score")
         if raw is None:
@@ -222,10 +291,16 @@ def advisory_from_osv(doc: dict) -> list[Advisory]:
         try:
             score = float(raw)
         except (TypeError, ValueError):
-            continue
+            try:
+                score = cvss3_base_score(raw)
+            except ValueError as exc:
+                unscored = unscored or f"{raw!r} not scored ({exc})"
+                continue
         if not 0.0 <= score <= 10.0:  # also NaN
             raise ValueError(f"CVSS score {raw!r} is not a number in [0.0, 10.0]")
         break
+    if score is None and unscored and notices is not None:
+        notices.append(f"advisory {advisory_id}: severity {unscored}; loaded as Unknown")
     out: list[Advisory] = []
     for affected in doc.get("affected", []):
         package = affected.get("package", {})
@@ -265,7 +340,7 @@ def load_advisory_db(db_dir: str | Path, notices: list[str] | None = None) -> li
         try:
             # Decoded before json.loads, which would otherwise accept UTF-16 and UTF-32.
             doc = json.loads(read_file(path).decode("utf-8"))
-            advisories.extend(advisory_from_osv(doc))
+            advisories.extend(advisory_from_osv(doc, notices))
         # Not UTF-8 JSON, nested too deep to decode, or not OSV-shaped.
         except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             if notices is not None:

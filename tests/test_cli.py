@@ -61,6 +61,22 @@ def test_scan_all_fail_on(demo):
                  "scan-all", "--corpus", str(corpus), "--db", str(db)]) == 1
 
 
+def test_cvss3_vector_scores_reach_the_report_and_fail_on(tmp_path, capsys):
+    corpus = build_demo_corpus(tmp_path / "corpus")
+    db = build_demo_db(tmp_path / "db")
+    vector = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"  # 9.8, as OSV publishes it
+    for path in db.iterdir():
+        doc = json.loads(path.read_text())
+        doc["severity"] = [{"type": "CVSS_V3", "score": vector}]
+        path.write_text(json.dumps(doc))
+    args = ["vulnscan", "--corpus", str(corpus), "--db", str(db)]
+    assert main(["--output", "json", "--fail-on", "High", *args]) == 1
+    captured = capsys.readouterr()
+    findings = [f for item in json.loads(captured.out)["components"] for f in item["findings"]]
+    assert findings and {f["severity"] for f in findings} == {"Critical"}
+    assert "not scored" not in captured.err
+
+
 def test_scan_all_byte_stable(demo, capsys):
     corpus, db = demo
     main(["--output", "json", "scan-all", "--corpus", str(corpus), "--db", str(db)])

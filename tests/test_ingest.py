@@ -1,9 +1,11 @@
 """Corpus loading and serverless filtering."""
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from slsa_audit.ingest import (
     is_serverless,
     load_corpus,
     parse_manifest,
+    read_component_file,
     serialize_manifest,
     walk_files,
 )
@@ -435,3 +438,42 @@ def test_a_symlinked_or_special_part_is_skipped_with_one_notice_from_its_vector(
     ]
     only_v3 = report.scan_corpus(root, AuditConfig(enabled_vectors=frozenset({AttackVector.V3})))
     assert only_v3.notices == ["p__linked-parts/run_commands.txt: not a regular file (FIFO); skipped"]
+
+
+def _read_in_a_thread(path, rel):
+    """read_component_file of ``path`` in a daemon thread, so a read that
+    blocks fails the test instead of hanging it."""
+    notices: list[str] = []
+    result = []
+    reader = threading.Thread(
+        target=lambda: result.append(read_component_file(str(path), rel, notices)), daemon=True
+    )
+    reader.start()
+    reader.join(10)
+    assert not reader.is_alive(), "the read blocked"
+    return result[0], notices
+
+
+def test_read_component_file_reads_only_a_regular_file(tmp_path):
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"outside\n")
+    (tmp_path / "regular").write_bytes(b"a\r\nb\xff")
+    (tmp_path / "link").symlink_to(outside)
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    os.mkfifo(tmp_path / "fifo")  # no writer: opening it for a read without O_NONBLOCK blocks
+    (tmp_path / "directory").mkdir()
+    assert _read_in_a_thread(tmp_path / "regular", "regular") == (b"a\r\nb\xff", [])
+    for rel, kind in (("link", "symlink"), ("dangling", "symlink"), ("fifo", "FIFO")):
+        assert _read_in_a_thread(tmp_path / rel, rel) == (
+            None, [f"{rel}: not a regular file ({kind}); skipped"]
+        )
+    assert _read_in_a_thread(tmp_path / "directory", "directory") == (
+        None, [f"directory: cannot read: {os.strerror(errno.EISDIR)}"]
+    )
+    assert _read_in_a_thread(tmp_path / "missing", "missing") == (
+        None, [f"missing: cannot read: {os.strerror(errno.ENOENT)}"]
+    )
+    if os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode):
+        assert _read_in_a_thread(os.devnull, "null") == (
+            None, ["null: not a regular file (special file); skipped"]
+        )

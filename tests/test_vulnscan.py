@@ -28,6 +28,7 @@ from slsa_audit.vulnscan import (
     VulnMatch,
     _import_pattern,
     advisory_from_osv,
+    cvss3_base_score,
     extract_inventory,
     filter_false_positives,
     import_external_scan,
@@ -343,6 +344,89 @@ def test_cvss_score_outside_0_to_10_skips_its_file(tmp_path, score):
 def test_cvss_score_bounds_load(score):
     doc = {**LODASH_OSV, "severity": [{"score": "high"}, {"score": score}]}
     assert advisory_from_osv(doc)[0].cvss_score == float(score)
+
+
+# Vectors and their CVSS v3.1 base scores.
+_CVSS3_GOLDEN = [
+    ("AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", 9.8),
+    ("AV:N/AC:L/PR:N/UI:N/S:C/C:H/I:H/A:H", 10.0),
+    ("AV:L/AC:L/PR:L/UI:N/S:U/C:H/I:H/A:H", 7.8),
+    ("AV:N/AC:L/PR:N/UI:R/S:C/C:L/I:L/A:N", 6.1),
+    ("AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N", 0.0),
+    ("AV:N/AC:L/PR:N/UI:N/S:C/C:N/I:N/A:N", 0.0),
+    ("AV:P/AC:H/PR:H/UI:R/S:U/C:L/I:N/A:N", 1.6),
+]
+
+
+@pytest.mark.parametrize("version", ["3.0", "3.1"])
+@pytest.mark.parametrize("metrics,score", _CVSS3_GOLDEN)
+def test_cvss3_base_score_golden_vectors(version, metrics, score):
+    assert cvss3_base_score(f"CVSS:{version}/{metrics}") == score
+    # Temporal and environmental metrics do not change the base score.
+    assert cvss3_base_score(f"CVSS:{version}/{metrics}/E:P/RL:O/CR:H/MAV:L") == score
+
+
+_IMPACT_LEVELS = ("N", "L", "H")
+_CVSS3_METRICS = {
+    "AV": "NALP", "AC": "LH", "PR": "NLH", "UI": "NR", "S": "UC",
+    "C": _IMPACT_LEVELS, "I": _IMPACT_LEVELS, "A": _IMPACT_LEVELS,
+}
+
+
+def _cvss3_vector(values: dict[str, str]) -> str:
+    return "CVSS:3.1/" + "/".join(f"{name}:{values[name]}" for name in _CVSS3_METRICS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.fixed_dictionaries({name: st.sampled_from(list(v)) for name, v in _CVSS3_METRICS.items()}),
+    raised=st.sampled_from("CIA"),
+)
+def test_cvss3_base_score_is_a_tenth_in_range_and_grows_with_impact(values, raised):
+    score = cvss3_base_score(_cvss3_vector(values))
+    assert 0.0 <= score <= 10.0 and round(score, 1) == score
+    level = _IMPACT_LEVELS.index(values[raised])
+    if level < len(_IMPACT_LEVELS) - 1:
+        higher = {**values, raised: _IMPACT_LEVELS[level + 1]}
+        assert cvss3_base_score(_cvss3_vector(higher)) >= score
+
+
+@pytest.mark.parametrize("vector", [
+    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H",  # A missing
+    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/A:H",  # A twice
+    "CVSS:3.1/AV:X/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
+    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/",
+    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/ZZ:1",
+    "AV:N/AC:L/Au:N/C:P/I:P/A:P",  # CVSS v2
+    "CVSS:4.0/AV:N/AC:L/AT:N/PR:N/UI:N/VC:H/VI:H/VA:H/SC:N/SI:N/SA:N",
+    "",
+])
+def test_a_vector_that_is_not_cvss3_is_not_scored(tmp_path, vector):
+    with pytest.raises(ValueError):
+        cvss3_base_score(vector)
+    doc = {**LODASH_OSV, "severity": [{"type": "CVSS_V3", "score": vector}]}
+    notices: list[str] = []
+    (advisory,) = advisory_from_osv(doc, notices)
+    assert advisory.cvss_score is None
+    assert len(notices) == 1 and notices[0].startswith(
+        f"advisory CVE-2019-10744: severity {vector!r} not scored ("
+    ) and notices[0].endswith("); loaded as Unknown")
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    db_notices: list[str] = []
+    assert load_advisory_db(tmp_path, db_notices) == [advisory] and db_notices == notices
+
+
+def test_a_cvss3_vector_scores_its_advisory_and_a_later_entry_is_not_read():
+    vector = "CVSS:3.1/AV:L/AC:L/PR:L/UI:N/S:U/C:H/I:H/A:H"
+    notices: list[str] = []
+    doc = {**LODASH_OSV, "severity": [
+        {"type": "CVSS_V2", "score": "AV:N/AC:L/Au:N/C:P/I:P/A:P"},
+        {"type": "CVSS_V3", "score": vector},
+        {"type": "CVSS_V3", "score": "1.0"},
+    ]}
+    assert advisory_from_osv(doc, notices)[0].cvss_score == 7.8
+    assert notices == []  # the advisory is scored, so the v2 entry costs no notice
+    assert severity_band(7.8) is Severity.HIGH
 
 
 def test_deeply_nested_advisory_file_is_skipped(tmp_path):
